@@ -1,7 +1,7 @@
 """Ablation: choice of diffraction approximation (Rayleigh-Sommerfeld / Fresnel / Fraunhofer).
 
-DESIGN.md calls out the approximation choice as a design decision the
-framework exposes (Section 3.1.1): Rayleigh-Sommerfeld is the accurate
+LightRidge exposes the approximation choice as a design decision of the
+framework's physics kernels: Rayleigh-Sommerfeld is the accurate
 default, Fresnel is a cheaper near-field approximation that should behave
 almost identically at the prototype geometry, and Fraunhofer (far field)
 is outside its validity regime there.  The ablation trains the same DONN

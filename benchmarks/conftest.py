@@ -1,9 +1,10 @@
 """Shared fixtures for the experiment-reproduction benchmarks.
 
 Each ``bench_*.py`` file regenerates one table or figure of the paper
-(see DESIGN.md section 3 for the index).  Benchmarks print the reproduced
-rows (run with ``-s`` to see them live) and also write them as JSON under
-``benchmarks/results/`` so EXPERIMENTS.md can reference concrete numbers.
+(the file name says which: ``bench_fig09_*`` is Figure 9).  Benchmarks
+print the reproduced rows (run with ``-s`` to see them live) and also
+write them as JSON under ``benchmarks/results/`` so the numbers can be
+quoted from a committed file.
 
 The experiments are scaled down (system size, dataset size, epochs) so the
 full suite runs on a laptop-class CPU in minutes; the sweep axes and the

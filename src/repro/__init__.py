@@ -5,8 +5,9 @@ optical neural networks: differentiable optical physics kernels,
 runtime-optimised emulation, hardware-software codesign, design space
 exploration and deployment backends.  This package rebuilds that stack on
 numpy (including the complex-valued autodiff engine that PyTorch provided
-in the original) -- see ``DESIGN.md`` for the system inventory and
-``EXPERIMENTS.md`` for the reproduced tables and figures.
+in the original) -- see ``docs/architecture.md`` for the system inventory
+and ``benchmarks/bench_fig*.py`` / ``bench_table*.py`` for the reproduced
+tables and figures.
 
 Quick start
 -----------
@@ -26,7 +27,7 @@ from repro.optics import SpatialGrid, LaserSource, make_propagator
 from repro.codesign import DeviceProfile, slm_profile, ideal_profile, thz_mask_profile
 from repro.train import Trainer, SegmentationTrainer, evaluate_classifier
 from repro.data import load_digits, load_fashion, load_scenes, load_segmentation_scenes
-from repro.engine import InferenceSession, compile_model
+from repro.engine import InferenceSession
 from repro.serve import InferenceServer, SessionRegistry
 from repro.dse import AnalyticalDSEModel, DesignSpace, run_analytical_dse
 from repro.dsl import build_donn, DesignFlow
@@ -57,7 +58,6 @@ __all__ = [
     "ideal_profile",
     "thz_mask_profile",
     "InferenceSession",
-    "compile_model",
     "InferenceServer",
     "SessionRegistry",
     "Trainer",

@@ -17,7 +17,9 @@ execution tier below it:
   :class:`SocketTransport` speaks the same message schema over
   length-prefixed TCP frames to a ``repro-worker``
   (:mod:`repro.cluster.remote`) running on any host --
-  ``ReplicaGroup(spec, replicas=0, workers=["host:7070"])``.
+  ``ReplicaGroup(spec, replicas=0, workers=["host:7070"])``.  Both
+  worker flavors answer through one call loop,
+  :func:`~repro.cluster.worker.serve_calls`.
 * :class:`ReplicaGroup` -- owns N such workers for one model,
   health-checks and restarts dead ones, retries failed batches on
   another replica (bounded), and exposes an awaitable ``infer(batch)``

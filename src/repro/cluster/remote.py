@@ -12,10 +12,11 @@ and point a :class:`~repro.cluster.ReplicaGroup` (or
 ``host:7070``.  The worker carries **no model state of its own**: each
 connection opens with an ``("init", spec, options)`` frame, the worker
 builds its :class:`~repro.engine.InferenceSession` from that
-:class:`~repro.engine.SessionSpec`, answers the same ``run``/``ping``/
-``stop`` conversation as a spawned local worker, and then goes back to
-listening -- so a parent-side restart is simply a reconnect, and a new
-model version is simply a new connection.
+:class:`~repro.engine.SessionSpec`, runs the same call loop as a spawned
+local worker (:func:`~repro.cluster.worker.serve_calls`, arrays in-band),
+and then goes back to listening -- so a parent-side restart is simply a
+reconnect, and a new model version is simply a new connection.  A
+malformed frame ends at most its own conversation, never the listener.
 
 One conversation at a time: a replica serializes its calls anyway, and a
 worker process is one core's worth of FFT compute -- parents needing more
@@ -31,81 +32,43 @@ you trust, on a network you trust.
 from __future__ import annotations
 
 import argparse
+import functools
+import logging
 import signal
 import socket
-import traceback
 from typing import Optional
 
 from repro.cluster.transport import FrameBuffer, recv_message, send_message
-from repro.cluster.worker import probe_session, run_batch, worker_obs
+from repro.cluster.worker import serve_calls
 
 __all__ = ["WorkerServer", "serve", "main"]
 
+logger = logging.getLogger(__name__)
+
+
+def _in_band(array):
+    """Socket frames carry arrays in-band: nothing to load or store."""
+    return array
+
 
 def _serve_connection(conn: socket.socket, store_root: Optional[str] = None) -> None:
-    """Answer one parent conversation: init handshake, then the call loop."""
-    buffer = FrameBuffer()
+    """Answer one parent conversation: the init handshake, then :func:`serve_calls`."""
+    recv = functools.partial(recv_message, conn, FrameBuffer())
+    send = functools.partial(send_message, conn)
     try:
-        message = recv_message(conn, buffer)
+        message = recv()
+        if not (isinstance(message, tuple) and len(message) == 3 and message[0] == "init"):
+            send(("fatal", f"expected an ('init', spec, options) frame, got {message!r:.200}"))
+            return
     except (EOFError, OSError):
         return  # parent connected and vanished; nothing to answer
-    if message[0] != "init":
-        try:
-            send_message(conn, ("fatal", f"expected an init frame, got {message[0]!r}"))
-        except OSError:
-            pass
-        return
     _, spec, options = message
-    options = options or {}
-    handicap_s = float(options.get("handicap_s") or 0.0)
     if store_root is not None and hasattr(spec, "with_location"):
         # A store ref minted against the *parent's* path: re-root it onto
         # this host's replica of the store (--store).  The pinned content
         # hash still guards the load, so a stale replica fails loudly.
         spec = spec.with_location(store_root)
-    try:
-        session = spec.build()
-        meta = probe_session(session)
-    except Exception:
-        try:
-            send_message(conn, ("fatal", traceback.format_exc(limit=8)))
-        except OSError:
-            pass
-        return
-    try:
-        send_message(conn, ("ready", meta))
-        while True:
-            try:
-                message = recv_message(conn, buffer)
-            except (EOFError, OSError):
-                return  # parent is gone; nothing left to answer
-            kind = message[0]
-            if kind == "stop":
-                return
-            if kind == "ping":
-                send_message(conn, ("pong", message[1]))
-                continue
-            if kind != "run":  # pragma: no cover - protocol guard
-                send_message(
-                    conn, ("err", message[1] if len(message) > 1 else -1, f"unknown message {kind!r}")
-                )
-                continue
-            batch, seq = message[1], message[2]
-            ctx = message[3] if len(message) > 3 else None
-            try:
-                result, compute_s = run_batch(session, batch, handicap_s)
-            except Exception:
-                send_message(conn, ("err", seq, traceback.format_exc(limit=8)))
-                continue
-            if ctx is not None:
-                # Traced request: the reply carries this worker's timing
-                # payload for the parent's trace stitching (same contract
-                # as the pipe+shm worker).
-                send_message(conn, ("ok", seq, result, compute_s, worker_obs(compute_s, handicap_s)))
-            else:
-                send_message(conn, ("ok", seq, result, compute_s))
-    except OSError:
-        return  # send-side breakage: the parent will reconnect if it cares
+    serve_calls(spec, options, recv, send, _in_band, _in_band)
 
 
 class WorkerServer:
@@ -149,6 +112,10 @@ class WorkerServer:
                 pass
             try:
                 _serve_connection(conn, self.store_root)
+            except Exception:
+                # One bad conversation (say, an undecodable frame) must not
+                # take the listener down with it.
+                logger.exception("repro-worker: conversation failed; still accepting")
             finally:
                 try:
                     conn.close()

@@ -1,36 +1,38 @@
-"""The replica worker: a spawned child process serving fused batch calls.
+"""The replica worker: one call loop serving fused batches for every transport.
 
 Each worker rebuilds an :class:`~repro.engine.InferenceSession` from a
 picklable :class:`~repro.engine.SessionSpec` (its *own* compiled program,
 kernel caches and FFT plans, in its own address space -- this is what
 frees a replica group from the parent's GIL), then answers a tiny
-request/response protocol over a pipe:
+request/response protocol.  :func:`serve_calls` is that conversation;
+:func:`worker_main` runs it in a spawned child over a pipe, and
+:mod:`repro.cluster.remote` runs it over a TCP socket:
 
-============================  ===========================================
-parent -> worker              worker -> parent
-============================  ===========================================
-``("run", ref, seq[, ctx])``  ``("ok", seq, ref, compute_s[, obs])`` or
-                              ``("err", seq, message)``
-``("ping", seq)``             ``("pong", seq)``
-``("stop",)``                 (exits after cleanup)
-============================  ===========================================
+==============================  =========================================
+parent -> worker                worker -> parent
+==============================  =========================================
+``("run", batch, seq[, ctx])``  ``("ok", seq, result, compute_s[, obs])``
+                                or ``("err", seq, message)``
+``("ping", seq)``               ``("pong", seq)``
+``("stop",)``                   (exits after cleanup)
+==============================  =========================================
 
 A ``run`` carrying a trace context ``ctx`` (the request is traced --
-see :mod:`repro.obs`) gets an ``ok`` carrying :func:`worker_obs`: the
-worker's pid and compute duration, which the parent stitches into the
-request's trace as a ``worker.compute`` span.
+see :mod:`repro.obs`) gets an ``ok`` carrying ``obs``: the worker's pid
+and compute duration, which the parent stitches into the request's
+trace as a ``worker.compute`` span.
 
 plus a one-shot ``("ready", meta)`` / ``("fatal", message)`` handshake
-after the session is built.  ``ref`` descriptors are
-:data:`~repro.cluster.shm.ArrayRef` tuples -- the batch arrays themselves
-move through shared memory (:mod:`repro.cluster.shm`), never through the
-pipe.
+after the session is built.  Over the pipe, ``batch`` and ``result``
+are :data:`~repro.cluster.shm.ArrayRef` descriptors -- the arrays
+themselves move through shared memory (:mod:`repro.cluster.shm`); over
+a socket they travel in-band.
 
-A per-request failure answers ``("err", ...)`` and the worker lives on;
-only a broken pipe (parent gone) or ``stop`` ends the loop.  The
-``handicap_s`` option adds a fixed sleep to every call: a deliberately
-slowed replica for asymmetric-capacity tests and benchmarks (see
-``benchmarks/bench_sharded_serving.py``).
+A per-request failure or a malformed frame answers ``("err", ...)`` and
+the worker lives on; only a broken channel (parent gone) or ``stop``
+ends the loop.  The ``handicap_s`` option adds a fixed sleep to every
+call: a deliberately slowed replica for asymmetric-capacity tests and
+benchmarks (see ``benchmarks/bench_sharded_serving.py``).
 """
 
 from __future__ import annotations
@@ -46,21 +48,7 @@ import numpy as np
 from repro.cluster.shm import ShmArena, ShmReader
 from repro.engine.spec import SessionSpec
 
-__all__ = ["worker_main", "probe_session", "run_batch", "worker_obs"]
-
-
-def worker_obs(compute_s: float, handicap_s: float = 0.0) -> dict:
-    """The observability payload a traced ``ok`` reply carries.
-
-    Durations only -- ``time.monotonic``/``perf_counter`` instants are
-    process-local and meaningless to the parent, which anchors the
-    stitched ``worker.compute`` span inside its own dispatch window.
-    Shared by both worker flavors (pipe+shm child and socket server).
-    """
-    obs = {"pid": os.getpid(), "compute_ms": compute_s * 1000.0}
-    if handicap_s > 0.0:
-        obs["handicap_ms"] = handicap_s * 1000.0
-    return obs
+__all__ = ["worker_main", "serve_calls", "probe_session"]
 
 
 def probe_session(session) -> dict:
@@ -82,91 +70,92 @@ def probe_session(session) -> dict:
     }
 
 
-def run_batch(session, batch: np.ndarray, handicap_s: float = 0.0):
-    """One fused call: ``(result, compute_s)`` -- the worker-side hot path.
+def serve_calls(spec, options, recv, send, load_batch, store_result) -> None:
+    """One worker conversation, the same for every transport.
 
-    Shared by both worker flavors (the pipe+shm child here and the
-    socket-serving :mod:`repro.cluster.remote`) so the measured
-    ``compute_s`` and handicap semantics stay identical across
-    transports.
+    Builds the session from ``spec``, replies ``("ready", meta)`` or
+    ``("fatal", traceback)``, then answers ``ping``/``run`` frames until
+    ``stop`` or until the channel breaks (``recv``/``send`` raising
+    ``EOFError``/``OSError``: the parent is gone, nothing left to answer).
+    The transport supplies its channel's ``recv``/``send`` and how arrays
+    cross it: ``load_batch`` turns a ``run`` frame's payload into the
+    batch, ``store_result`` turns the result into the ``ok`` frame's
+    payload.  ``options`` understands ``handicap_s`` (artificial per-call
+    sleep, seconds).  Never raises on a bad spec or frame: those answer
+    ``fatal`` and ``err`` respectively.
     """
-    started = time.perf_counter()
-    result = session.run(batch, batch_size=len(batch) or None)
-    compute_s = time.perf_counter() - started
-    if handicap_s > 0.0:
-        time.sleep(handicap_s)
-    return np.asarray(result), compute_s
+    try:
+        try:
+            handicap_s = float((options or {}).get("handicap_s") or 0.0)
+            session = spec.build()
+            meta = probe_session(session)
+        except Exception:
+            send(("fatal", traceback.format_exc(limit=8)))
+            return
+        send(("ready", meta))
+        while True:
+            message = recv()
+            kind = message[0] if isinstance(message, tuple) and message else None
+            if kind == "stop":
+                return
+            if kind == "ping" and len(message) >= 2:
+                send(("pong", message[1]))
+            elif kind == "run" and len(message) >= 3:
+                send(_call(session, message, handicap_s, load_batch, store_result))
+            else:
+                send(("err", -1, f"malformed frame {message!r:.200}"))
+    except (EOFError, OSError):
+        return
+
+
+def _call(session, message: tuple, handicap_s: float, load_batch, store_result) -> tuple:
+    """Answer one ``("run", payload, seq[, ctx])`` frame with ``ok`` or ``err``.
+
+    The batch lives only in this frame: a shm view must not outlive the
+    call, or it pins the parent's arena mmap and turns the shutdown close
+    into a ``BufferError``.
+    """
+    seq = message[2]
+    try:
+        batch = load_batch(message[1])
+        started = time.perf_counter()
+        result = np.asarray(session.run(batch, batch_size=len(batch) or None))
+        compute_s = time.perf_counter() - started
+        if handicap_s > 0.0:
+            time.sleep(handicap_s)
+        reply = ("ok", seq, store_result(result), compute_s)
+    except Exception:
+        return ("err", seq, traceback.format_exc(limit=8))
+    if len(message) > 3 and message[3] is not None:
+        # Traced request: ship durations, not instants -- clocks are
+        # process-local, so the parent anchors the stitched
+        # worker.compute span inside its own dispatch window.
+        obs = {"pid": os.getpid(), "compute_ms": compute_s * 1000.0}
+        if handicap_s > 0.0:
+            obs["handicap_ms"] = handicap_s * 1000.0
+        reply += (obs,)
+    return reply
 
 
 def worker_main(conn, spec: SessionSpec, options: Optional[dict] = None) -> None:
     """Entry point of one replica worker process (``spawn`` start method).
 
-    ``conn`` is the worker end of a ``multiprocessing.Pipe``; ``options``
-    currently understands ``handicap_s`` (artificial per-call sleep,
-    seconds).  Never raises: startup failures are reported as
-    ``("fatal", message)`` and per-request failures as ``("err", ...)``.
+    ``conn`` is the worker end of a ``multiprocessing.Pipe``; batches and
+    results cross through shared memory.  A batch is a zero-copy view of
+    the parent's arena: the session copies while encoding, and the parent
+    does not reuse the block before it has the reply.  The conversation
+    itself is :func:`serve_calls`.
     """
-    options = options or {}
-    handicap_s = float(options.get("handicap_s") or 0.0)
     # The parent owns worker lifetime (stop message / terminate): a
     # keyboard interrupt aimed at the parent must not race its shutdown.
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):  # pragma: no cover - non-main thread / platform
         pass
-
-    try:
-        session = spec.build()
-        meta = probe_session(session)
-    except Exception:
-        try:
-            conn.send(("fatal", traceback.format_exc(limit=8)))
-        finally:
-            conn.close()
-        return
-    conn.send(("ready", meta))
-
     requests = ShmReader()   # parent-owned request arena
     responses = ShmArena()   # worker-owned response arena
     try:
-        while True:
-            try:
-                message = conn.recv()
-            except (EOFError, OSError):
-                return  # parent is gone; nothing left to answer
-            kind = message[0]
-            if kind == "stop":
-                return
-            if kind == "ping":
-                conn.send(("pong", message[1]))
-                continue
-            if kind != "run":  # pragma: no cover - protocol guard
-                conn.send(("err", message[1] if len(message) > 1 else -1, f"unknown message {kind!r}"))
-                continue
-            ref, seq = message[1], message[2]
-            ctx = message[3] if len(message) > 3 else None
-            try:
-                # The view aliases the parent's arena; the session copies
-                # during encoding, and the parent will not overwrite the
-                # block before it has our response.
-                batch = requests.view(ref)
-                result, compute_s = run_batch(session, batch, handicap_s)
-                out_ref = responses.write(result)
-            except Exception:
-                conn.send(("err", seq, traceback.format_exc(limit=8)))
-                continue
-            if ctx is not None:
-                # Traced request: ship the compute timing back so the
-                # parent can stitch a worker.compute span into the trace
-                # (clocks do not align across processes, so durations
-                # travel, not instants).
-                conn.send(("ok", seq, out_ref, compute_s, worker_obs(compute_s, handicap_s)))
-            else:
-                conn.send(("ok", seq, out_ref, compute_s))
-            # The view from this iteration must not outlive the message:
-            # a lingering reference pins the parent's arena mmap and
-            # turns the shutdown close into a BufferError.
-            del batch
+        serve_calls(spec, options, conn.recv, conn.send, requests.view, responses.write)
     finally:
         requests.close()
         responses.close(unlink=True)

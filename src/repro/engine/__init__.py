@@ -9,15 +9,14 @@ Public surface:
   cancellation, dead-kernel elimination, cascade collapse), and emit an
   :class:`InferenceSession`.
 * :class:`InferenceSession` -- the thin executor over the emitted plan
-  (batching, streaming, ``plan_summary()`` introspection).  Direct
-  construction is deprecated in favor of :func:`compile`;
-  :func:`compile_model` is a thin functional alias.
+  (batching, streaming, ``plan_summary()`` introspection).
 * :func:`get_fft_backend` / :func:`available_backends` -- the FFT
   dispatch layer (scipy with thread workers when installed, numpy
   fallback otherwise).
 * :class:`SessionSpec` -- picklable recipe (``session.to_spec()`` /
   ``spec.build()``) that lets ``repro.cluster`` rebuild the session in a
-  spawned worker process.
+  spawned worker process; ``SessionSpec.of`` specs out a model, session
+  or spec for the store and the cluster.
 * :mod:`repro.engine.plan` / :mod:`repro.engine.passes` -- the plan IR
   (``lower`` / ``emit`` / ``format_plan``) and its optimization passes
   (``optimize_plan``), for tooling such as ``tools/dump_plan.py``.
@@ -31,18 +30,12 @@ from repro.engine.backends import (
 )
 from repro.engine.passes import OPTIMIZE_LEVELS, optimize_plan
 from repro.engine.plan import Plan, count_ops, emit, format_plan, lower
-from repro.engine.session import (
-    COMPLEX64_LOGIT_ATOL,
-    InferenceSession,
-    compile,
-    compile_model,
-)
+from repro.engine.session import COMPLEX64_LOGIT_ATOL, InferenceSession, compile
 from repro.engine.spec import SessionSpec
 
 __all__ = [
     "compile",
     "InferenceSession",
-    "compile_model",
     "SessionSpec",
     "COMPLEX64_LOGIT_ATOL",
     "OPTIMIZE_LEVELS",

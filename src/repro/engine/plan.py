@@ -459,6 +459,22 @@ def _lower_segmentation(model: SegmentationDONN, cdtype: np.dtype) -> Plan:
     )
 
 
+def _lowering_for(model) -> Callable:
+    """``model``'s lowering function: the one check of what the engine compiles.
+
+    Raises ``TypeError`` for anything but the three compilable model families.
+    """
+    if isinstance(model, SegmentationDONN):
+        return _lower_segmentation
+    if isinstance(model, MultiChannelDONN):
+        return _lower_multichannel
+    if isinstance(model, DONN):
+        return _lower_donn
+    raise TypeError(
+        f"cannot compile {type(model).__name__}; expected DONN, MultiChannelDONN or SegmentationDONN"
+    )
+
+
 def lower(model, dtype="complex128") -> Plan:
     """Lower a trained model to a :class:`Plan`, snapshotting in eval mode.
 
@@ -467,16 +483,7 @@ def lower(model, dtype="complex128") -> Plan:
     ``TypeError`` for anything but the three compilable model families.
     """
     cdtype = np.dtype(dtype)
-    if isinstance(model, SegmentationDONN):
-        lower_fn = _lower_segmentation
-    elif isinstance(model, MultiChannelDONN):
-        lower_fn = _lower_multichannel
-    elif isinstance(model, DONN):
-        lower_fn = _lower_donn
-    else:
-        raise TypeError(
-            f"cannot compile {type(model).__name__}; expected DONN, MultiChannelDONN or SegmentationDONN"
-        )
+    lower_fn = _lowering_for(model)
     was_training = model.training
     model.eval()
     try:

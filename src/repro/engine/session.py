@@ -23,16 +23,11 @@ match the autograd eval path to ``atol=1e-10``; the opt-in
 kernel and intermediate, trading exactness for a documented accuracy
 budget of :data:`COMPLEX64_LOGIT_ATOL` on detector logits (see
 ``tests/test_engine.py``).
-
-Constructing ``InferenceSession(model, ...)`` directly still works but
-is deprecated; it is the same pipeline with a ``DeprecationWarning`` on
-the way in.
 """
 
 from __future__ import annotations
 
 import pickle
-import warnings
 from typing import Callable, Optional
 
 import numpy as np
@@ -58,9 +53,9 @@ def _resolve_complex_dtype(dtype) -> np.dtype:
 class InferenceSession:
     """A trained DONN compiled for batched, autograd-free serving.
 
-    Build sessions with :func:`repro.engine.compile`; the direct
-    ``InferenceSession(model, ...)`` constructor is deprecated (it still
-    works, running the identical pipeline, but warns).
+    Build sessions with :func:`repro.engine.compile`, which resolves the
+    option defaults; the constructor takes every option by keyword, so
+    ``InferenceSession(model)`` alone raises ``TypeError``.
 
     Parameters
     ----------
@@ -87,6 +82,9 @@ class InferenceSession:
         Pass level: ``"full"`` (default; local rewrites plus cascade
         collapse), ``"fuse"`` (local rewrites only) or ``"none"``
         (emit the lowered plan verbatim).
+    max_operator_bytes:
+        Budget for the collapsed cascade operator (``None`` = the passes'
+        64 MiB default); plans over budget stay in FFT form.
 
     Raises
     ------
@@ -111,35 +109,6 @@ class InferenceSession:
     """
 
     def __init__(
-        self,
-        model,
-        batch_size: int = 64,
-        backend: str = "auto",
-        workers: Optional[int] = None,
-        dtype="complex128",
-        optimize: str = "full",
-    ):
-        warnings.warn(
-            "direct InferenceSession(model, ...) construction is deprecated; "
-            "use repro.engine.compile(model, ...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._init(
-            model,
-            batch_size=batch_size,
-            backend=backend,
-            workers=workers,
-            dtype=dtype,
-            optimize=optimize,
-            max_operator_bytes=None,
-        )
-
-    # ------------------------------------------------------------------ #
-    # The compile pipeline (shared by compile(), the deprecated
-    # constructor, spec.build() and refresh())
-    # ------------------------------------------------------------------ #
-    def _init(
         self,
         model,
         *,
@@ -170,12 +139,10 @@ class InferenceSession:
         passes, and swap the emitted program in.
         """
         model = self._model
-        if not hasattr(model, "training"):
-            lower(model, self.dtype)  # raises the canonical TypeError for non-compilable objects
+        raw_plan = lower(model, self.dtype)  # TypeError outside the compilable families
         was_training = model.training
         model.eval()
         try:
-            raw_plan = lower(model, self.dtype)
             # Captured *here*, not in to_spec(): the spec must rebuild
             # the parameters this program compiled, and the model may
             # train on after the snapshot (that is why refresh()
@@ -406,8 +373,7 @@ def compile(
         recorded value" when compiling a spec, the usual default
         otherwise.
     max_operator_bytes:
-        Budget for the collapsed cascade operator (``None`` = the
-        passes' 64 MiB default); plans over budget stay in FFT form.
+        As on :class:`InferenceSession`.
     """
     from repro.engine.spec import SessionSpec
 
@@ -425,8 +391,7 @@ def compile(
         backend = "auto" if backend is None else backend
         dtype = "complex128" if dtype is None else dtype
         optimize = "full" if optimize is None else optimize
-    session = object.__new__(InferenceSession)
-    session._init(
+    return InferenceSession(
         model,
         batch_size=batch_size,
         backend=backend,
@@ -434,24 +399,4 @@ def compile(
         dtype=dtype,
         optimize=optimize,
         max_operator_bytes=max_operator_bytes,
-    )
-    return session
-
-
-def compile_model(
-    model,
-    batch_size: int = 64,
-    backend: str = "auto",
-    workers: Optional[int] = None,
-    dtype="complex128",
-    optimize: str = "full",
-) -> InferenceSession:
-    """Functional alias for :func:`compile` (kept for API compatibility)."""
-    return compile(
-        model,
-        batch_size=batch_size,
-        backend=backend,
-        workers=workers,
-        dtype=dtype,
-        optimize=optimize,
     )

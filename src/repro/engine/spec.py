@@ -24,6 +24,8 @@ import pickle
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.engine.plan import _lowering_for
+
 __all__ = ["SessionSpec"]
 
 #: Canonical-serialization magic + format version.  Bump the version when
@@ -46,8 +48,8 @@ class SessionSpec:
     ------
     TypeError
         From :meth:`from_model` when the model cannot be pickled, and
-        from :meth:`build` (via ``InferenceSession``) when the blob does
-        not decode to a compilable model family.
+        from :meth:`build` (via :func:`repro.engine.compile`) when the
+        blob does not decode to a compilable model family.
     """
 
     model_blob: bytes = field(repr=False)
@@ -88,6 +90,26 @@ class SessionSpec:
             dtype=str(dtype),
             optimize=str(optimize),
         )
+
+    @classmethod
+    def of(cls, obj, **session_kwargs) -> "SessionSpec":
+        """``obj`` as a spec: the one spec-out rule for publish and sharding.
+
+        A spec is returned as-is, a compiled session (``to_spec()``) gives
+        its snapshot, and a compilable model is snapshotted through
+        :meth:`from_model` with ``session_kwargs``.  Raises ``ValueError``
+        for options passed with a spec or session (theirs are fixed) and
+        ``TypeError`` for anything :func:`repro.engine.compile` refuses.
+        """
+        if isinstance(obj, SessionSpec) or hasattr(obj, "to_spec"):
+            if session_kwargs:
+                raise ValueError(
+                    f"session options {sorted(session_kwargs)} need a model; "
+                    f"{type(obj).__name__} already carries its options"
+                )
+            return obj if isinstance(obj, SessionSpec) else obj.to_spec()
+        _lowering_for(obj)  # TypeError outside the compilable families
+        return cls.from_model(obj, **session_kwargs)
 
     def build(self):
         """Compile a fresh session from the spec (via :func:`repro.engine.compile`)."""

@@ -143,26 +143,6 @@ class DONN(Module):
         logits = self.forward(images)
         return np.asarray(logits.data.real).argmax(axis=-1)
 
-    def export_session(
-        self, batch_size: int = 64, backend: str = "auto", workers: Optional[int] = None, dtype="complex128"
-    ):
-        """Deprecated: use :func:`repro.engine.compile` instead.
-
-        Compiles this model into an autograd-free
-        :class:`~repro.engine.InferenceSession` via the same pipeline as
-        ``repro.engine.compile(model, ...)``.
-        """
-        import warnings
-
-        from repro.engine import compile as engine_compile
-
-        warnings.warn(
-            "model.export_session(...) is deprecated; use repro.engine.compile(model, ...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return engine_compile(self, batch_size=batch_size, backend=backend, workers=workers, dtype=dtype)
-
     # ------------------------------------------------------------------ #
     # Introspection used by deployment & visualisation
     # ------------------------------------------------------------------ #

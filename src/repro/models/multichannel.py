@@ -120,21 +120,6 @@ class MultiChannelDONN(Module):
     def predict(self, rgb_images) -> np.ndarray:
         return np.asarray(self.forward(rgb_images).data.real).argmax(axis=-1)
 
-    def export_session(
-        self, batch_size: int = 64, backend: str = "auto", workers: Optional[int] = None, dtype="complex128"
-    ):
-        """Deprecated: use :func:`repro.engine.compile` instead."""
-        import warnings
-
-        from repro.engine import compile as engine_compile
-
-        warnings.warn(
-            "model.export_session(...) is deprecated; use repro.engine.compile(model, ...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return engine_compile(self, batch_size=batch_size, backend=backend, workers=workers, dtype=dtype)
-
     def phase_patterns(self) -> List[List[np.ndarray]]:
         """Per-channel list of per-layer trained phase patterns."""
         return [[layer.phase_values() for layer in channel] for channel in self.channels]

@@ -143,21 +143,6 @@ class SegmentationDONN(Module):
         medians = np.median(pattern, axis=(-2, -1), keepdims=True)
         return (pattern >= medians).astype(float)
 
-    def export_session(
-        self, batch_size: int = 64, backend: str = "auto", workers: Optional[int] = None, dtype="complex128"
-    ):
-        """Deprecated: use :func:`repro.engine.compile` instead."""
-        import warnings
-
-        from repro.engine import compile as engine_compile
-
-        warnings.warn(
-            "model.export_session(...) is deprecated; use repro.engine.compile(model, ...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return engine_compile(self, batch_size=batch_size, backend=backend, workers=workers, dtype=dtype)
-
     def phase_patterns(self) -> List[np.ndarray]:
         patterns = [self.entry_layer.phase_values()]
         inner_layers = self.inner.body if self.use_skip else self.inner

@@ -136,19 +136,7 @@ class SessionRegistry:
         else:
             from repro.engine import compile as engine_compile
 
-            try:
-                session = engine_compile(model_or_session, **session_kwargs)
-            except TypeError:
-                # Compatibility with duck-typed models outside the three
-                # compilable families: honour their own export hook.
-                if hasattr(model_or_session, "export_session"):
-                    session = model_or_session.export_session(**session_kwargs)
-                else:
-                    raise TypeError(
-                        f"cannot register {type(model_or_session).__name__}: expected an "
-                        "InferenceSession-like object (run method), a compilable model "
-                        "(repro.engine.compile), or a store reference"
-                    ) from None
+            session = engine_compile(model_or_session, **session_kwargs)
         self.last_evicted = tuple(self._insert(name, session))
         if ref is not None:
             self._refs[name] = ref

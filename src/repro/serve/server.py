@@ -35,7 +35,7 @@ import numpy as np
 from repro.serve.batcher import BatcherStats, DynamicBatcher
 from repro.serve.errors import ServerClosedError
 from repro.serve.policy import BatchingPolicy
-from repro.serve.registry import SessionRegistry
+from repro.serve.registry import SessionRegistry, _as_store_ref
 from repro.obs.log import get_logger as _obs_logger
 
 logger = logging.getLogger(__name__)
@@ -50,13 +50,6 @@ def _as_replica_group(obj):
     from repro.cluster import ReplicaGroup
 
     return obj if isinstance(obj, ReplicaGroup) else None
-
-
-def _as_store_ref(obj):
-    """``obj`` when it quacks like a :class:`~repro.store.StoreRef`, else ``None``."""
-    if callable(getattr(obj, "load_spec", None)) and hasattr(obj, "content_hash"):
-        return obj
-    return None
 
 
 def _build_group(model_or_session, replicas: int, router, cluster_options: dict, name: str):
@@ -76,22 +69,8 @@ def _build_group(model_or_session, replicas: int, router, cluster_options: dict,
                 "reference; they were fixed when the spec was published"
             )
         spec = model_or_session
-    elif hasattr(model_or_session, "export_session"):
-        # A trainable model: snapshot it into a spec (replicas then
-        # rebuild their sessions via repro.engine.compile(spec)).
-        spec = SessionSpec.from_model(model_or_session, **session_kwargs)
-    elif hasattr(model_or_session, "to_spec"):
-        if session_kwargs:
-            raise ValueError(
-                f"session options {sorted(session_kwargs)} need a model; "
-                f"{type(model_or_session).__name__} is already a session"
-            )
-        spec = model_or_session.to_spec()
     else:
-        raise TypeError(
-            f"cannot shard {type(model_or_session).__name__} across replicas: expected a "
-            "compilable model, a session with to_spec(), or a ready ReplicaGroup"
-        )
+        spec = SessionSpec.of(model_or_session, **session_kwargs)
     return ReplicaGroup(spec, replicas=replicas, router=router, name=name, **cluster_options)
 
 

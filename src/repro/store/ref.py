@@ -20,7 +20,6 @@ never re-resolved downstream).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
 
 from repro.store.errors import StoreIntegrityError
 
@@ -93,8 +92,3 @@ class StoreRef:
             f"StoreRef({self.name}@{self.version_tag}, sha256-{self.content_hash[:12]}..., "
             f"{self.scheme}:{self.location})"
         )
-
-
-def as_store_ref(obj) -> Optional[StoreRef]:
-    """``obj`` when it is a :class:`StoreRef`, else ``None`` (registry seam)."""
-    return obj if isinstance(obj, StoreRef) else None

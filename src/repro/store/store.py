@@ -35,7 +35,7 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import List, Tuple, Union
 
 from repro.engine.spec import SessionSpec
 from repro.store.backend import LocalDirBackend, StoreBackend
@@ -102,30 +102,6 @@ def _check_name(name: str) -> str:
     return name
 
 
-def _as_spec(model_or_spec, session_kwargs: dict) -> SessionSpec:
-    """Publishable input -> SessionSpec (mirrors the server's spec-out logic)."""
-    if isinstance(model_or_spec, SessionSpec):
-        if session_kwargs:
-            raise ValueError(
-                f"session options {sorted(session_kwargs)} need a model; "
-                "a SessionSpec already carries its options"
-            )
-        return model_or_spec
-    if hasattr(model_or_spec, "to_spec"):
-        if session_kwargs:
-            raise ValueError(
-                f"session options {sorted(session_kwargs)} need a model; "
-                f"{type(model_or_spec).__name__} is already a compiled session"
-            )
-        return model_or_spec.to_spec()
-    if hasattr(model_or_spec, "export_session"):
-        return SessionSpec.from_model(model_or_spec, **session_kwargs)
-    raise TypeError(
-        f"cannot publish {type(model_or_spec).__name__}: expected a SessionSpec, "
-        "a compiled session with to_spec(), or a compilable model"
-    )
-
-
 class ModelStore:
     """Versioned spec registry over a pluggable backend.
 
@@ -168,15 +144,15 @@ class ModelStore:
     def publish(self, name: str, model_or_spec, **session_kwargs) -> Manifest:
         """Persist a new version of ``name``; returns its manifest.
 
-        Accepts a :class:`~repro.engine.SessionSpec`, a compiled session
-        (``to_spec()``), or a trainable model (snapshotted via
-        ``SessionSpec.from_model(model, **session_kwargs)``).  Publishing
+        Accepts whatever :meth:`SessionSpec.of <repro.engine.SessionSpec.of>`
+        does: a spec, a compiled session (``to_spec()``), or a trainable
+        model snapshotted with ``session_kwargs``.  Publishing
         content that is already the latest *or any earlier* version of
         ``name`` is idempotent: the existing manifest is returned and no
         second blob is written (content addressing dedups storage).
         """
         _check_name(name)
-        spec = _as_spec(model_or_spec, session_kwargs)
+        spec = SessionSpec.of(model_or_spec, **session_kwargs)
         payload = spec.canonical_bytes()
         digest = hashlib.sha256(payload).hexdigest()
         with self._lock:

@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.autograd import Adam, Module, Optimizer, Tensor, functional, no_grad
 from repro.codesign.noise import DetectorNoiseModel
+from repro.engine import compile as engine_compile
 from repro.train.metrics import accuracy, intersection_over_union, prediction_confidence
 
 
@@ -122,20 +123,6 @@ class Trainer:
         return result
 
 
-def _export_session(model, batch_size: int):
-    """Compile ``model`` into an :class:`~repro.engine.InferenceSession`."""
-    from repro.engine import compile as engine_compile
-
-    try:
-        return engine_compile(model, batch_size=batch_size)
-    except TypeError:
-        # Duck-typed models outside the compilable families: honour
-        # their own export hook.
-        if hasattr(model, "export_session"):
-            return model.export_session(batch_size=batch_size)
-        raise
-
-
 def evaluate_classifier(
     model: Module,
     images: np.ndarray,
@@ -151,7 +138,7 @@ def evaluate_classifier(
     """
     labels = np.asarray(labels)
     if use_engine:
-        session = _export_session(model, batch_size)
+        session = engine_compile(model, batch_size=batch_size)
         predictions = session.predict(images, batch_size=batch_size)
         return float((predictions == labels).sum() / len(labels))
     was_training = model.training
@@ -189,7 +176,7 @@ def evaluate_with_detector_noise(
     noise = DetectorNoiseModel(level=noise_level, seed=seed)
     all_logits = []
     if use_engine:
-        session = _export_session(model, batch_size)
+        session = engine_compile(model, batch_size=batch_size)
         for start in range(0, len(images), batch_size):
             batch = images[start : start + batch_size]
             pattern = session.intensity_patterns(batch, batch_size=batch_size)

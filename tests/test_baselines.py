@@ -75,27 +75,6 @@ class TestLightPipesEmulator:
         assert total.fft2 == 1.5
         assert total.as_dict()["complex_multiply"] == 1.0
 
-    def test_slower_than_optimised_kernel(self, rng):
-        """The DFT-matrix, per-sample path must be measurably slower than the
-        batched FFT kernel on a moderately sized workload (Table 1's point)."""
-        import time
-
-        grid = SpatialGrid(size=96, pixel_size=10e-6)
-        batch = rng.normal(size=(4,) + grid.shape) + 1j * rng.normal(size=(4,) + grid.shape)
-        emulator = LightPipesEmulator(grid, 532e-9, 0.01)
-        start = time.perf_counter()
-        for sample in batch:
-            emulator.propagate(sample)
-        reference_time = time.perf_counter() - start
-
-        propagator = RayleighSommerfeldPropagator(grid, 532e-9, 0.01)
-        tensor_batch = Tensor(batch)
-        propagator(tensor_batch)  # warm-up
-        start = time.perf_counter()
-        propagator(tensor_batch)
-        optimised_time = time.perf_counter() - start
-        assert optimised_time < reference_time
-
 
 class TestDigitalBaselines:
     def test_mlp_forward_shape(self, rng):

@@ -10,9 +10,8 @@ from repro.autograd import Module, no_grad
 from repro.codesign import slm_profile
 from repro.engine import (
     COMPLEX64_LOGIT_ATOL,
-    InferenceSession,
     available_backends,
-    compile_model,
+    compile as engine_compile,
     get_fft_backend,
 )
 from repro.engine import backends as engine_backends
@@ -41,25 +40,25 @@ class TestParity:
     @pytest.mark.parametrize("pad_factor", [1, 2])
     def test_donn_parity_with_and_without_padding(self, small_config, images, pad_factor):
         model = DONN(small_config.with_updates(pad_factor=pad_factor))
-        session = model.export_session()
+        session = engine_compile(model)
         np.testing.assert_allclose(session.run(images), graph_eval(model, images), atol=PARITY_ATOL)
 
     @pytest.mark.parametrize("approx", ["fresnel", "fraunhofer"])
     def test_donn_parity_other_approximations(self, small_config, images, approx):
         model = DONN(small_config.with_updates(approx=approx))
-        session = model.export_session()
+        session = engine_compile(model)
         np.testing.assert_allclose(session.run(images), graph_eval(model, images), atol=PARITY_ATOL)
 
     def test_codesign_donn_parity(self, small_config, images):
         model = DONN(small_config, device_profile=slm_profile(num_levels=16))
-        session = model.export_session()
+        session = engine_compile(model)
         np.testing.assert_allclose(session.run(images), graph_eval(model, images), atol=PARITY_ATOL)
 
     @pytest.mark.parametrize("pad_factor", [1, 2])
     def test_multichannel_parity(self, small_config, rng, pad_factor):
         model = MultiChannelDONN(small_config.with_updates(pad_factor=pad_factor))
         rgb = rng.uniform(0.0, 1.0, size=(6, 3, 32, 32))
-        session = model.export_session()
+        session = engine_compile(model)
         np.testing.assert_allclose(session.run(rgb), graph_eval(model, rgb), atol=PARITY_ATOL)
 
     @pytest.mark.parametrize("use_skip", [True, False])
@@ -67,19 +66,19 @@ class TestParity:
     def test_segmentation_parity(self, small_config, images, use_skip, pad_factor):
         config = small_config.with_updates(num_layers=4, pad_factor=pad_factor)
         model = SegmentationDONN(config, use_skip=use_skip)
-        session = model.export_session()
+        session = engine_compile(model)
         assert session.kind == "segmentation"
         np.testing.assert_allclose(session.run(images), graph_eval(model, images), atol=PARITY_ATOL)
 
     def test_predictions_match_model(self, small_config, images):
         model = DONN(small_config)
-        session = model.export_session()
+        session = engine_compile(model)
         np.testing.assert_array_equal(session.predict(images), model.predict(images))
 
     def test_session_snapshots_parameters(self, small_config, images):
         """Parameter updates after export only land after refresh()."""
         model = DONN(small_config)
-        session = model.export_session()
+        session = engine_compile(model)
         before = session.run(images)
         model.diffractive_layers[0].phase.data = model.diffractive_layers[0].phase.data + 0.5
         np.testing.assert_array_equal(session.run(images), before)
@@ -89,10 +88,10 @@ class TestParity:
     def test_training_mode_restored_after_export(self, small_config):
         model = DONN(small_config)
         model.train()
-        model.export_session()
+        engine_compile(model)
         assert model.training
         model.eval()
-        model.export_session()
+        engine_compile(model)
         assert not model.training
 
 
@@ -102,24 +101,24 @@ class TestNonlinearCompilation:
     @pytest.mark.parametrize("nonlinearity", ["saturable", "kerr"])
     def test_donn_nonlinear_parity(self, small_config, images, nonlinearity):
         model = DONN(small_config, nonlinearity=nonlinearity)
-        session = model.export_session()
+        session = engine_compile(model)
         np.testing.assert_allclose(session.run(images), graph_eval(model, images), atol=PARITY_ATOL)
 
     def test_codesign_nonlinear_parity(self, small_config, images):
         model = DONN(small_config, device_profile=slm_profile(num_levels=16), nonlinearity="kerr")
-        session = model.export_session()
+        session = engine_compile(model)
         np.testing.assert_allclose(session.run(images), graph_eval(model, images), atol=PARITY_ATOL)
 
     def test_multichannel_nonlinear_parity(self, small_config, rng):
         model = MultiChannelDONN(small_config, nonlinearity="saturable")
         rgb = rng.uniform(0.0, 1.0, size=(5, 3, 32, 32))
-        session = model.export_session()
+        session = engine_compile(model)
         np.testing.assert_allclose(session.run(rgb), graph_eval(model, rgb), atol=PARITY_ATOL)
 
     @pytest.mark.parametrize("use_skip", [True, False])
     def test_segmentation_nonlinear_parity(self, small_config, images, use_skip):
         model = SegmentationDONN(small_config.with_updates(num_layers=4), use_skip=use_skip, nonlinearity="kerr")
-        session = model.export_session()
+        session = engine_compile(model)
         np.testing.assert_allclose(session.run(images), graph_eval(model, images), atol=PARITY_ATOL)
 
     def test_unsupported_nonlinearity_rejected_at_compile(self, small_config):
@@ -130,7 +129,7 @@ class TestNonlinearCompilation:
         model = DONN(small_config)
         model.nonlinearity = Opaque()  # bypasses make_nonlinearity validation
         with pytest.raises(TypeError, match="apply_numpy"):
-            model.export_session()
+            engine_compile(model)
 
 
 class TestReducedPrecision:
@@ -138,32 +137,32 @@ class TestReducedPrecision:
 
     def test_donn_within_budget(self, small_config, images):
         model = DONN(small_config)
-        full = model.export_session().run(images)
-        half = model.export_session(dtype="complex64").run(images)
+        full = engine_compile(model).run(images)
+        half = engine_compile(model, dtype="complex64").run(images)
         assert half.dtype == np.float32
         np.testing.assert_allclose(half, full, atol=COMPLEX64_LOGIT_ATOL)
 
     def test_multichannel_within_budget(self, small_config, rng):
         model = MultiChannelDONN(small_config)
         rgb = rng.uniform(0.0, 1.0, size=(4, 3, 32, 32))
-        full = model.export_session().run(rgb)
-        half = model.export_session(dtype="complex64").run(rgb)
+        full = engine_compile(model).run(rgb)
+        half = engine_compile(model, dtype="complex64").run(rgb)
         np.testing.assert_allclose(half, full, atol=COMPLEX64_LOGIT_ATOL)
 
     def test_segmentation_within_budget(self, small_config, images):
         model = SegmentationDONN(small_config.with_updates(num_layers=3))
-        full = model.export_session().run(images)
-        half = model.export_session(dtype="complex64").run(images)
+        full = engine_compile(model).run(images)
+        half = engine_compile(model, dtype="complex64").run(images)
         np.testing.assert_allclose(half, full, atol=COMPLEX64_LOGIT_ATOL)
 
     def test_nonlinear_complex64_stays_complex64(self, small_config, images):
         """Nonlinearities must not silently promote back to complex128."""
         model = DONN(small_config, nonlinearity="kerr")
-        session = model.export_session(dtype="complex64")
+        session = engine_compile(model, dtype="complex64")
         pattern = session.intensity_patterns(images)
         assert pattern.dtype == np.float32
         np.testing.assert_allclose(
-            session.run(images), model.export_session().run(images), atol=COMPLEX64_LOGIT_ATOL
+            session.run(images), engine_compile(model).run(images), atol=COMPLEX64_LOGIT_ATOL
         )
 
     @pytest.mark.parametrize("backend", ["numpy", "scipy"])
@@ -179,50 +178,50 @@ class TestReducedPrecision:
 
     def test_dtype_accepts_aliases_and_rejects_garbage(self, small_config):
         model = DONN(small_config)
-        assert InferenceSession(model, dtype=np.complex64).dtype == np.complex64
-        assert InferenceSession(model, dtype="complex128").dtype == np.complex128
+        assert engine_compile(model, dtype=np.complex64).dtype == np.complex64
+        assert engine_compile(model, dtype="complex128").dtype == np.complex128
         with pytest.raises(ValueError, match="complex64 or complex128"):
-            InferenceSession(model, dtype="float32")
+            engine_compile(model, dtype="float32")
 
     def test_predictions_usually_match_full_precision(self, small_config, images):
         model = DONN(small_config)
-        full = model.export_session().predict(images)
-        half = model.export_session(dtype="complex64").predict(images)
+        full = engine_compile(model).predict(images)
+        half = engine_compile(model, dtype="complex64").predict(images)
         np.testing.assert_array_equal(half, full)
 
 
 class TestStreaming:
     def test_chunked_streaming_equivalence(self, small_config, images):
         """batch_size 1 and 64 must give the same outputs."""
-        session = DONN(small_config).export_session()
+        session = engine_compile(DONN(small_config))
         one = session.run(images, batch_size=1)
         many = session.run(images, batch_size=64)
         np.testing.assert_allclose(one, many, rtol=0.0, atol=1e-12)
 
     def test_default_batch_size_streams_all_inputs(self, small_config, images):
-        session = DONN(small_config).export_session(batch_size=5)
+        session = engine_compile(DONN(small_config), batch_size=5)
         assert session.run(images).shape == (len(images), 10)
 
     def test_single_sample_has_no_batch_axis(self, small_config, images):
-        session = DONN(small_config).export_session()
+        session = engine_compile(DONN(small_config))
         assert session.run(images[0]).shape == (10,)
         assert session.predict(images[:3]).shape == (3,)
 
     def test_multichannel_single_sample_promoted_like_model(self, small_config, rng):
         model = MultiChannelDONN(small_config)
-        session = model.export_session()
+        session = engine_compile(model)
         sample = rng.uniform(0.0, 1.0, size=(3, 32, 32))
         assert session.run(sample).shape == graph_eval(model, sample).shape == (1, 10)
         np.testing.assert_array_equal(session.predict(sample), model.predict(sample))
 
     def test_empty_batch_yields_empty_logits(self, small_config):
-        session = DONN(small_config).export_session()
+        session = engine_compile(DONN(small_config))
         assert session.run(np.zeros((0, 32, 32))).shape == (0, 10)
 
     def test_chunk_larger_than_batch_runs_one_pass_without_scratch_copy(self, small_config, images):
         """chunk_size > len(batch) must mean a single program call whose
         output is returned as-is (no scratch buffer, no concatenate copy)."""
-        session = DONN(small_config).export_session()
+        session = engine_compile(DONN(small_config))
         program = session._program
         calls = []
         original = program.run
@@ -242,7 +241,7 @@ class TestStreaming:
 
     def test_batch_of_one_streams_without_scratch_copy(self, small_config, images):
         """A (1, H, W) batch is one direct program call at any chunk size."""
-        session = DONN(small_config).export_session()
+        session = engine_compile(DONN(small_config))
         single = images[:1]
         reference = graph_eval(DONN(small_config), single)
         for chunk in (1, 4, 64):
@@ -263,7 +262,7 @@ class TestStreaming:
 
     def test_multi_chunk_streaming_preallocates_correctly(self, small_config, images):
         """Uneven chunking (7 images, chunks of 3) fills the output exactly."""
-        session = DONN(small_config).export_session()
+        session = engine_compile(DONN(small_config))
         seven = images[:7]
         chunked = session.run(seven, batch_size=3)
         whole = session.run(seven, batch_size=64)
@@ -272,7 +271,7 @@ class TestStreaming:
 
     def test_invalid_batch_size_rejected(self, small_config):
         with pytest.raises(ValueError):
-            DONN(small_config).export_session(batch_size=0)
+            engine_compile(DONN(small_config), batch_size=0)
 
 
 class TestBackends:
@@ -283,7 +282,7 @@ class TestBackends:
         backend = get_fft_backend("auto")
         assert backend.name == "numpy"
         model = DONN(small_config)
-        session = InferenceSession(model)
+        session = engine_compile(model)
         assert session.backend_name == "numpy"
         np.testing.assert_allclose(session.run(images), graph_eval(model, images), atol=PARITY_ATOL)
 
@@ -298,43 +297,38 @@ class TestBackends:
 
     def test_numpy_and_auto_backends_agree(self, small_config, images):
         model = DONN(small_config)
-        auto = model.export_session().run(images)
-        explicit = model.export_session(backend="numpy").run(images)
+        auto = engine_compile(model).run(images)
+        explicit = engine_compile(model, backend="numpy").run(images)
         np.testing.assert_allclose(auto, explicit, atol=PARITY_ATOL)
 
     def test_workers_forwarded(self, small_config, images):
-        session = DONN(small_config).export_session(workers=2)
+        session = engine_compile(DONN(small_config), workers=2)
         assert session.run(images).shape == (len(images), 10)
 
 
 class TestSessionAPI:
-    def test_compile_model_alias(self, small_config, images):
-        model = DONN(small_config)
-        session = compile_model(model, batch_size=4)
-        np.testing.assert_allclose(session.run(images), graph_eval(model, images), atol=PARITY_ATOL)
-
     def test_unsupported_model_rejected(self, small_grid):
         from repro.layers.detector import Detector
 
         with pytest.raises(TypeError):
-            InferenceSession(Detector(small_grid, num_classes=10))
+            engine_compile(Detector(small_grid, num_classes=10))
 
     def test_classifier_only_methods_guarded(self, small_config, images):
-        seg = SegmentationDONN(small_config.with_updates(num_layers=3)).export_session()
+        seg = engine_compile(SegmentationDONN(small_config.with_updates(num_layers=3)))
         with pytest.raises(RuntimeError):
             seg.predict(images)
-        clf = DONN(small_config).export_session()
+        clf = engine_compile(DONN(small_config))
         with pytest.raises(RuntimeError):
             clf.predict_mask(images)
 
     def test_segmentation_predict_mask_matches_model(self, small_config, images):
         model = SegmentationDONN(small_config.with_updates(num_layers=3))
-        session = model.export_session()
+        session = engine_compile(model)
         np.testing.assert_array_equal(session.predict_mask(images), model.predict_mask(images))
 
     def test_detector_pattern_and_read(self, small_config, images):
         model = DONN(small_config)
-        session = model.export_session()
+        session = engine_compile(model)
         pattern = session.intensity_patterns(images)
         assert pattern.shape == (len(images), 32, 32)
         np.testing.assert_allclose(session.read_detector(pattern), session.run(images), atol=PARITY_ATOL)

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import DONN, DONNConfig, MultiChannelDONN, SegmentationDONN
 from repro.autograd import no_grad
-from repro.engine import COMPLEX64_LOGIT_ATOL
+from repro.engine import COMPLEX64_LOGIT_ATOL, compile as engine_compile
 
 settings.register_profile(
     "repro",
@@ -66,7 +66,7 @@ def _model_and_session(family: str, sys_size: int, nonlinearity=None, dtype="com
         model_key = (family, sys_size, nonlinearity)
         if model_key not in _cache:
             _cache[model_key] = _build(family, sys_size, nonlinearity)
-        _cache[key] = _cache[model_key].export_session(dtype=dtype)
+        _cache[key] = engine_compile(_cache[model_key], dtype=dtype)
     return _cache[(family, sys_size, nonlinearity)], _cache[key]
 
 

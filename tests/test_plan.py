@@ -339,24 +339,26 @@ class TestRefreshRecompiles:
 
 
 class TestDeprecatedEntryPoints:
-    def test_direct_constructor_warns_and_matches_compile(self):
-        model = _model("donn", 12, 3, None)
-        with pytest.warns(DeprecationWarning, match="repro.engine.compile"):
-            legacy = InferenceSession(model)
-        images = _images("donn", 12, 2, 21)
-        np.testing.assert_allclose(
-            legacy.run(images), engine_compile(model).run(images), atol=PARITY_ATOL
-        )
+    """compile() is the only front door; the removed shims stay removed."""
 
-    def test_export_session_warns_and_matches_compile(self):
-        for family in _FAMILIES:
-            model = _model(family, 12, 3, None)
-            with pytest.warns(DeprecationWarning, match="repro.engine.compile"):
-                legacy = model.export_session()
-            images = _images(family, 12, 2, 22)
-            np.testing.assert_allclose(
-                legacy.run(images), engine_compile(model).run(images), atol=PARITY_ATOL
-            )
+    def test_direct_constructor_is_refused(self):
+        with pytest.raises(TypeError):
+            InferenceSession(_model("donn", 12, 3, None))
+
+    def test_every_front_door_refuses_the_same_non_compilable_object(self, tmp_path):
+        from repro.autograd import Sequential
+        from repro.serve import InferenceServer, SessionRegistry
+        from repro.store import ModelStore
+
+        stranger = Sequential()  # a Module, but not one of the compilable families
+        with pytest.raises(TypeError, match="cannot compile"):
+            engine_compile(stranger)
+        with pytest.raises(TypeError, match="cannot compile"):
+            ModelStore(tmp_path).publish("m", stranger)
+        with pytest.raises(TypeError, match="cannot compile"):
+            SessionRegistry().register("m", stranger)
+        with pytest.raises(TypeError, match="cannot compile"):
+            InferenceServer().add_model("m", stranger, replicas=2)
 
     def test_compile_rejects_unsupported_models(self):
         with pytest.raises(TypeError, match="cannot compile"):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro import DONN, MultiChannelDONN, SegmentationDONN
-from repro.engine import InferenceSession
+from repro.engine import InferenceSession, compile as engine_compile
 from repro.serve import (
     DeadlineExceededError,
     DynamicBatcher,
@@ -203,7 +203,7 @@ class TestSessionRegistry:
 
     def test_register_existing_session_as_is(self, small_config):
         registry = SessionRegistry()
-        session = DONN(small_config).export_session()
+        session = engine_compile(DONN(small_config))
         assert registry.register("digits", session) is session
 
     def test_duplicate_name_rejected_unless_replace(self, small_config):
@@ -222,7 +222,7 @@ class TestSessionRegistry:
 
     def test_session_kwargs_rejected_for_ready_sessions(self, small_config):
         registry = SessionRegistry()
-        session = DONN(small_config).export_session()
+        session = engine_compile(DONN(small_config))
         with pytest.raises(ValueError, match="already a session"):
             registry.register("digits", session, dtype="complex64")
 
@@ -356,9 +356,9 @@ class TestInferenceServer:
             return digits_out, rgb_out, scenes_out, server
 
         digits_out, rgb_out, scenes_out, server = run_async(scenario())
-        np.testing.assert_allclose(digits_out, donn.export_session().run(images), atol=1e-9)
-        np.testing.assert_allclose(rgb_out, multi.export_session().run(rgb), atol=1e-9)
-        np.testing.assert_allclose(scenes_out, seg.export_session().run(images), atol=1e-9)
+        np.testing.assert_allclose(digits_out, engine_compile(donn).run(images), atol=1e-9)
+        np.testing.assert_allclose(rgb_out, engine_compile(multi).run(rgb), atol=1e-9)
+        np.testing.assert_allclose(scenes_out, engine_compile(seg).run(images), atol=1e-9)
         stats = server.stats()
         assert stats == {}, "stopped server exposes no live batchers"
 
@@ -415,7 +415,7 @@ class TestInferenceServer:
                 return await server.submit_many("late", images)
 
         out = run_async(scenario())
-        np.testing.assert_allclose(out, model.export_session().run(images), atol=1e-9)
+        np.testing.assert_allclose(out, engine_compile(model).run(images), atol=1e-9)
 
     def test_complex64_model_served_within_budget(self, small_config, rng):
         from repro.engine import COMPLEX64_LOGIT_ATOL
@@ -430,7 +430,7 @@ class TestInferenceServer:
                 return await server.submit_many("digits64", images)
 
         out = run_async(scenario())
-        np.testing.assert_allclose(out, model.export_session().run(images), atol=COMPLEX64_LOGIT_ATOL)
+        np.testing.assert_allclose(out, engine_compile(model).run(images), atol=COMPLEX64_LOGIT_ATOL)
 
     def test_replace_on_live_model_rejected_without_touching_registry(self, small_config, rng):
         """A refused live swap must leave both registry and batcher serving
