@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import json
-import sys
+import os
+import platform
 from pathlib import Path
 from typing import Dict, Sequence
 
@@ -14,24 +15,30 @@ from repro.utils import format_table
 RESULTS_DIR = Path(__file__).parent / "results"
 
 
-def cli_value(flag: str, default: str) -> str:
-    """Value of ``--flag N`` from argv (pytest-safe manual parsing).
+def usable_cores() -> int:
+    """Scheduler-affinity core count -- on cgroup-limited containers the
+    number that actually bounds multi-process scaling."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1  # pragma: no cover - non-linux
 
-    The benchmarks double as pytest files, so they cannot own argparse;
-    unknown pytest flags are simply never matched.
-    """
-    if flag in sys.argv:
-        position = sys.argv.index(flag)
-        if position + 1 < len(sys.argv):
-            return sys.argv[position + 1]
-    return default
+
+def run_metadata(seed: int) -> dict:
+    """Reproducibility stamp for committed benchmark results: the seed
+    plus the host's core counts and Python version."""
+    return {
+        "seed": int(seed),
+        "host_cores": os.cpu_count() or 1,
+        "usable_cores": usable_cores(),
+        "python": platform.python_version(),
+    }
 
 
 def save_results(name: str, rows: Sequence[Dict], notes: str = "", metadata: Dict = None) -> Path:
     """Persist reproduced rows as JSON and return the path.
 
     ``metadata`` carries the reproducibility stamp (seed, host core
-    counts -- see ``loadgen.run_metadata``) serialized alongside the rows.
+    counts -- see :func:`run_metadata`) serialized alongside the rows.
     """
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     path = RESULTS_DIR / f"{name}.json"

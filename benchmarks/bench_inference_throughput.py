@@ -33,8 +33,7 @@ import time
 
 import numpy as np
 
-from _bench_helpers import report, save_results
-from loadgen import run_metadata
+from _bench_helpers import report, run_metadata, save_results
 from repro import DONN, DONNConfig
 from repro.autograd import no_grad
 from repro.engine import compile as engine_compile

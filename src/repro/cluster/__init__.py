@@ -37,8 +37,7 @@ execution tier below it:
   see ``docs/autoscaling.md``.
 
 ``repro.serve.InferenceServer(replicas=N, router=...)`` wires all of
-this under its dynamic batchers; see ``docs/sharding.md`` for the guide
-and ``benchmarks/bench_sharded_serving.py`` for measured numbers.
+this under its dynamic batchers; see ``docs/sharding.md`` for the guide.
 """
 
 from repro.cluster.autoscale import AutoscaleConfig, Autoscaler, Decision

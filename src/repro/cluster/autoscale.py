@@ -11,7 +11,7 @@ drain-before-terminate underneath) so the fleet is as small as the
 latency budget allows.  The objective is the iso-metrics framing from
 the asymmetric-multicore evaluation literature: maximize *iso-latency
 throughput per core* -- sustained request rate under the p99 budget,
-divided by worker-process count (``bench_autoscale.py`` reports it).
+divided by worker-process count.
 
 Control-loop shape
 ------------------

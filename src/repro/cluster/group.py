@@ -93,8 +93,7 @@ class ReplicaGroup:
         crash/timeout before the error propagates to callers.
     handicaps:
         Optional ``{replica_index: seconds}`` of artificial per-call
-        sleep -- models asymmetric replica capacity in tests and
-        benchmarks (``bench_sharded_serving.py``).
+        sleep -- models asymmetric replica capacity in tests.
     call_timeout_s / start_timeout_s:
         Per-call answer deadline (a silent worker counts as dead) and
         worker startup handshake deadline.
@@ -111,9 +110,6 @@ class ReplicaGroup:
         to finish before terminating workers around them; a restart
         thread still running at the deadline is logged, not silently
         abandoned.
-    start_method:
-        ``multiprocessing`` start method; ``spawn`` (default) is the one
-        supported everywhere and the only one safe under threads.
 
     Raises
     ------
@@ -143,7 +139,6 @@ class ReplicaGroup:
         restart_backoff_cap_s: float = 30.0,
         drain_timeout_s: float = 30.0,
         close_timeout_s: float = 60.0,
-        start_method: str = "spawn",
         name: str = "",
         clock=None,
     ):
@@ -166,7 +161,6 @@ class ReplicaGroup:
         self._start_timeout_s = float(start_timeout_s)
         self._restart_backoff_s = float(restart_backoff_s)
         self._restart_backoff_cap_s = float(restart_backoff_cap_s)
-        self._start_method = start_method
         #: Monotonic time source for restart-backoff decisions (injected by
         #: tests; real deployments run on ``time.monotonic``).  Drain and
         #: close deadlines deliberately stay on wall time -- they bound
@@ -214,7 +208,6 @@ class ReplicaGroup:
             handicap_s=handicap_s,
             call_timeout_s=self._call_timeout_s,
             start_timeout_s=self._start_timeout_s,
-            start_method=self._start_method,
             restart_backoff_s=self._restart_backoff_s,
             restart_backoff_cap_s=self._restart_backoff_cap_s,
             clock=self._clock,
@@ -487,7 +480,6 @@ class ReplicaGroup:
                 with self._lock:
                     replicas = list(self._replicas)
                 for replica in replicas:
-                    replica.spec = spec
                     replica.transport.spec = spec
                 return len(self)
             with self._lock:
@@ -534,7 +526,6 @@ class ReplicaGroup:
                         replica=replica.index,
                         timeout_s=timeout,
                     )
-            replica.spec = spec
             replica.transport.spec = spec
             if not self._closed:
                 replica.restart()

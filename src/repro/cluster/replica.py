@@ -34,6 +34,8 @@ __all__ = ["Replica"]
 
 #: How often the waiting side polls the transport (also the liveness-check cadence).
 _POLL_S = 0.02
+#: Weight of the newest call in the EWMA wall/compute latencies routers read.
+_EWMA_ALPHA = 0.2
 
 
 class Replica:
@@ -54,8 +56,6 @@ class Replica:
         handicap_s: float = 0.0,
         call_timeout_s: float = 60.0,
         start_timeout_s: float = 120.0,
-        ewma_alpha: float = 0.2,
-        start_method: str = "spawn",
         restart_backoff_s: float = 0.5,
         restart_backoff_cap_s: float = 30.0,
         clock=None,
@@ -64,7 +64,6 @@ class Replica:
             raise ValueError("timeouts must be > 0")
         if restart_backoff_s <= 0 or restart_backoff_cap_s < restart_backoff_s:
             raise ValueError("restart backoff must be > 0 and the cap must be >= the base")
-        self.spec = spec
         #: Monotonic time source for the restart-backoff window.  Injected
         #: by tests so backoff assertions need not sleep real wall-time;
         #: production always runs on ``time.monotonic``.
@@ -73,14 +72,12 @@ class Replica:
         self.handicap_s = float(handicap_s)
         self.call_timeout_s = float(call_timeout_s)
         self.start_timeout_s = float(start_timeout_s)
-        self._ewma_alpha = float(ewma_alpha)
         if transport is None:
             transport = LocalTransport(
                 spec,
                 index=self.index,
                 options={"handicap_s": self.handicap_s},
                 start_timeout_s=self.start_timeout_s,
-                start_method=start_method,
             )
         self.transport = transport
         self._lock = threading.Lock()  # serializes the conversation + restart
@@ -238,7 +235,7 @@ class Replica:
                     detail["worker"] = answer[4]
             wall_s = time.perf_counter() - started
             self.dispatched += 1
-            alpha = self._ewma_alpha
+            alpha = _EWMA_ALPHA
             if self.dispatched == 1:
                 self.ewma_latency_s, self.ewma_compute_s = wall_s, compute_s
             else:

@@ -80,6 +80,8 @@ _FRAME_HEADER = struct.Struct(">Q")
 MAX_FRAME_BYTES = 1 << 33
 #: Socket read chunk size.
 _CHUNK = 1 << 20
+#: TCP connect deadline of :meth:`SocketTransport.start`.
+_CONNECT_TIMEOUT_S = 10.0
 
 
 # ---------------------------------------------------------------------- #
@@ -137,14 +139,17 @@ def recv_message(
 ) -> tuple:
     """Blocking receive of one message; raises ``EOFError`` on a closed peer.
 
-    ``deadline`` is a ``time.monotonic`` instant; ``TimeoutError`` past it.
+    ``deadline`` is a ``time.monotonic`` instant; ``TimeoutError`` past it,
+    also when the peer sends nothing at all.
     """
     while True:
         message = buffer.next_message()
         if message is not None:
             return message
-        if deadline is not None and time.monotonic() > deadline:
-            raise TimeoutError("no complete frame before the deadline")
+        if deadline is not None:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or not select.select([sock], [], [], remaining)[0]:
+                raise TimeoutError("no complete frame before the deadline")
         chunk = sock.recv(_CHUNK)
         if not chunk:
             raise EOFError("peer closed the connection")
@@ -237,13 +242,14 @@ class LocalTransport(Transport):
         *,
         options: Optional[dict] = None,
         start_timeout_s: float = 120.0,
-        start_method: str = "spawn",
     ):
         self.spec = spec
         self.index = int(index)
         self.options = dict(options or {})
         self.start_timeout_s = float(start_timeout_s)
-        self._ctx = multiprocessing.get_context(start_method)
+        # spawn: supported everywhere, and the only start method that is
+        # safe in a parent already running executor threads.
+        self._ctx = multiprocessing.get_context("spawn")
         self._proc = None
         self._conn = None
         self._requests = ShmArena()   # parent-owned outbound arena
@@ -373,15 +379,13 @@ class SocketTransport(Transport):
         address,
         *,
         options: Optional[dict] = None,
-        connect_timeout_s: float = 10.0,
         start_timeout_s: float = 120.0,
     ):
-        if connect_timeout_s <= 0 or start_timeout_s <= 0:
-            raise ValueError("timeouts must be > 0")
+        if start_timeout_s <= 0:
+            raise ValueError("start_timeout_s must be > 0")
         self.spec = spec
         self.address = parse_address(address)
         self.options = dict(options or {})
-        self.connect_timeout_s = float(connect_timeout_s)
         self.start_timeout_s = float(start_timeout_s)
         self._sock: Optional[socket.socket] = None
         self._buffer = FrameBuffer()
@@ -395,7 +399,7 @@ class SocketTransport(Transport):
         self.close(graceful=False)
         host, port = self.address
         try:
-            sock = socket.create_connection((host, port), timeout=self.connect_timeout_s)
+            sock = socket.create_connection((host, port), timeout=_CONNECT_TIMEOUT_S)
         except OSError as exc:
             raise WorkerStartupError(f"cannot reach worker at {host}:{port}: {exc}") from exc
         try:

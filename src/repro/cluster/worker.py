@@ -31,8 +31,7 @@ a socket they travel in-band.
 A per-request failure or a malformed frame answers ``("err", ...)`` and
 the worker lives on; only a broken channel (parent gone) or ``stop``
 ends the loop.  The ``handicap_s`` option adds a fixed sleep to every
-call: a deliberately slowed replica for asymmetric-capacity tests and
-benchmarks (see ``benchmarks/bench_sharded_serving.py``).
+call: a deliberately slowed replica for asymmetric-capacity tests.
 """
 
 from __future__ import annotations

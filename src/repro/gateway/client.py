@@ -1,17 +1,16 @@
 """An asyncio HTTP client for the gateway, with the error mapping inverted.
 
 :class:`GatewayClient` exists for two callers: tests (round-trip the
-full wire format against a live gateway) and the loopback benchmark
-(``benchmarks/bench_gateway.py``), which drives the open-loop Poisson
-load generator through *real* HTTP.  That second caller dictates the
-design:
+full wire format against a live gateway) and load generators such as
+``perfbench``'s ``http-classify`` workload, which drive traffic through
+*real* HTTP.  That second caller dictates the design:
 
 * **Connection pool.**  Open-loop load fires requests at their scheduled
   instants regardless of outstanding answers, so the client must run
   many HTTP exchanges concurrently -- a pool of persistent (keep-alive)
   connections, bounded by ``max_connections``, each carrying one
   request/response exchange at a time.
-* **Exception fidelity.**  ``loadgen.run_open_loop`` buckets outcomes by
+* **Exception fidelity.**  A load generator buckets outcomes by
   catching the serving layer's exception types.  The client therefore
   re-raises the *original* types from the gateway's structured error
   bodies -- ``429/overloaded`` back to

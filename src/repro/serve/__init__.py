@@ -23,10 +23,8 @@ Public surface:
 * :class:`ServeError` hierarchy -- explicit overload / closed / unknown
   model / deadline-exceeded errors.
 
-See ``docs/serving.md`` for the policy tuning guide,
-``examples/serving_demo.py`` for the workflow, and
-``benchmarks/bench_slo_serving.py`` for the open-loop SLO comparison of
-the three policies.
+See ``docs/serving.md`` for the policy tuning guide and
+``examples/serving_demo.py`` for the workflow.
 """
 
 from repro.serve.batcher import BatcherStats, DynamicBatcher

@@ -80,6 +80,11 @@ def _expected_input_shape(session) -> Optional[Sequence[int]]:
     return tuple(shape) if shape is not None else None
 
 
+def _holder(table: Dict[str, object], instance, name: str) -> Optional[str]:
+    """The name other than ``name`` whose entry in ``table`` is ``instance``."""
+    return next((key for key, held in table.items() if held is instance and key != name), None)
+
+
 def _resolve_policy(spec) -> Optional[BatchingPolicy]:
     """A policy spec is ``None``, a ready instance, or a zero-arg factory.
 
@@ -218,12 +223,9 @@ class InferenceServer:
         self._autoscale_tasks: Dict[str, asyncio.Task] = {}
         self._overrides: Dict[str, dict] = {}
         self._policies: Dict[str, object] = {}
-        # id(policy/router instance) -> model name, to refuse silently
-        # sharing one stateful object across batchers/groups.
-        self._policy_owners: Dict[int, str] = {}
-        self._router_owners: Dict[int, str] = {}
         self._batchers: Dict[str, DynamicBatcher] = {}
         self._groups: Dict[str, object] = {}  # name -> ReplicaGroup (cluster models)
+        self._routers: Dict[str, object] = {}  # name -> Router instance its group was built with
         self._model_refs: Dict[str, object] = {}  # name -> StoreRef (store-backed models)
         self._started = False
         self._closed = False
@@ -303,11 +305,11 @@ class InferenceServer:
             # Policies are stateful (EWMA latency model, AIMD target): one
             # instance feeding two batchers would average unrelated models'
             # behavior.  An instance may serve exactly one model;
-            # server-wide defaults must be factories.  Checked before the
-            # registry mutates (and *recorded* only after registration
-            # succeeds) so a refused or failed add leaves no trace.
-            owner = self._policy_owners.get(id(spec))
-            if owner is not None and owner != name:
+            # server-wide defaults must be factories.  The owner is whichever
+            # other name holds this very instance, so a refused or failed add
+            # claims nothing and a replace or eviction releases it.
+            owner = _holder(self._policies, spec, name)
+            if owner is not None:
                 raise TypeError(
                     f"policy instance passed for {name!r} is already serving {owner!r}; "
                     "policies are stateful -- pass a factory (e.g. lambda: SLOAwarePolicy(...)) "
@@ -341,10 +343,9 @@ class InferenceServer:
                 router_instance = effective_router
                 # Routers hold per-group state (cursor, RNG) mutated under
                 # each group's own lock: one instance feeding two groups
-                # would race.  Same contract (check early, record late) as
-                # the policy-instance guard.
-                owner = self._router_owners.get(id(effective_router))
-                if owner is not None and owner != name:
+                # would race.  Same identity contract as the policy guard.
+                owner = _holder(self._routers, effective_router, name)
+                if owner is not None:
                     raise TypeError(
                         f"router instance passed for {name!r} is already serving {owner!r}; "
                         "routers are stateful -- pass a name (e.g. router=\"power_of_two_choices\") "
@@ -369,12 +370,6 @@ class InferenceServer:
             self._model_refs[name] = ref
         else:
             self._model_refs.pop(name, None)
-        # Registration succeeded: only now record instance ownership, so a
-        # refused or failed add leaves stateful policies/routers unclaimed.
-        if isinstance(spec, BatchingPolicy):
-            self._policy_owners[id(spec)] = name
-        if router_instance is not None:
-            self._router_owners[id(router_instance)] = name
         # Reconcile the group table with what just got registered: a
         # replace can swap a cluster model for an in-process one (or for
         # a different group), and the displaced group's workers must not
@@ -382,8 +377,11 @@ class InferenceServer:
         displaced = self._groups.pop(name, None)
         if displaced is not None and displaced is not group:
             displaced.close()
+            self._routers.pop(name, None)
         if group is not None:
             self._groups[name] = group
+        if router_instance is not None:
+            self._routers[name] = router_instance
         effective_autoscale = explicit_autoscale
         if effective_autoscale is None and group is not None:
             effective_autoscale = self._default_autoscale
@@ -405,14 +403,10 @@ class InferenceServer:
                 # Server bookkeeping only: the *registry* keeps its own
                 # pinned ref, so a store-backed eviction stays reversible.
                 self._model_refs.pop(evicted, None)
+                self._routers.pop(evicted, None)
                 stale = self._groups.pop(evicted, None)
                 if stale is not None:
                     stale.close()
-                # Release instance ownership too: a policy/router whose
-                # model is fully gone must be reusable by a later add.
-                for owners in (self._policy_owners, self._router_owners):
-                    for key in [key for key, owner in owners.items() if owner == evicted]:
-                        del owners[key]
         overrides = {
             key: value
             for key, value in (

@@ -23,9 +23,7 @@ What the rest of the stack does with it:
   rebuild from disk on the next use instead of being gone for good.
 
 See ``docs/model_store.md`` for the backend contract, the manifest
-schema, and a swap walkthrough; ``benchmarks/bench_model_store.py``
-measures publish/load latency, warm-vs-cold replica start, and a
-swap under open-loop load.
+schema, and a swap walkthrough.
 """
 
 from repro.store.backend import LocalDirBackend, StoreBackend

@@ -13,10 +13,8 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
-import sys
 import threading
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,9 +24,6 @@ from repro.engine import compile as engine_compile
 from repro.models.config import DONNConfig
 from repro.models.donn import DONN
 from repro.serve import InferenceServer, SessionRegistry
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
-import loadgen  # noqa: E402  (benchmarks/ is not a package)
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
@@ -282,73 +277,6 @@ class TestControlLaw:
         assert len(snap["decisions"]) == 1  # one entry per reason-transition
         assert snap["holds"] == 50 and snap["nan_holds"] == 50
         assert len(snap["decisions"]) <= 8
-
-
-# --------------------------------------------------------------------- #
-# Arrival-trace shapes (loadgen)
-# --------------------------------------------------------------------- #
-class TestSchedules:
-    def test_step_schedule_has_the_right_rates_per_phase(self):
-        rng = np.random.default_rng(7)
-        offsets = loadgen.step_schedule(50.0, 400.0, rng, base_s=2.0, peak_s=2.0, tail_s=2.0)
-        assert np.all(np.diff(offsets) >= 0) and offsets[-1] < 6.0
-        base = np.sum(offsets < 2.0)
-        peak = np.sum((offsets >= 2.0) & (offsets < 4.0))
-        tail = np.sum(offsets >= 4.0)
-        # Poisson(100) and Poisson(800): 5 sigma bands never overlap.
-        assert 50 <= base <= 150 and 660 <= peak <= 940 and 50 <= tail <= 150
-
-    def test_ramp_schedule_density_follows_the_ramp(self):
-        rng = np.random.default_rng(11)
-        up = loadgen.ramp_schedule(50.0, 400.0, 4.0, rng, steps=8)
-        first, second = np.sum(up < 2.0), np.sum(up >= 2.0)
-        assert second > 1.8 * first  # expected ratio ~2.4x
-        down = loadgen.ramp_schedule(400.0, 50.0, 4.0, rng, steps=8)
-        assert np.sum(down < 2.0) > 1.8 * np.sum(down >= 2.0)
-
-    def test_piecewise_validation(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            loadgen.piecewise_poisson_schedule([], rng)
-        with pytest.raises(ValueError):
-            loadgen.piecewise_poisson_schedule([(-1.0, 1.0)], rng)
-        with pytest.raises(ValueError):
-            loadgen.piecewise_poisson_schedule([(10.0, 0.0)], rng)
-        with pytest.raises(ValueError):
-            loadgen.piecewise_poisson_schedule([(0.0, 1.0)], rng)
-
-    def test_run_open_loop_with_explicit_trace(self):
-        offsets = np.array([0.0, 0.01, 0.02, 0.03])
-        payloads = [np.full((2, 2), float(i)) for i in range(4)]
-
-        async def submit(payload):
-            return payload
-
-        async def scenario():
-            return await loadgen.run_open_loop(submit, payloads, offsets=offsets)
-
-        result = asyncio.run(scenario())
-        assert result.offered == 4 and result.completed == 4 and result.errors == 0
-        assert result.percentile(99) < 1000.0
-
-    def test_run_open_loop_argument_validation(self):
-        async def submit(payload):  # pragma: no cover - never reached
-            return payload
-
-        async def both():
-            await loadgen.run_open_loop(
-                submit, [np.zeros(2)], 10.0, np.random.default_rng(0), offsets=np.array([0.1])
-            )
-
-        async def neither():
-            await loadgen.run_open_loop(submit, [np.zeros(2)])
-
-        async def short():
-            await loadgen.run_open_loop(submit, [np.zeros(2)], offsets=np.array([0.1, 0.2]))
-
-        for scenario in (both, neither, short):
-            with pytest.raises(ValueError):
-                asyncio.run(scenario())
 
 
 # --------------------------------------------------------------------- #

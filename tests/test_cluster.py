@@ -258,6 +258,29 @@ class TestWorkerServerMalformedFrames:
             assert listener.is_alive()
 
 
+class TestSocketHandshakeDeadline:
+    def test_silent_peer_is_a_startup_error_within_the_timeout(self, tiny_session):
+        """A peer that accepts the connection and never answers must not
+        block ``start()`` past ``start_timeout_s``."""
+        outcome = []
+        with socket.create_server(("127.0.0.1", 0)) as listener:  # never calls accept()
+            transport = SocketTransport(tiny_session.to_spec(), listener.getsockname(), start_timeout_s=0.5)
+
+            def start():
+                try:
+                    transport.start()
+                except WorkerStartupError as exc:
+                    outcome.append(exc)
+
+            thread = threading.Thread(target=start, daemon=True)
+            thread.start()
+            thread.join(timeout=10.0)
+            hung = thread.is_alive()
+        assert not hung, "start() ignored start_timeout_s against a silent peer"
+        assert len(outcome) == 1 and "did not hand-shake" in str(outcome[0])
+        assert not transport.alive
+
+
 # --------------------------------------------------------------------- #
 # Routers (pure decision logic)
 # --------------------------------------------------------------------- #
@@ -485,6 +508,15 @@ class TestReplicaGroup:
         server.add_model("one", tiny_session, replicas=2, router=router)
         with pytest.raises(TypeError, match="already serving"):
             server.add_model("two", tiny_session, replicas=2, router=router)
+
+    def test_replacing_a_cluster_model_releases_its_router_instance(self, tiny_session):
+        router = LeastLoadedRouter()
+        server = InferenceServer()
+        server.add_model("one", tiny_session, replicas=2, router=router)
+        server.add_model("one", tiny_session, replace=True)  # now in-process
+        server.add_model("two", tiny_session, replicas=2, router=router)
+        with pytest.raises(TypeError, match="already serving 'two'"):
+            server.add_model("three", tiny_session, replicas=2, router=router)
 
     def test_failed_add_does_not_lock_router_instance(self, tiny_session):
         """A router instance from an add that failed must stay usable."""

@@ -1,4 +1,4 @@
-"""The docs stay honest: links resolve, tested examples run.
+"""The docs stay honest: links and repo paths resolve, tested examples run.
 
 Runs the same checks as the CI ``docs`` job (``tools/check_docs.py``) so
 a broken doc link or a stale fenced example fails the tier-1 suite
@@ -23,6 +23,19 @@ def test_docs_tree_exists():
 
 def test_internal_links_resolve():
     assert check_docs.check_links() == []
+
+
+def test_repo_paths_resolve():
+    assert check_docs.check_paths() == []
+
+
+def test_path_check_names_a_missing_file_in_prose_and_fences():
+    snippet = (
+        "See `src/repro/serve/server.py` and `benchmarks/bench_gone.py`.\n\n"
+        "```bash\nPYTHONPATH=src python tools/no_such_tool.py --all\n```\n"
+        "Not repo paths: vendor/src/x.py, ../tools/x.py, benchmarks/bench_<name>.py, tests/test_{a,b}.py.\n"
+    )
+    assert check_docs.missing_paths(snippet) == ["benchmarks/bench_gone.py", "tools/no_such_tool.py"]
 
 
 def test_fenced_doctest_examples_pass():

@@ -411,6 +411,21 @@ class TestSLOSemanticsThroughTheBatcher:
         # A fresh instance (or a factory default) is the supported path.
         server.add_model("second", DONN(small_config), policy=SLOAwarePolicy(slo_ms=50.0))
 
+    def test_replacing_a_model_releases_its_policy_instance(self, small_config):
+        """A replaced model's old policy instance is free for another
+        model; ownership follows the policies the server holds now, so a
+        stale claim (or a new instance at a reused address) cannot block
+        a later add."""
+        from repro import DONN
+
+        first = SLOAwarePolicy(slo_ms=50.0)
+        server = InferenceServer()
+        server.add_model("a", DONN(small_config), policy=first)
+        server.add_model("a", DONN(small_config), replace=True, policy=SLOAwarePolicy(slo_ms=50.0))
+        server.add_model("b", DONN(small_config), policy=first)
+        with pytest.raises(TypeError, match="already serving 'b'"):
+            server.add_model("c", DONN(small_config), policy=first)
+
     def test_server_rejects_bad_policy_spec(self):
         with pytest.raises(TypeError):
             InferenceServer(policy="fixed")

@@ -1,13 +1,18 @@
-"""Documentation checks: internal links resolve, fenced examples run.
+"""Documentation checks: internal links and repo paths resolve, fenced examples run.
 
-Two passes over ``README.md`` and every ``docs/*.md``:
+Three passes over ``README.md`` and every ``docs/*.md``:
 
 1. **Links.** Every relative markdown link (``[text](path)`` or
    ``[text](path#anchor)``) must point at an existing file or directory,
    and an anchor must match a heading in the target file (GitHub-style
    slugs).  External links (``http(s)://``) are not fetched -- CI must
    not flake on the network.
-2. **Doctests.** Fenced code blocks whose info string is ``python
+2. **Paths.** Every repo-relative file path the prose or a fenced block
+   names (``src/``, ``benchmarks/``, ``tests/``, ``tools/``,
+   ``examples/``, ``perfbench/`` or ``docs/`` up to a ``.py``, ``.md``,
+   ``.json``, ``.yml`` or ``.toml`` suffix) must be an existing file, so
+   deleting a file also means updating the docs that name it.
+3. **Doctests.** Fenced code blocks whose info string is ``python
    doctest`` are extracted and executed with :mod:`doctest` (equivalent
    to ``python -m doctest`` on a file holding the block).  Mark an
    example testable only when it is self-contained and cheap; plain
@@ -18,8 +23,8 @@ Run from the repo root (CI job ``docs``)::
     PYTHONPATH=src python tools/check_docs.py
 
 Exit code 0 on success; failures are listed one per line.  Importable
-(``check_links`` / ``check_doctests``) so the test suite runs the same
-checks as CI (see ``tests/test_docs.py``).
+(``check_links`` / ``check_paths`` / ``check_doctests``) so the test
+suite runs the same checks as CI (see ``tests/test_docs.py``).
 """
 
 from __future__ import annotations
@@ -37,6 +42,10 @@ _LINK = re.compile(r"(?<!\!)\[[^\]]+\]\(([^)\s]+)\)")
 #: Fenced block opened with ```<info> ... closed with ```
 _FENCE = re.compile(r"^```([^\n`]*)\n(.*?)^```\s*$", re.MULTILINE | re.DOTALL)
 _HEADING = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
+#: A repo-relative file path, e.g. ``src/repro/serve/server.py`` (not part of a longer path).
+_REPO_PATH = re.compile(
+    r"(?<![\w./-])((?:src|benchmarks|tests|tools|examples|perfbench|docs)/[\w./-]*\.(?:py|md|json|yml|toml))\b"
+)
 
 
 def doc_files() -> List[Path]:
@@ -72,6 +81,20 @@ def check_links(files: List[Path] = None) -> List[str]:
                 continue
             if anchor and rel.suffix == ".md" and _github_slug(anchor) not in _anchors(rel):
                 errors.append(f"{path.relative_to(REPO_ROOT)}: missing anchor -> {target}")
+    return errors
+
+
+def missing_paths(text: str) -> List[str]:
+    """Repo-relative file paths named anywhere in ``text`` that do not exist."""
+    return sorted({target for target in _REPO_PATH.findall(text) if not (REPO_ROOT / target).is_file()})
+
+
+def check_paths(files: List[Path] = None) -> List[str]:
+    """Return a list of dangling-path descriptions (empty = all good)."""
+    errors = []
+    for path in files or doc_files():
+        for target in missing_paths(path.read_text(encoding="utf-8")):
+            errors.append(f"{path.relative_to(REPO_ROOT)}: missing file -> {target}")
     return errors
 
 
@@ -112,7 +135,7 @@ def main() -> int:
     if src not in sys.path:
         sys.path.insert(0, src)
     files = doc_files()
-    errors = check_links(files) + check_doctests(files)
+    errors = check_links(files) + check_paths(files) + check_doctests(files)
     for error in errors:
         print(f"FAIL: {error}")
     print(
