@@ -10,17 +10,10 @@ from typing import Dict, Sequence
 
 from repro import DONNConfig, Trainer
 from repro.baselines.regularization import build_baseline_donn, build_regularized_donn
+from repro.cluster import usable_cores
 from repro.utils import format_table
 
 RESULTS_DIR = Path(__file__).parent / "results"
-
-
-def usable_cores() -> int:
-    """Scheduler-affinity core count -- on cgroup-limited containers the
-    number that actually bounds multi-process scaling."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1  # pragma: no cover - non-linux
 
 
 def run_metadata(seed: int) -> dict:

@@ -16,30 +16,40 @@ steepest-descent step for both real and complex parameters.
 from __future__ import annotations
 
 import contextlib
+import threading
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 ArrayLike = Union["Tensor", np.ndarray, float, int, complex, list, tuple]
 
-_GRAD_ENABLED = True
+
+class _GradMode(threading.local):
+    """Grad mode is per thread (as in torch): a process-wide flag saved and
+    restored by overlapping ``no_grad`` blocks on two threads (say, sessions
+    compiling concurrently) can be restored out of order and stay off.
+    The class attribute is each thread's starting value."""
+
+    enabled = True
+
+
+_GRAD_MODE = _GradMode()
 
 
 def is_grad_enabled() -> bool:
-    """Return whether operations currently record gradient information."""
-    return _GRAD_ENABLED
+    """Return whether operations on this thread record gradient information."""
+    return _GRAD_MODE.enabled
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Context manager that disables graph recording (like ``torch.no_grad``)."""
-    global _GRAD_ENABLED
-    previous = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    """Context manager that disables graph recording on this thread (like ``torch.no_grad``)."""
+    previous = is_grad_enabled()
+    _GRAD_MODE.enabled = False
     try:
         yield
     finally:
-        _GRAD_ENABLED = previous
+        _GRAD_MODE.enabled = previous
 
 
 def _as_array(value: ArrayLike) -> np.ndarray:

@@ -20,10 +20,11 @@ execution tier below it:
   ``ReplicaGroup(spec, replicas=0, workers=["host:7070"])``.  Both
   worker flavors answer through one call loop,
   :func:`~repro.cluster.worker.serve_calls`.
-* :class:`ReplicaGroup` -- owns N such workers for one model,
-  health-checks and restarts dead ones, retries failed batches on
-  another replica (bounded), and exposes an awaitable ``infer(batch)``
-  plus per-replica ``stats()``.
+* :class:`ReplicaGroup` -- owns N such workers for one model, gives
+  each local one a BLAS/OpenMP thread budget of
+  ``max(1, usable_cores() // N)``, health-checks and restarts dead
+  ones, retries failed batches on another replica (bounded), and
+  exposes an awaitable ``infer(batch)`` plus per-replica ``stats()``.
 * Routers -- :class:`RoundRobinRouter`, :class:`LeastLoadedRouter`,
   :class:`PowerOfTwoChoicesRouter` (:func:`make_router` by name): where
   the next batch goes, using per-replica in-flight depth and EWMA
@@ -60,7 +61,7 @@ from repro.cluster.router import (
 )
 from repro.cluster.remote import WorkerServer
 from repro.cluster.shm import ShmArena, ShmReader
-from repro.cluster.transport import LocalTransport, SocketTransport, Transport
+from repro.cluster.transport import LocalTransport, SocketTransport, Transport, usable_cores
 from repro.cluster.worker import worker_main
 
 __all__ = [
@@ -87,4 +88,5 @@ __all__ = [
     "ReplicaTimeoutError",
     "NoReplicaAvailableError",
     "WorkerStartupError",
+    "usable_cores",
 ]

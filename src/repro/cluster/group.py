@@ -26,10 +26,17 @@ quacks enough like a session (``input_shape``, ``kind``, empty-batch
 ``run``) for the server's validation and registry plumbing to treat it
 uniformly.
 
+Every spawned local worker gets an explicit BLAS/OpenMP thread budget,
+``max(1, usable_cores // local workers)``, fixed when it spawns (a
+restart recomputes it from the fleet size at that moment).  Remote
+workers keep their own host's environment.
+
 Thread/async-safety: :meth:`infer`/:meth:`rescue` are coroutines bound
-to the caller's running loop; the blocking pipe work happens in the
-default thread-pool executor.  :meth:`infer_sync` is the same dispatch
-path for synchronous callers (tests, scripts).  Internal counters are
+to the caller's running loop; the blocking pipe work happens on the
+group's own dispatch threads, one per member, so every replica can have
+a batch in flight whatever the loop's default executor holds.
+:meth:`infer_sync` is the same dispatch path for synchronous callers
+(tests, scripts).  Internal counters are
 guarded by a lock; membership changes are serialized by their own
 re-entrant lock and safe under concurrent dispatch.  One group may serve
 many concurrent callers.
@@ -42,6 +49,7 @@ import functools
 import logging
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -53,7 +61,7 @@ from repro.cluster.errors import (
 )
 from repro.cluster.replica import Replica
 from repro.cluster.router import ReplicaView, Router, make_router
-from repro.cluster.transport import LocalTransport, SocketTransport
+from repro.cluster.transport import LocalTransport, SocketTransport, usable_cores
 from repro.engine.spec import SessionSpec
 from repro.obs.log import get_logger as _obs_logger
 from repro.obs.trace import get_dispatch_context
@@ -198,6 +206,11 @@ class ReplicaGroup:
         self._restarting: set = set()
         self._draining: set = set()
         self._closing = threading.Event()  # wakes backoff/drain sleepers on close
+        #: Dispatch thread pools, newest last: one thread per member, and a
+        #: bigger pool replaces the newest when the fleet outgrows it.
+        #: close() joins them all.
+        self._executors: List[ThreadPoolExecutor] = []
+        self._executor_size = 0
         self._started = False
         self._closed = False
 
@@ -243,13 +256,29 @@ class ReplicaGroup:
         self._started = True
         return self
 
-    @staticmethod
-    def _boot(pending: List[Replica]) -> List[BaseException]:
+    def _assign_thread_budget(self, replicas: List[Replica]) -> None:
+        """Give each local worker in ``replicas`` its BLAS/OpenMP thread budget.
+
+        The usable cores split evenly over the local workers of the fleet
+        as it is once ``replicas`` are in it:
+        ``max(1, usable_cores // local workers)``.  Remote workers run on
+        their own hosts and neither count nor get a budget.
+        """
+        with self._lock:
+            fleet = self._replicas + [replica for replica in replicas if replica not in self._replicas]
+        local = sum(1 for replica in fleet if isinstance(replica.transport, LocalTransport))
+        budget = max(1, usable_cores() // max(1, local))
+        for replica in replicas:
+            if isinstance(replica.transport, LocalTransport):
+                replica.transport.threads = budget
+
+    def _boot(self, pending: List[Replica]) -> List[BaseException]:
         """Start ``pending`` replicas concurrently; returns their errors.
 
         Session compilation dominates startup; overlap the workers'
         spawn+compile phases instead of paying them serially.
         """
+        self._assign_thread_budget(pending)
         errors: List[BaseException] = []
 
         def boot(replica: Replica) -> None:
@@ -313,6 +342,12 @@ class ReplicaGroup:
                 replicas = list(self._replicas)
         for replica in replicas:
             replica.close()
+        # Replica.close() waited out each call in flight, so the dispatch
+        # threads are idle or finishing: join them.
+        with self._lock:
+            executors, self._executors = self._executors, []
+        for executor in executors:
+            executor.shutdown(wait=True)
 
     def __enter__(self) -> "ReplicaGroup":
         return self.start()
@@ -341,6 +376,7 @@ class ReplicaGroup:
                 self._next_index += 1
             replica = self._new_local_replica(index, handicap_s=float(handicap_s), spec=spec)
             if self._started:
+                self._assign_thread_budget([replica])
                 replica.start()
             with self._lock:
                 self._replicas.append(replica)
@@ -618,6 +654,7 @@ class ReplicaGroup:
                 if self._closed or index in self._draining or index not in self._by_index:
                     return
                 try:
+                    self._assign_thread_budget([replica])
                     replica.restart()
                     outcome = "restarted"
                 except BaseException as exc:  # noqa: BLE001 - recorded, retried with backoff
@@ -700,16 +737,38 @@ class ReplicaGroup:
                     replica.in_flight -= 1
         raise last  # type: ignore[misc]  # loop ran >= 1 time
 
+    async def _offload(self, call):
+        """Run the blocking ``call`` on the group's own dispatch threads.
+
+        The pool has one thread per member, so a batch never waits for a
+        thread while its replica is free, however small the event loop's
+        default executor is.  A fleet that has grown past the pool gets a
+        bigger one; the old pool finishes its calls and exits.
+        """
+        loop = asyncio.get_running_loop()
+        with self._lock:
+            if self._closed:
+                raise ReplicaCrashError(f"replica group {self.name!r} is closed")
+            size = max(1, len(self._replicas))
+            if size > self._executor_size:
+                if self._executors:
+                    self._executors[-1].shutdown(wait=False)
+                self._executors.append(
+                    ThreadPoolExecutor(size, thread_name_prefix=f"repro-dispatch-{self.name}")
+                )
+                self._executor_size = size
+            future = loop.run_in_executor(self._executors[-1], call)
+        return await future
+
     async def infer(self, batch) -> np.ndarray:
-        """Awaitable :meth:`infer_sync`: pipe work runs in the executor.
+        """Awaitable :meth:`infer_sync` on the group's dispatch threads.
 
         Reads the batcher's dispatch trace context *here*, on the event
         loop (contextvars do not propagate into executor threads), and
         hands it to :meth:`infer_sync` explicitly.
         """
         ctx = get_dispatch_context()
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(None, functools.partial(self.infer_sync, batch, obs=ctx))
+        return await self._offload(functools.partial(self.infer_sync, batch, obs=ctx))
 
     def rescue_sync(self, payload) -> np.ndarray:
         """One-shot single-request dispatch to an *idle* replica.
@@ -737,8 +796,7 @@ class ReplicaGroup:
                 replica.in_flight -= 1
 
     async def rescue(self, payload) -> np.ndarray:
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(None, self.rescue_sync, payload)
+        return await self._offload(functools.partial(self.rescue_sync, payload))
 
     # ------------------------------------------------------------------ #
     # Health & telemetry
@@ -778,6 +836,7 @@ class ReplicaGroup:
                     # finished since the health snapshot must not be
                     # torn down again.
                     if not replica.ping():
+                        self._assign_thread_budget([replica])
                         replica.restart()
                 except Exception as exc:  # noqa: BLE001 - recorded for stats
                     replica.last_error = f"restart failed: {exc}"

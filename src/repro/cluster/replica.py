@@ -281,6 +281,7 @@ class Replica:
             "ewma_latency_ms": self.ewma_latency_s * 1000.0,
             "ewma_compute_ms": self.ewma_compute_s * 1000.0,
             "handicap_ms": self.handicap_s * 1000.0,
+            "threads": (self.meta or {}).get("threads"),
             "last_error": self.last_error,
         }
 

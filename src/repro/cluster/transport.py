@@ -32,7 +32,9 @@ surfaced through :meth:`Transport.start`'s return value or
 * :class:`LocalTransport` spawns the worker as a child process; control
   messages cross a pipe and arrays move through shared-memory arenas
   (:mod:`repro.cluster.shm`) as tiny descriptors -- the PR 5 path,
-  behavior-for-behavior.
+  behavior-for-behavior.  The child starts with an explicit BLAS/OpenMP
+  thread budget (:attr:`LocalTransport.threads`, set by the owning
+  :class:`~repro.cluster.ReplicaGroup`) instead of one pool per core.
 * :class:`SocketTransport` connects to an already-running
   ``repro-worker`` process (:mod:`repro.cluster.remote`), frames every
   message as ``8-byte big-endian length + payload`` over TCP, and ships
@@ -49,11 +51,14 @@ the same five calls (``start`` / ``send`` / ``poll`` / ``recv`` /
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
+import os
 import pickle
 import select
 import socket
 import struct
+import threading
 import time
 from abc import ABC, abstractmethod
 from typing import Optional, Tuple
@@ -71,6 +76,7 @@ __all__ = [
     "recv_message",
     "send_message",
     "parse_address",
+    "usable_cores",
 ]
 
 #: Length prefix of one frame: 8-byte big-endian unsigned payload size.
@@ -82,6 +88,48 @@ MAX_FRAME_BYTES = 1 << 33
 _CHUNK = 1 << 20
 #: TCP connect deadline of :meth:`SocketTransport.start`.
 _CONNECT_TIMEOUT_S = 10.0
+#: The variables that size a process's BLAS and OpenMP thread pools.  numpy
+#: reads them once, when it is imported, so a spawned child takes whatever
+#: they hold at ``Process.start()``.
+THREAD_ENV_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+#: Serializes the environment swap around ``Process.start()``: a group boots
+#: its replicas on parallel threads, and the environment is process-wide.
+_SPAWN_ENV_LOCK = threading.Lock()
+
+
+def usable_cores() -> int:
+    """Cores this process may run on (its scheduler affinity).
+
+    On cgroup-limited containers this, not ``os.cpu_count()``, is the
+    number that bounds multi-process scaling.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1  # pragma: no cover - non-linux
+
+
+@contextlib.contextmanager
+def _thread_budget_env(threads: Optional[int]):
+    """Set :data:`THREAD_ENV_VARS` to ``threads`` for the body, then restore.
+
+    The parent's environment comes back exactly: a variable that was
+    unset is unset again.  ``None`` leaves the environment alone (the
+    child inherits it).
+    """
+    if threads is None:
+        yield
+        return
+    with _SPAWN_ENV_LOCK:
+        saved = {name: os.environ.get(name) for name in THREAD_ENV_VARS}
+        os.environ.update({name: str(int(threads)) for name in THREAD_ENV_VARS})
+        try:
+            yield
+        finally:
+            for name, value in saved.items():
+                if value is None:
+                    os.environ.pop(name, None)
+                else:
+                    os.environ[name] = value
 
 
 # ---------------------------------------------------------------------- #
@@ -247,6 +295,12 @@ class LocalTransport(Transport):
         self.index = int(index)
         self.options = dict(options or {})
         self.start_timeout_s = float(start_timeout_s)
+        #: BLAS/OpenMP threads the next spawned child runs with: every
+        #: :data:`THREAD_ENV_VARS` entry is set to it in the child's
+        #: environment.  ``None`` lets the child inherit this process's
+        #: environment.  A :class:`~repro.cluster.ReplicaGroup` sets it
+        #: from its fleet size before each spawn.
+        self.threads: Optional[int] = None
         # spawn: supported everywhere, and the only start method that is
         # safe in a parent already running executor threads.
         self._ctx = multiprocessing.get_context("spawn")
@@ -275,7 +329,8 @@ class LocalTransport(Transport):
             name=f"repro-replica-{self.index}",
             daemon=True,
         )
-        proc.start()
+        with _thread_budget_env(self.threads):
+            proc.start()
         child_conn.close()  # the worker holds the only other end now
         deadline = time.monotonic() + self.start_timeout_s
         while not parent_conn.poll(0.02):

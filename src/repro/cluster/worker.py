@@ -56,9 +56,12 @@ def probe_session(session) -> dict:
     Runs one zero-image batch so the parent learns the per-item output
     shape (needed for empty-batch semantics and stats) -- which also
     warms the worker's FFT plan and kernel caches before traffic lands.
+    ``threads`` is the BLAS thread budget this process started with
+    (its ``OPENBLAS_NUM_THREADS``), ``None`` when unset.
     """
     input_shape = tuple(session.input_shape)
     warm = session.run(np.zeros((1,) + input_shape))
+    threads = os.environ.get("OPENBLAS_NUM_THREADS", "").strip()
     return {
         "kind": session.kind,
         "backend": session.backend_name,
@@ -66,6 +69,7 @@ def probe_session(session) -> dict:
         "input_shape": input_shape,
         "output_item_shape": tuple(warm.shape[1:]),
         "output_dtype": warm.dtype.str,
+        "threads": int(threads) if threads.isdigit() else None,
     }
 
 

@@ -218,6 +218,8 @@ def render_server_metrics(
                          row.get("in_flight"), rlabels)
             writer.gauge("repro_replica_ewma_latency_ms", "EWMA call latency (ms).",
                          row.get("ewma_latency_ms"), rlabels)
+            writer.gauge("repro_replica_threads", "BLAS/OpenMP thread budget the worker started with.",
+                         row.get("threads"), rlabels)
             for key, help_text in _REPLICA_COUNTERS:
                 writer.counter(f"repro_replica_{key}_total", help_text, row.get(key), rlabels)
         scaler = getattr(stats, "autoscaler", None)

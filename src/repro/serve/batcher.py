@@ -19,7 +19,10 @@ single-image requests* into exactly that shape of work:
   default, so the event loop keeps accepting requests while numpy works)
   -- or, when a ``dispatch`` coroutine is installed, it is handed off
   wholesale (this is the seam ``repro.cluster`` plugs replica groups
-  into: the fused batch leaves the process instead of running inline);
+  into: the fused batch leaves the process instead of running inline).
+  A dispatched batch forms when a dispatch slot (a replica) is free and
+  leaves at once: it takes in everything that queued while every
+  replica was busy, and never lingers next to an idle one;
 * each result row is scattered back to its caller's future, and the
   measured queue-wait / compute times feed both the telemetry windows
   (:class:`~repro.serve.metrics.BatcherStats`) and the policy's
@@ -66,12 +69,15 @@ class DynamicBatcher:
         batching decision.  Policies are stateful: give each batcher its
         own instance.  When omitted, a
         :class:`~repro.serve.policy.FixedWindowPolicy` is built from the
-        three legacy tuning knobs below.
+        three legacy tuning knobs below.  With ``dispatch`` set, only the
+        policy's fusion cap and admission apply: its linger hooks
+        (``flush_deadline`` / ``linger_timeout``) are for the inline path.
     max_batch / max_wait_ms / idle_flush_ms:
         Tuning for the default fixed-window policy (upper bound on fused
         requests; hard cap on the post-first-arrival linger; early flush
         once arrivals pause -- see :class:`FixedWindowPolicy`).  Ignored
-        when an explicit ``policy`` is passed.
+        when an explicit ``policy`` is passed; the two linger knobs are
+        also ignored with ``dispatch`` set.
     max_queue:
         Bound on queued (not yet running) requests; beyond it
         :meth:`submit` raises :class:`ServerOverloadedError`.
@@ -97,8 +103,10 @@ class DynamicBatcher:
     max_concurrent_dispatches:
         Cap on in-flight dispatched batches (cluster mode only); the
         server sets it to the replica count.  When the cap is reached the
-        worker blocks -- exactly the backpressure signal that lets the
-        queue (and ``ServerOverloadedError``) do their job.  Default 2.
+        worker waits for a slot with every pending request still queued
+        -- exactly the backpressure signal that lets the queue (and
+        ``ServerOverloadedError``) do their job, and what makes the next
+        batch as large as the backlog.  Default 2.
     stats_window:
         Capacity of the telemetry percentile windows
         (:class:`~repro.serve.metrics.BatcherStats`); defaults to the
@@ -204,9 +212,8 @@ class DynamicBatcher:
         if self._closed:
             raise ServerClosedError(f"batcher {self.name!r} is closed")
         if self._worker is None or self._worker.done():
-            self._worker = asyncio.get_running_loop().create_task(
-                self._worker_loop(), name=f"repro-serve-{self.name}"
-            )
+            worker = self._dispatch_loop() if self._dispatch is not None else self._inline_loop()
+            self._worker = asyncio.get_running_loop().create_task(worker, name=f"repro-serve-{self.name}")
         return self
 
     async def stop(self) -> None:
@@ -355,7 +362,8 @@ class DynamicBatcher:
         if not request.future.done():
             request.future.set_result(np.asarray(row))
 
-    async def _worker_loop(self) -> None:
+    async def _inline_loop(self) -> None:
+        """Form one batch at a time and run it in this process."""
         loop = asyncio.get_running_loop()
         while True:
             item = await self._queue.get()
@@ -374,16 +382,7 @@ class DynamicBatcher:
             while not stopping and len(batch) < limit:
                 # Sweep everything already queued -- no timer machinery on
                 # this path, so convoys fuse at zero added latency.
-                try:
-                    while len(batch) < limit:
-                        nxt = self._queue.get_nowait()
-                        if nxt is _STOP:
-                            stopping = True
-                            break
-                        if not self._shed_if_expired(nxt, loop.time()):
-                            batch.append(nxt)
-                except asyncio.QueueEmpty:
-                    pass
+                stopping = self._sweep(batch, limit)
                 if stopping or len(batch) >= limit:
                     break
                 # Queue drained: the policy decides whether (and how long)
@@ -402,22 +401,59 @@ class DynamicBatcher:
                 else:
                     batch.append(nxt)
             if batch:
-                if self._dispatch is not None:
-                    # Pipeline: launch the dispatch and go straight back to
-                    # forming the next batch -- replicas compute in other
-                    # processes, so holding the loop here would leave N-1
-                    # of them idle.  The semaphore caps outstanding batches
-                    # at the replica count (backpressure beyond it).
-                    if self._dispatch_slots is None:
-                        self._dispatch_slots = asyncio.Semaphore(self._max_concurrent_dispatches)
-                    await self._dispatch_slots.acquire()
-                    task = loop.create_task(self._execute_released(batch))
-                    self._dispatch_tasks.add(task)
-                    task.add_done_callback(self._dispatch_tasks.discard)
-                else:
-                    await self._execute(batch)
+                await self._execute(batch)
             if stopping:
                 return
+
+    async def _dispatch_loop(self) -> None:
+        """Launch a batch whenever a dispatch slot is free.
+
+        The slot is taken *before* the queue is swept, and the batch
+        launches at once.  While every replica is busy the queue fills,
+        so the next batch takes in the whole backlog (up to the policy's
+        ``batch_limit``); while a replica is free, lingering would only
+        leave it idle.  Admission runs after the slot is taken, so a
+        request that expired while the fleet was busy is shed, not sent.
+        Launched batches pipeline: the loop goes straight back for the
+        next slot while replicas compute in other processes.
+        """
+        loop = asyncio.get_running_loop()
+        if self._dispatch_slots is None:
+            self._dispatch_slots = asyncio.Semaphore(self._max_concurrent_dispatches)
+        slots = self._dispatch_slots
+        while True:
+            await slots.acquire()
+            item = await self._queue.get()
+            if item is _STOP:
+                slots.release()
+                return
+            now = loop.time()
+            limit = max(1, self.policy.batch_limit(now))
+            batch: List[Request] = [] if self._shed_if_expired(item, now) else [item]
+            stopping = self._sweep(batch, limit)
+            if batch:
+                task = loop.create_task(self._execute_released(batch))
+                self._dispatch_tasks.add(task)
+                task.add_done_callback(self._dispatch_tasks.discard)
+            else:
+                slots.release()
+            if stopping:
+                return
+
+    def _sweep(self, batch: List[Request], limit: int) -> bool:
+        """Move already-queued requests into ``batch`` up to ``limit``,
+        shedding expired ones; ``True`` when the stop sentinel was taken."""
+        loop = asyncio.get_running_loop()
+        while len(batch) < limit:
+            try:
+                nxt = self._queue.get_nowait()
+            except asyncio.QueueEmpty:
+                return False
+            if nxt is _STOP:
+                return True
+            if not self._shed_if_expired(nxt, loop.time()):
+                batch.append(nxt)
+        return False
 
     async def _execute_released(self, batch: List[Request]) -> None:
         try:

@@ -10,7 +10,8 @@ owns the *decisions*:
   (failed with :class:`~repro.serve.DeadlineExceededError` *before* any
   engine time is spent on them);
 * ``flush_deadline``/``linger_timeout`` -- how long the worker may hold a
-  forming batch open waiting for more arrivals;
+  forming batch open waiting for more arrivals (in-process models only:
+  a cluster model's batch leaves as soon as a replica is free);
 * ``observe`` -- feedback after every fused call (batch size, measured
   compute time, queue depth), which is what lets a policy adapt online.
 

@@ -122,7 +122,9 @@ class InferenceServer:
     max_batch / max_wait_ms / max_queue / run_in_executor:
         Default :class:`DynamicBatcher` tuning for every model; override
         per model through ``add_model``.  The window knobs only apply to
-        models without an explicit policy.
+        models without an explicit policy, and ``max_wait_ms`` only to
+        in-process models: a cluster model's batch leaves as soon as a
+        replica is free.
     replicas:
         Default worker-process count per model.  ``1`` (default) serves
         in-process; ``>= 2`` runs each model on a

@@ -1,5 +1,7 @@
 """Tests for the core Tensor type: arithmetic, shapes, reductions, autograd."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -157,6 +159,35 @@ class TestAutogradBasics:
             out = a * 2
         assert is_grad_enabled()
         assert not out.requires_grad
+
+    def test_overlapping_no_grad_on_two_threads_leaves_grad_on(self):
+        """Thread A enters no_grad, B enters, A leaves, B leaves: every
+        thread, this one included, must end with grad mode on."""
+        a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+        after = {}
+
+        def first():
+            with no_grad():
+                a_in.set()
+                b_in.wait(10.0)
+            a_out.set()
+            after["first"] = is_grad_enabled()
+
+        def second():
+            a_in.wait(10.0)
+            with no_grad():
+                b_in.set()
+                a_out.wait(10.0)
+            after["second"] = is_grad_enabled()
+
+        threads = [threading.Thread(target=first), threading.Thread(target=second)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(10.0)
+        assert after == {"first": True, "second": True}
+        assert is_grad_enabled()
+        assert Tensor([1.0], requires_grad=True).requires_grad
 
     def test_zero_grad(self):
         a = Tensor([1.0], requires_grad=True)

@@ -15,6 +15,7 @@ import socket
 import struct
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from repro.cluster import (
     WorkerServer,
     WorkerStartupError,
     make_router,
+    usable_cores,
 )
 from repro.cluster.transport import FrameBuffer, recv_message, send_message
 from repro.cluster.worker import probe_session
@@ -578,11 +580,55 @@ class TestReplicaGroup:
         doomed = ReplicaGroup(tiny_session.to_spec(), replicas=1, name="closing")
         doomed.start()
         pid = doomed._replicas[0].pid
+        asyncio.run(doomed.infer(np.zeros((1, 16, 16))))  # starts a dispatch thread
         doomed.close()
         _wait_until(lambda: not _pid_alive(pid), what="worker process exit")
+        assert not _dispatch_threads("closing"), "close() must join the group's dispatch threads"
         with pytest.raises(ReplicaCrashError, match="closed"):
             doomed.infer_sync(np.zeros((1, 16, 16)))
+        with pytest.raises(ReplicaCrashError, match="closed"):
+            asyncio.run(doomed.infer(np.zeros((1, 16, 16))))
         doomed.close()  # idempotent
+
+    def test_local_workers_get_an_even_thread_budget(self, tiny_session, monkeypatch):
+        """Two local workers on this host each run max(1, usable_cores // 2)
+        BLAS threads, and the parent's environment comes back exactly --
+        a set variable keeps its value, unset ones stay unset."""
+        names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        monkeypatch.setenv("MKL_NUM_THREADS", "7")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        before = {name: os.environ.get(name) for name in names}
+        group = ReplicaGroup(tiny_session.to_spec(), replicas=2, name="budget")
+        try:
+            group.start()
+            after = {name: os.environ.get(name) for name in names}
+            rows = group.stats()
+        finally:
+            group.close()
+        assert after == before
+        assert [row["threads"] for row in rows] == [max(1, usable_cores() // 2)] * 2
+
+    def test_thread_budget_counts_local_workers_and_joiners_only(self, tiny_session, monkeypatch):
+        """No processes: the budget arithmetic on a 12-core host with three
+        local workers, one remote worker and one local worker joining."""
+        monkeypatch.setattr("repro.cluster.group.usable_cores", lambda: 12)
+        group = ReplicaGroup(tiny_session.to_spec(), replicas=3, workers=["127.0.0.1:9"], name="split")
+        joining = group._new_local_replica(7)
+        try:
+            group._assign_thread_budget(group._replicas)
+            local = [r.transport for r in group._replicas if isinstance(r.transport, LocalTransport)]
+            assert [transport.threads for transport in local] == [4, 4, 4], "the remote worker must not count"
+            assert not hasattr(group._replicas[-1].transport, "threads")
+            group._assign_thread_budget([joining])
+            assert joining.transport.threads == 3
+        finally:
+            joining.close()
+            group.close()
+
+
+def _dispatch_threads(group_name: str) -> list:
+    return [t for t in threading.enumerate() if t.name.startswith(f"repro-dispatch-{group_name}_")]
 
 
 def _pid_alive(pid: int) -> bool:
@@ -598,6 +644,25 @@ def _pid_alive(pid: int) -> bool:
 # --------------------------------------------------------------------- #
 # Serving integration (InferenceServer(replicas=N))
 # --------------------------------------------------------------------- #
+class CountingGroup(ReplicaGroup):
+    """Counts concurrent ``infer_sync`` calls; the peak is the dispatch depth."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.counter_lock = threading.Lock()
+        self.in_flight = self.peak_in_flight = 0
+
+    def infer_sync(self, batch, obs=None):
+        with self.counter_lock:
+            self.in_flight += 1
+            self.peak_in_flight = max(self.peak_in_flight, self.in_flight)
+        try:
+            return super().infer_sync(batch, obs=obs)
+        finally:
+            with self.counter_lock:
+                self.in_flight -= 1
+
+
 class TestServerIntegration:
     @pytest.fixture(scope="class")
     def served(self, tiny_session):
@@ -630,23 +695,6 @@ class TestServerIntegration:
         """With N replicas, N batches must compute concurrently -- the
         whole point of sharding.  Two sleepy replicas serving four
         one-request batches must have two calls in flight at once."""
-
-        class CountingGroup(ReplicaGroup):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                self.counter_lock = threading.Lock()
-                self.in_flight = self.peak_in_flight = 0
-
-            def infer_sync(self, batch, obs=None):
-                with self.counter_lock:
-                    self.in_flight += 1
-                    self.peak_in_flight = max(self.peak_in_flight, self.in_flight)
-                try:
-                    return super().infer_sync(batch, obs=obs)
-                finally:
-                    with self.counter_lock:
-                        self.in_flight -= 1
-
         group = CountingGroup(
             tiny_session.to_spec(), replicas=2, handicaps={0: 0.2, 1: 0.2}, name="pipeline"
         )
@@ -660,6 +708,41 @@ class TestServerIntegration:
 
         asyncio.run(scenario())
         assert group.peak_in_flight == 2, f"peak {group.peak_in_flight} calls in flight -- dispatch serialized"
+
+    def test_every_replica_has_a_batch_in_flight_past_the_default_executor(self, tiny_session, rng):
+        """Eight sleepy replicas serving eight one-request batches must
+        have eight calls in flight, however few threads the event loop's
+        default executor holds (the stock one has min(32, cpu_count + 4)):
+        the group dispatches on threads of its own.  No processes: the
+        replicas are in-thread repro-workers."""
+        workers = [WorkerServer(port=0) for _ in range(8)]
+        for worker in workers:
+            worker.serve_in_thread()
+        group = CountingGroup(
+            tiny_session.to_spec(),
+            replicas=0,
+            workers=[worker.address for worker in workers],
+            handicaps={index: 0.3 for index in range(8)},
+            name="wide",
+        )
+
+        async def scenario():
+            asyncio.get_running_loop().set_default_executor(ThreadPoolExecutor(2))
+            server = InferenceServer(max_batch=1, max_wait_ms=0.0)
+            server.add_model("m", group)
+            async with server:
+                images = rng.uniform(size=(8, 16, 16))
+                results = await asyncio.gather(*(server.submit("m", image) for image in images))
+            return images, results
+
+        try:
+            images, results = asyncio.run(scenario())
+        finally:
+            for worker in workers:
+                worker.close()
+        np.testing.assert_allclose(np.stack(results), tiny_session.run(images), atol=1e-10)
+        assert group.peak_in_flight == 8, f"peak {group.peak_in_flight} calls in flight -- dispatch threads ran out"
+        assert not _dispatch_threads("wide"), "close() must join the group's dispatch threads"
 
     def test_group_workers_die_with_server_close(self, tiny_session, rng):
         """The graceful-shutdown satellite: close() drains in-flight

@@ -29,7 +29,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.cluster import ReplicaGroup, WorkerServer
+from repro.cluster import ReplicaGroup, WorkerServer, usable_cores
 from repro.engine import compile as engine_compile
 from repro.gateway import Gateway, GatewayClient, GatewayError, GatewayLimits
 from repro.models.config import DONNConfig
@@ -440,6 +440,8 @@ class TestExpositionEndpoints:
         text = body.decode("utf-8")
         _check_prom_grammar(text)
         assert 'repro_replica_restarts_total{model="donn",replica="0"}' in text
+        # A lone local worker's thread budget is every usable core.
+        assert f'repro_replica_threads{{model="donn",replica="0"}} {usable_cores()}\n' in text
 
         status, _, body = stats
         assert status == 200

@@ -192,6 +192,132 @@ class TestDynamicBatching:
             DynamicBatcher(object())
 
 
+class GatedDispatch:
+    """Async dispatch double: records each batch's size and holds the
+    batch until its gate (an ``asyncio.Event``) is set."""
+
+    def __init__(self):
+        self.sizes = []
+        self.gates = []
+
+    async def __call__(self, stacked):
+        self.sizes.append(len(stacked))
+        gate = asyncio.Event()
+        self.gates.append(gate)
+        await gate.wait()
+        return np.asarray(stacked) * 2.0
+
+
+async def _settle(turns: int = 10) -> None:
+    """Give every ready task a few event-loop turns (no wall clock)."""
+    for _ in range(turns):
+        await asyncio.sleep(0)
+
+
+async def _stop_releasing(batcher, dispatch) -> None:
+    """Stop the batcher, opening every gate, including ones the drain creates."""
+    stopping = asyncio.ensure_future(batcher.stop())
+    while not stopping.done():
+        for gate in dispatch.gates:
+            gate.set()
+        await asyncio.sleep(0)
+    await stopping
+
+
+class TestDispatchBatching:
+    """Cluster mode: a batch forms when a dispatch slot is free and leaves at once."""
+
+    def test_lone_request_is_dispatched_without_lingering(self):
+        """A free slot means a free replica: a minute-long linger window
+        must not hold the batch."""
+        dispatch = GatedDispatch()
+
+        async def scenario():
+            batcher = DynamicBatcher(
+                FakeSession(),
+                policy=FixedWindowPolicy(max_batch=8, max_wait_ms=60_000),
+                dispatch=dispatch,
+                max_concurrent_dispatches=2,
+            )
+            batcher.start()
+            request = asyncio.ensure_future(batcher.submit(np.full((2, 2), 3.0)))
+            await _settle()
+            assert dispatch.sizes == [1], "a lone request must leave while a replica is free"
+            await _stop_releasing(batcher, dispatch)
+            return await request
+
+        np.testing.assert_array_equal(run_async(scenario()), np.full((2, 2), 6.0))
+
+    def test_backlog_fuses_into_the_next_free_slot(self):
+        """With both slots held, one request and then four more queue up;
+        the slot that frees first takes all five in one batch."""
+        dispatch = GatedDispatch()
+
+        async def scenario():
+            batcher = DynamicBatcher(
+                FakeSession(),
+                policy=FixedWindowPolicy(max_batch=8, max_wait_ms=0),
+                dispatch=dispatch,
+                max_concurrent_dispatches=2,
+            )
+            batcher.start()
+            payloads = [np.full((2, 2), float(i)) for i in range(7)]
+            tasks = []
+            for payload in payloads[:2]:
+                tasks.append(asyncio.ensure_future(batcher.submit(payload)))
+                await _settle()
+            assert dispatch.sizes == [1, 1], "both slots must be held by gated batches"
+            tasks.append(asyncio.ensure_future(batcher.submit(payloads[2])))
+            await _settle()
+            tasks.extend(asyncio.ensure_future(batcher.submit(p)) for p in payloads[3:])
+            await _settle()
+            assert dispatch.sizes == [1, 1], "nothing may leave while every slot is held"
+            dispatch.gates[0].set()
+            await _settle()
+            assert dispatch.sizes == [1, 1, 5], "the freed slot must take the whole backlog"
+            await _stop_releasing(batcher, dispatch)
+            return payloads, await asyncio.gather(*tasks)
+
+        payloads, results = run_async(scenario())
+        for payload, result in zip(payloads, results):
+            np.testing.assert_array_equal(result, payload * 2.0)
+
+    def test_request_expiring_while_slots_are_held_is_shed_not_sent(self):
+        """Admission runs after the slot is taken."""
+        dispatch = GatedDispatch()
+        clock = {"now": 0.0}
+
+        class ClockedWindow(FixedWindowPolicy):
+            def admit(self, request, now):
+                return super().admit(request, clock["now"])
+
+        async def scenario():
+            batcher = DynamicBatcher(
+                FakeSession(),
+                policy=ClockedWindow(max_batch=8, max_wait_ms=0),
+                dispatch=dispatch,
+                max_concurrent_dispatches=1,
+            )
+            batcher.start()
+            held = asyncio.ensure_future(batcher.submit(np.ones((2, 2))))
+            await _settle()
+            late = asyncio.ensure_future(batcher.submit(np.ones((2, 2)), slo_ms=5.0))
+            await _settle()
+            loop_now = asyncio.get_running_loop().time()
+            clock["now"] = loop_now + 1.0  # the waiting request's budget has passed
+            dispatch.gates[0].set()
+            await _settle()
+            assert dispatch.sizes == [1], "an expired request must not be dispatched"
+            await _stop_releasing(batcher, dispatch)
+            await held
+            with pytest.raises(DeadlineExceededError):
+                await late
+            return batcher.stats()
+
+        stats = run_async(scenario())
+        assert stats.deadline_missed == 1
+
+
 class TestSessionRegistry:
     def test_register_model_compiles_session(self, small_config):
         registry = SessionRegistry()
