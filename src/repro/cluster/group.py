@@ -16,7 +16,10 @@ drain-before-terminate -- the victim is first hidden from the router
 (no new dispatches), its in-flight calls complete, and only then is the
 worker stopped -- so scaling down drops zero accepted requests.  The
 :class:`~repro.cluster.autoscale.Autoscaler` drives these primitives to
-hold a latency budget at minimum process count.
+hold a latency budget at minimum process count.  Each kind of change
+takes one path: one member factory, one join (all growth), one drain
+(removal, remote swap) and one restart, which the background revive and
+:meth:`check_health` share -- same slot rule, backoff and events.
 
 The group is the *dispatch seam* the serving layer plugs into: a
 :class:`~repro.serve.DynamicBatcher` hands its coalesced batch to
@@ -37,20 +40,22 @@ group's own dispatch threads, one per member, so every replica can have
 a batch in flight whatever the loop's default executor holds.
 :meth:`infer_sync` is the same dispatch path for synchronous callers
 (tests, scripts).  Internal counters are
-guarded by a lock; membership changes are serialized by their own
-re-entrant lock and safe under concurrent dispatch.  One group may serve
-many concurrent callers.
+guarded by a lock; waits on them (close, drains, restart backoff) block
+on one condition of it instead of polling.  Membership changes are
+serialized by their own re-entrant lock and safe under concurrent
+dispatch.  One group may serve many concurrent callers.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import functools
 import logging
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 import numpy as np
 
@@ -175,37 +180,21 @@ class ReplicaGroup:
         #: real worker behavior, not control-law bookkeeping.
         self._clock = clock if clock is not None else time.monotonic
         handicaps = handicaps or {}
+        # Local workers take the first indices, remote ones the rest.
+        addresses: List[Optional[str]] = [None] * int(replicas) + workers
         self._replicas: List[Replica] = [
-            self._new_local_replica(index, handicap_s=float(handicaps.get(index, 0.0)))
-            for index in range(int(replicas))
+            self._new_replica(index, handicap_s=float(handicaps.get(index, 0.0)), address=address)
+            for index, address in enumerate(addresses)
         ]
-        for offset, address in enumerate(workers):
-            index = int(replicas) + offset
-            self._replicas.append(
-                Replica(
-                    spec,
-                    index,
-                    transport=SocketTransport(
-                        spec,
-                        address,
-                        options={"handicap_s": float(handicaps.get(index, 0.0))},
-                        start_timeout_s=self._start_timeout_s,
-                    ),
-                    handicap_s=float(handicaps.get(index, 0.0)),
-                    call_timeout_s=self._call_timeout_s,
-                    start_timeout_s=self._start_timeout_s,
-                    restart_backoff_s=self._restart_backoff_s,
-                    restart_backoff_cap_s=self._restart_backoff_cap_s,
-                    clock=self._clock,
-                )
-            )
         self._lock = threading.Lock()  # in-flight counters + restart/drain flags
+        #: Signalled (under ``_lock``) whenever a wait may be over: an
+        #: in-flight count drops, a revive frees its slot, the group closes.
+        self._changed = threading.Condition(self._lock)
         self._membership = threading.RLock()  # serializes add/remove/scale_to
         self._by_index: Dict[int, Replica] = {r.index: r for r in self._replicas}
-        self._next_index = int(replicas) + len(workers)
+        self._next_index = len(addresses)
         self._restarting: set = set()
         self._draining: set = set()
-        self._closing = threading.Event()  # wakes backoff/drain sleepers on close
         #: Dispatch thread pools, newest last: one thread per member, and a
         #: bigger pool replaces the newest when the fleet outgrows it.
         #: close() joins them all.
@@ -214,10 +203,18 @@ class ReplicaGroup:
         self._started = False
         self._closed = False
 
-    def _new_local_replica(self, index: int, *, handicap_s: float = 0.0, spec=None) -> Replica:
+    def _new_replica(self, index: int, *, handicap_s: float = 0.0, spec=None, address: Optional[str] = None) -> Replica:
+        """One unstarted member on ``spec`` (default: the group's); with ``address``, a remote worker."""
+        spec = spec if spec is not None else self.spec
+        transport = None
+        if address is not None:
+            transport = SocketTransport(
+                spec, address, options={"handicap_s": handicap_s}, start_timeout_s=self._start_timeout_s
+            )
         return Replica(
-            spec if spec is not None else self.spec,
+            spec,
             index,
+            transport=transport,
             handicap_s=handicap_s,
             call_timeout_s=self._call_timeout_s,
             start_timeout_s=self._start_timeout_s,
@@ -245,14 +242,14 @@ class ReplicaGroup:
             return self
         with self._lock:
             pending = [replica for replica in self._replicas if not replica.alive]
-        errors = self._boot(pending)
-        if errors:
+        failed = self._boot(pending)
+        if failed:
             # Tear down whatever booted, but leave the group *open*: a
             # transient startup failure (slow host missing a handshake
             # deadline) must stay retryable, not brick the group.
             for replica in self._replicas:
                 replica.close()
-            raise errors[0]
+            raise next(iter(failed.values()))
         self._started = True
         return self
 
@@ -272,27 +269,27 @@ class ReplicaGroup:
             if isinstance(replica.transport, LocalTransport):
                 replica.transport.threads = budget
 
-    def _boot(self, pending: List[Replica]) -> List[BaseException]:
-        """Start ``pending`` replicas concurrently; returns their errors.
+    def _boot(self, pending: List[Replica]) -> Dict[Replica, BaseException]:
+        """Start ``pending`` replicas concurrently; returns failed ones' errors, in failure order.
 
         Session compilation dominates startup; overlap the workers'
         spawn+compile phases instead of paying them serially.
         """
         self._assign_thread_budget(pending)
-        errors: List[BaseException] = []
+        failed: Dict[Replica, BaseException] = {}
 
         def boot(replica: Replica) -> None:
             try:
                 replica.start()
             except BaseException as exc:  # noqa: BLE001 - surfaced by callers
-                errors.append(exc)
+                failed[replica] = exc
 
         threads = [threading.Thread(target=boot, args=(replica,), daemon=True) for replica in pending]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join()
-        return errors
+        return failed
 
     def close(self) -> None:
         """Stop every worker process; idempotent.
@@ -305,34 +302,28 @@ class ReplicaGroup:
         at the deadline is logged and closed around rather than silently
         abandoned.
         """
-        if self._closed:
-            return
-        self._closed = True
-        self._started = False
-        self._closing.set()  # wake backoff/drain sleepers promptly
-        deadline = time.monotonic() + self.close_timeout_s
-        while time.monotonic() < deadline:
-            with self._lock:
-                if not self._restarting:
-                    break
-            time.sleep(0.02)
-        else:
-            with self._lock:
-                stuck = sorted(self._restarting)
-            if stuck:
-                logger.warning(
-                    "replica group %r: restart thread(s) for replica(s) %s still running "
-                    "after the %.1fs close drain; terminating workers around them",
-                    self.name,
-                    stuck,
-                    self.close_timeout_s,
-                )
-                _obs_logger().warning(
-                    "cluster.close_drain_timeout",
-                    group=self.name,
-                    replicas=stuck,
-                    timeout_s=self.close_timeout_s,
-                )
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            self._started = False
+            self._changed.notify_all()  # wake backoff/drain waiters promptly
+            self._changed.wait_for(lambda: not self._restarting, self.close_timeout_s)
+            stuck = sorted(self._restarting)
+        if stuck:
+            logger.warning(
+                "replica group %r: restart thread(s) for replica(s) %s still running "
+                "after the %.1fs close drain; terminating workers around them",
+                self.name,
+                stuck,
+                self.close_timeout_s,
+            )
+            _obs_logger().warning(
+                "cluster.close_drain_timeout",
+                group=self.name,
+                replicas=stuck,
+                timeout_s=self.close_timeout_s,
+            )
         # The membership lock serializes the terminate sweep with any
         # in-progress scale_to/add_replica (e.g. an autoscaler tick that
         # cannot be interrupted): either the resize finishes first and
@@ -374,14 +365,28 @@ class ReplicaGroup:
             with self._lock:
                 index = self._next_index
                 self._next_index += 1
-            replica = self._new_local_replica(index, handicap_s=float(handicap_s), spec=spec)
-            if self._started:
-                self._assign_thread_budget([replica])
-                replica.start()
-            with self._lock:
-                self._replicas.append(replica)
-                self._by_index[index] = replica
+            self._join([self._new_replica(index, handicap_s=float(handicap_s), spec=spec)])
             return index
+
+    def _join(self, fresh: List[Replica]) -> None:
+        """Bring ``fresh`` members into the fleet: the one path growth takes.
+
+        On a started group they boot concurrently (like :meth:`start`,
+        thread budget included) *before* they join the routing table; on
+        an idle group they join unstarted and boot with :meth:`start`.
+        Members that booted are published even when a sibling failed;
+        the rest are closed and the first error propagates.
+        """
+        failed = self._boot(fresh) if self._started else {}
+        with self._lock:
+            for replica in fresh:
+                if replica not in failed:
+                    self._replicas.append(replica)
+                    self._by_index[replica.index] = replica
+        for replica in failed:
+            replica.close()
+        if failed:
+            raise next(iter(failed.values()))
 
     def remove_replica(self, index: Optional[int] = None, *, drain_timeout_s: Optional[float] = None) -> int:
         """Shrink the fleet by one worker, drain-before-terminate.
@@ -396,7 +401,6 @@ class ReplicaGroup:
         Raises ``ValueError`` when asked to remove the last replica, an
         unknown index, or one already draining.
         """
-        timeout = self.drain_timeout_s if drain_timeout_s is None else float(drain_timeout_s)
         with self._membership:
             with self._lock:
                 candidates = [r for r in self._replicas if r.index not in self._draining]
@@ -414,44 +418,50 @@ class ReplicaGroup:
                         raise ValueError(f"no replica with index {index} in group {self.name!r}")
                     if index in self._draining:
                         raise ValueError(f"replica {index} is already draining")
-                self._draining.add(index)
-            # Drain outside the lock: dispatched calls decrement in_flight
-            # as they complete, and a pending background revive must also
-            # clear its slot before the worker is torn down under it.
-            deadline = time.monotonic() + timeout
-            while time.monotonic() < deadline and not self._closed:
+            with self._drained(
+                victim,
+                drain_timeout_s,
+                event="cluster.drain_timeout",
+                message="replica group %(group)r: replica %(replica)d still has %(in_flight)d in-flight "
+                "call(s)%(pending)s after the %(timeout_s).1fs drain deadline; terminating it anyway",
+            ):
+                victim.close()
                 with self._lock:
-                    if victim.in_flight == 0 and index not in self._restarting:
-                        break
-                self._closing.wait(0.01)
-            else:
-                if not self._closed:
-                    with self._lock:
-                        stuck_calls, restarting = victim.in_flight, index in self._restarting
-                    logger.warning(
-                        "replica group %r: replica %d still has %d in-flight call(s)%s after the "
-                        "%.1fs drain deadline; terminating it anyway",
-                        self.name,
-                        index,
-                        stuck_calls,
-                        " (and a pending restart)" if restarting else "",
-                        timeout,
-                    )
-                    _obs_logger().warning(
-                        "cluster.drain_timeout",
-                        group=self.name,
-                        replica=index,
-                        in_flight=stuck_calls,
-                        restarting=restarting,
-                        timeout_s=timeout,
-                    )
-            victim.close()
-            with self._lock:
-                if victim in self._replicas:
-                    self._replicas.remove(victim)
-                self._by_index.pop(index, None)
-                self._draining.discard(index)
+                    if victim in self._replicas:
+                        self._replicas.remove(victim)
+                    self._by_index.pop(index, None)
             return index
+
+    @contextlib.contextmanager
+    def _drained(
+        self, replica: Replica, drain_timeout_s: Optional[float], *, event: str, message: str
+    ) -> Iterator[None]:
+        """Hide ``replica`` from the router until the body is done; the one drain path.
+
+        The body runs once the member has no call in flight and no
+        pending revive (a revive must clear its slot before the worker is
+        torn down or reconnected under it), or once the drain deadline
+        passes -- then logged as ``message`` (%-formatted from the
+        event's fields) and emitted as ``event``, never silent.
+        """
+        timeout = self.drain_timeout_s if drain_timeout_s is None else float(drain_timeout_s)
+        index = replica.index
+        with self._lock:
+            self._draining.add(index)
+            idle = self._changed.wait_for(
+                lambda: self._closed or (replica.in_flight == 0 and index not in self._restarting), timeout
+            )
+            stuck = dict(in_flight=replica.in_flight, restarting=index in self._restarting)
+        try:
+            if not idle:
+                fields = dict(group=self.name, replica=index, **stuck, timeout_s=timeout)
+                pending = " (and a pending restart)" if stuck["restarting"] else ""
+                logger.warning(message, {**fields, "pending": pending})
+                _obs_logger().warning(event, **fields)
+            yield
+        finally:
+            with self._lock:
+                self._draining.discard(index)
 
     def scale_to(self, replicas: int, *, drain_timeout_s: Optional[float] = None) -> int:
         """Grow or shrink the fleet to ``replicas`` workers; returns the new size.
@@ -473,20 +483,9 @@ class ReplicaGroup:
             grow = target - len(self)
             if grow > 0:
                 with self._lock:
-                    indices = list(range(self._next_index, self._next_index + grow))
+                    first = self._next_index
                     self._next_index += grow
-                fresh = [self._new_local_replica(index) for index in indices]
-                errors = self._boot(fresh) if self._started else []
-                booted = [replica for replica in fresh if not self._started or replica.alive]
-                with self._lock:
-                    for replica in booted:
-                        self._replicas.append(replica)
-                        self._by_index[replica.index] = replica
-                if errors:
-                    for replica in fresh:
-                        if replica not in booted:
-                            replica.close()
-                    raise errors[0]
+                self._join([self._new_replica(index) for index in range(first, first + grow)])
             return len(self)
 
     def swap_spec(self, spec, *, drain_timeout_s: Optional[float] = None) -> int:
@@ -503,16 +502,19 @@ class ReplicaGroup:
         growth (:meth:`add_replica`, :meth:`scale_to`, the autoscaler)
         spawns the new version.  Returns the fleet size.
 
+        ``group.spec`` changes only once a new-version member has joined
+        (on an idle fleet: when the fleet is retargeted), so a swap whose
+        first new worker fails leaves later growth on the old version.
         Serialized with all other membership changes; a failed new-worker
         spawn propagates with the old fleet still intact and serving.
         """
         with self._membership:
             if self._closed:
                 raise RuntimeError(f"replica group {self.name!r} is closed")
-            self.spec = spec
             if not self._started:
                 # Idle fleet: retarget the unstarted members in place;
                 # they compile the new version on start().
+                self.spec = spec
                 with self._lock:
                     replicas = list(self._replicas)
                 for replica in replicas:
@@ -523,51 +525,25 @@ class ReplicaGroup:
             for replica in outgoing:
                 if isinstance(replica.transport, LocalTransport):
                     self.add_replica(handicap_s=replica.handicap_s, spec=spec)
+                    self.spec = spec
                     self.remove_replica(replica.index, drain_timeout_s=drain_timeout_s)
-                else:
-                    self._swap_remote(replica, spec, drain_timeout_s)
+                    continue
+                # A remote worker is externally-owned capacity -- there is
+                # no second process to spawn-then-publish into, so its swap
+                # is a drained reconnect: the fresh connection's init frame
+                # carries the new spec while siblings keep serving.
+                with self._drained(
+                    replica,
+                    drain_timeout_s,
+                    event="cluster.swap_drain_timeout",
+                    message="replica group %(group)r: remote replica %(replica)d still busy after the "
+                    "%(timeout_s).1fs swap drain; reconnecting it anyway",
+                ):
+                    replica.transport.spec = spec
+                    if not self._closed:
+                        replica.restart()
+                        self.spec = spec
             return len(self)
-
-    def _swap_remote(self, replica: Replica, spec, drain_timeout_s: Optional[float]) -> None:
-        """Drain one socket-attached replica, then reconnect it on ``spec``.
-
-        A remote worker is externally-owned capacity -- there is no
-        second process to spawn-then-publish into, so the swap is a
-        drained reconnect: hidden from the router, in-flight calls
-        complete, then the fresh connection's init frame carries the new
-        spec.  Siblings keep serving throughout.
-        """
-        timeout = self.drain_timeout_s if drain_timeout_s is None else float(drain_timeout_s)
-        with self._lock:
-            self._draining.add(replica.index)
-        try:
-            deadline = time.monotonic() + timeout
-            while time.monotonic() < deadline and not self._closed:
-                with self._lock:
-                    if replica.in_flight == 0 and replica.index not in self._restarting:
-                        break
-                self._closing.wait(0.01)
-            else:
-                if not self._closed:
-                    logger.warning(
-                        "replica group %r: remote replica %d still busy after the %.1fs "
-                        "swap drain; reconnecting it anyway",
-                        self.name,
-                        replica.index,
-                        timeout,
-                    )
-                    _obs_logger().warning(
-                        "cluster.swap_drain_timeout",
-                        group=self.name,
-                        replica=replica.index,
-                        timeout_s=timeout,
-                    )
-            replica.transport.spec = spec
-            if not self._closed:
-                replica.restart()
-        finally:
-            with self._lock:
-                self._draining.discard(replica.index)
 
     # ------------------------------------------------------------------ #
     # Session-like facade (what the serving layer's plumbing touches)
@@ -637,50 +613,74 @@ class ReplicaGroup:
         bounded respawn rate (and one thread), not a thread per failed
         batch.  ``close()`` wakes a waiting revive immediately.
         """
+        replica = self._claim_restart(index)
+        if replica is not None:
+            threading.Thread(
+                target=self._revive, args=(replica,), name=f"repro-replica-restart-{index}", daemon=True
+            ).start()
+
+    def _claim_restart(self, index: int) -> Optional[Replica]:
+        """Take replica ``index``'s one restart slot; returns it, or ``None`` if refused.
+
+        Refused while the group is closed, while another restart holds
+        the slot, while the member is draining, and once it has left the
+        membership: a drained-out replica must not be revived into a
+        zombie.  Claiming under the lock is what keeps a health-check
+        restart from racing a dispatch-path background revive.
+        """
         with self._lock:
-            if self._closed or index in self._restarting or index in self._draining:
-                return
             replica = self._by_index.get(index)
-            if replica is None:
-                return
+            if self._closed or replica is None or index in self._restarting or index in self._draining:
+                return None
             self._restarting.add(index)
+            return replica
 
-        def revive() -> None:
-            outcome: Optional[str] = None
-            try:
-                delay = replica.restart_not_before - self._clock()
-                if delay > 0:
-                    self._closing.wait(delay)
-                if self._closed or index in self._draining or index not in self._by_index:
-                    return
-                try:
-                    self._assign_thread_budget([replica])
-                    replica.restart()
-                    outcome = "restarted"
-                except BaseException as exc:  # noqa: BLE001 - recorded, retried with backoff
-                    replica.last_error = f"restart failed: {exc}"
-                    replica.note_restart_failure()
-                    outcome = "failed"
-            finally:
+    def _revive(self, replica: Replica, *, probe: bool = False) -> None:
+        """Restart ``replica`` in the slot :meth:`_claim_restart` gave out, then free it.
+
+        Waits out the backoff window (``close()`` cuts the wait short)
+        and re-checks that the member is still wanted.  With ``probe`` it
+        re-pings first: a revive that finished since the caller's health
+        snapshot must not be torn down again.  A failed restart is
+        recorded on the replica and pushes its backoff out.  Either
+        outcome is emitted as a structured event.
+        """
+        index = replica.index
+        outcome: Optional[str] = None
+        try:
+            delay = replica.restart_not_before - self._clock()
+            if delay > 0:
                 with self._lock:
-                    self._restarting.discard(index)
-                # Structured log *after* the slot release: callers polling
-                # the counters must be able to schedule the next attempt
-                # the instant the bookkeeping says they can.
-                if outcome == "restarted":
-                    _obs_logger().info(
-                        "cluster.replica_restarted", group=self.name, replica=index
-                    )
-                elif outcome == "failed":
-                    _obs_logger().warning(
-                        "cluster.replica_restart_failed",
-                        group=self.name,
-                        replica=index,
-                        error=replica.last_error,
-                        attempts=replica.restart_attempts,
-                    )
-
-        threading.Thread(target=revive, name=f"repro-replica-restart-{index}", daemon=True).start()
+                    self._changed.wait_for(lambda: self._closed, delay)
+            if self._closed or index in self._draining or index not in self._by_index:
+                return
+            if probe and replica.ping():
+                return
+            try:
+                self._assign_thread_budget([replica])
+                replica.restart()
+                outcome = "restarted"
+            except Exception as exc:  # noqa: BLE001 - recorded, retried with backoff
+                replica.last_error = f"restart failed: {exc}"
+                replica.note_restart_failure()
+                outcome = "failed"
+        finally:
+            with self._lock:
+                self._restarting.discard(index)
+                self._changed.notify_all()
+            # Structured log *after* the slot release: callers polling
+            # the counters must be able to schedule the next attempt
+            # the instant the bookkeeping says they can.
+            if outcome == "restarted":
+                _obs_logger().info("cluster.replica_restarted", group=self.name, replica=index)
+            elif outcome == "failed":
+                _obs_logger().warning(
+                    "cluster.replica_restart_failed",
+                    group=self.name,
+                    replica=index,
+                    error=replica.last_error,
+                    attempts=replica.restart_attempts,
+                )
 
     def infer_sync(self, batch, obs: Optional[dict] = None) -> np.ndarray:
         """Route one fused batch to a replica; blocking.
@@ -735,6 +735,7 @@ class ReplicaGroup:
             finally:
                 with self._lock:
                     replica.in_flight -= 1
+                    self._changed.notify_all()
         raise last  # type: ignore[misc]  # loop ran >= 1 time
 
     async def _offload(self, call):
@@ -794,6 +795,7 @@ class ReplicaGroup:
         finally:
             with self._lock:
                 replica.in_flight -= 1
+                self._changed.notify_all()
 
     async def rescue(self, payload) -> np.ndarray:
         return await self._offload(functools.partial(self.rescue_sync, payload))
@@ -807,43 +809,21 @@ class ReplicaGroup:
         Returns the per-replica liveness list *before* any restarts.
         Restarts run synchronously here (unlike the dispatch path's
         background restarts) so callers can treat a ``True``-free return
-        from a second call as "the fleet is really gone".  Replicas still
-        inside their restart-backoff window (or draining out of the
-        fleet) are skipped.
+        from a second call as "the fleet is really gone".  They take the
+        same restart path as the background revive: the same slot, the
+        same backoff, the same structured events.  Replicas still inside
+        their restart-backoff window (or draining out of the fleet) are
+        skipped.
         """
         with self._lock:
             replicas = list(self._replicas)
         health = [replica.ping() for replica in replicas]
-        if restart_dead and not self._closed:
+        if restart_dead:
             for replica, ok in zip(replicas, health):
                 if ok or self._clock() < replica.restart_not_before:
                     continue
-                with self._lock:
-                    # Claim the restart slot under the lock so this never
-                    # races a dispatch-path background revive; a replica
-                    # that has left the membership (drained out) must not
-                    # be revived into a zombie.
-                    if (
-                        self._closed
-                        or replica.index in self._restarting
-                        or replica.index in self._draining
-                        or replica.index not in self._by_index
-                    ):
-                        continue
-                    self._restarting.add(replica.index)
-                try:
-                    # Re-probe after claiming the slot: a revive that
-                    # finished since the health snapshot must not be
-                    # torn down again.
-                    if not replica.ping():
-                        self._assign_thread_budget([replica])
-                        replica.restart()
-                except Exception as exc:  # noqa: BLE001 - recorded for stats
-                    replica.last_error = f"restart failed: {exc}"
-                    replica.note_restart_failure()
-                finally:
-                    with self._lock:
-                        self._restarting.discard(replica.index)
+                if self._claim_restart(replica.index) is not None:
+                    self._revive(replica, probe=True)
         return health
 
     def stats(self) -> List[dict]:

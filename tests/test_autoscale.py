@@ -330,7 +330,8 @@ class TestElasticGroup:
 
     def test_drain_before_terminate_drops_zero_inflight(self, tiny_spec, rng):
         """Removing a busy replica waits for its in-flight calls: every
-        request issued before (and during) the removal completes."""
+        request issued before (and during) the removal completes, and the
+        drain ends when the last call does, not at its deadline."""
         images = rng.uniform(size=(2, 16, 16))
         with ReplicaGroup(
             tiny_spec,
@@ -352,10 +353,16 @@ class TestElasticGroup:
             for thread in threads:
                 thread.start()
             _wait_until(lambda: group.total_in_flight() > 0, what="calls in flight")
-            removed = group.remove_replica(index=1, drain_timeout_s=30.0)
+            removed = []
+            remover = threading.Thread(
+                target=lambda: removed.append(group.remove_replica(index=1, drain_timeout_s=600.0))
+            )
+            remover.start()
+            remover.join(timeout=60.0)
+            assert not remover.is_alive(), "the drain outlived its last call: a lost wake-up"
             for thread in threads:
                 thread.join(timeout=30.0)
-            assert removed == 1 and len(group) == 1
+            assert removed == [1] and len(group) == 1
             assert len(outcomes) == 6
             assert [status for status, _ in outcomes] == ["ok"] * 6
             for _, result in outcomes:

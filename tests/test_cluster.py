@@ -9,6 +9,7 @@ keeping the fixture healthy for whoever runs next.
 from __future__ import annotations
 
 import asyncio
+import multiprocessing
 import os
 import signal
 import socket
@@ -504,6 +505,32 @@ class TestReplicaGroup:
             group.start()  # retry reaches the workers again, not a 'closed' error
         group.close()
 
+    def test_failed_add_replica_leaves_the_fleet_serving(self, tiny_session, rng):
+        """A joiner that cannot build is closed, never published: the fleet
+        keeps its size, no worker process is left behind, and it serves."""
+        images = rng.uniform(size=(3, 16, 16))
+        with ReplicaGroup(tiny_session.to_spec(), replicas=1, name="badjoin") as group:
+            before = {process.pid for process in multiprocessing.active_children()}
+            with pytest.raises(WorkerStartupError):
+                group.add_replica(spec=SessionSpec.from_model("not a model"))
+            assert len(group) == 1
+            assert {process.pid for process in multiprocessing.active_children()} <= before
+            np.testing.assert_allclose(group.infer_sync(images), tiny_session.run(images), atol=1e-10)
+
+    def test_failed_swap_leaves_the_group_on_its_spec(self, tiny_session, rng):
+        """A swap whose first new-version worker cannot build must not
+        retarget the group: later growth still spawns the working version."""
+        spec = tiny_session.to_spec()
+        images = rng.uniform(size=(3, 16, 16))
+        with ReplicaGroup(spec, replicas=1, name="badswap") as group:
+            with pytest.raises(WorkerStartupError):
+                group.swap_spec(SessionSpec.from_model("not a model"))
+            assert group.spec is spec
+            group.add_replica()
+            for _ in range(2):  # round robin: each member answers once
+                np.testing.assert_allclose(group.infer_sync(images), tiny_session.run(images), atol=1e-10)
+            assert [row["dispatched"] for row in group.stats()] == [1, 1]
+
     def test_router_instance_shared_across_cluster_models_refused(self, tiny_session):
         router = LeastLoadedRouter()
         server = InferenceServer()
@@ -614,7 +641,7 @@ class TestReplicaGroup:
         local workers, one remote worker and one local worker joining."""
         monkeypatch.setattr("repro.cluster.group.usable_cores", lambda: 12)
         group = ReplicaGroup(tiny_session.to_spec(), replicas=3, workers=["127.0.0.1:9"], name="split")
-        joining = group._new_local_replica(7)
+        joining = group._new_replica(7)
         try:
             group._assign_thread_budget(group._replicas)
             local = [r.transport for r in group._replicas if isinstance(r.transport, LocalTransport)]

@@ -1,4 +1,5 @@
-"""The docs stay honest: links and repo paths resolve, tested examples run.
+"""The docs stay honest: links and repo paths resolve, tested examples run,
+and the structured-log event table matches the events the code emits.
 
 Runs the same checks as the CI ``docs`` job (``tools/check_docs.py``) so
 a broken doc link or a stale fenced example fails the tier-1 suite
@@ -40,6 +41,29 @@ def test_path_check_names_a_missing_file_in_prose_and_fences():
 
 def test_fenced_doctest_examples_pass():
     assert check_docs.check_doctests() == []
+
+
+def test_structured_log_events_match_the_docs_table():
+    assert check_docs.check_events() == []
+
+
+def test_event_pass_reads_logger_calls_event_keywords_and_the_table_column():
+    source = (
+        '_obs_logger().warning(\n    "cluster.drain_timeout", group=name)\n'
+        "get_logger().info('serve.model_swapped')\n"
+        'self._drained(replica, timeout, event="cluster.swap_drain_timeout")\n'
+        'logger.info("stdlib.message")\nget_logger().records("cluster.replica_restarted")\n'
+    )
+    assert check_docs.events_in_source(source) == {
+        "cluster.drain_timeout",
+        "serve.model_swapped",
+        "cluster.swap_drain_timeout",
+    }
+    table = (
+        "## Structured logs\n\n| Event | Emitted when |\n| --- | --- |\n"
+        "| `a.one` / `a.two` | prose naming `not.listed` |\n\n## Tuning\n\n| `b.later` | x |\n"
+    )
+    assert check_docs.events_in_table(table) == {"a.one", "a.two"}
 
 
 def test_readme_links_the_docs_tree():

@@ -370,12 +370,18 @@ class TestJsonLogger:
         records = logger.records("unit.ring")
         assert len(records) == 3 and records[0]["index"] == 7
 
-    def test_cluster_restart_emits_structured_event(self):
+    @pytest.mark.parametrize(
+        "restart",
+        [lambda group: group._schedule_restart(0), lambda group: group.check_health()],
+        ids=["background_revive", "check_health"],
+    )
+    def test_cluster_restart_emits_structured_event(self, restart):
+        """Both restart entry points take the one restart path and log it."""
         spec = engine_compile(_tiny_model(), backend="numpy").to_spec()
         get_logger().clear()
         with ReplicaGroup(spec, replicas=1, restart_backoff_s=0.05, name="obslog") as group:
             os.kill(group._by_index[0].pid, signal.SIGKILL)
-            group._schedule_restart(0)
+            restart(group)
             deadline = time.monotonic() + 30.0
             while time.monotonic() < deadline:
                 if get_logger().records("cluster.replica_restarted"):

@@ -1,6 +1,7 @@
-"""Documentation checks: internal links and repo paths resolve, fenced examples run.
+"""Documentation checks: links and repo paths resolve, examples run, events are listed.
 
-Three passes over ``README.md`` and every ``docs/*.md``:
+Three passes over ``README.md`` and every ``docs/*.md``, and one over
+``src/repro``:
 
 1. **Links.** Every relative markdown link (``[text](path)`` or
    ``[text](path#anchor)``) must point at an existing file or directory,
@@ -17,14 +18,21 @@ Three passes over ``README.md`` and every ``docs/*.md``:
    to ``python -m doctest`` on a file holding the block).  Mark an
    example testable only when it is self-contained and cheap; plain
    ``python`` blocks are illustrative and stay unexecuted.
+4. **Events.** Every event name handed to the structured logger under
+   ``src/repro`` -- the first argument of ``get_logger()`` /
+   ``_obs_logger()`` ``.info``/``.warning`` (or ``.debug``/``.error``),
+   or an ``event=`` keyword to a helper that forwards it there -- is
+   listed in the "Structured logs" table of ``docs/observability.md``,
+   and every event that table lists is emitted somewhere.
 
 Run from the repo root (CI job ``docs``)::
 
     PYTHONPATH=src python tools/check_docs.py
 
 Exit code 0 on success; failures are listed one per line.  Importable
-(``check_links`` / ``check_paths`` / ``check_doctests``) so the test
-suite runs the same checks as CI (see ``tests/test_docs.py``).
+(``check_links`` / ``check_paths`` / ``check_doctests`` /
+``check_events``) so the test suite runs the same checks as CI (see
+``tests/test_docs.py``).
 """
 
 from __future__ import annotations
@@ -36,6 +44,8 @@ from pathlib import Path
 from typing import List, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+#: The doc whose "Structured logs" table lists every lifecycle event.
+EVENTS_DOC = REPO_ROOT / "docs" / "observability.md"
 
 #: ``[text](target)`` -- excluding images and in-page ``#`` / external links.
 _LINK = re.compile(r"(?<!\!)\[[^\]]+\]\(([^)\s]+)\)")
@@ -45,6 +55,12 @@ _HEADING = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
 #: A repo-relative file path, e.g. ``src/repro/serve/server.py`` (not part of a longer path).
 _REPO_PATH = re.compile(
     r"(?<![\w./-])((?:src|benchmarks|tests|tools|examples|perfbench|docs)/[\w./-]*\.(?:py|md|json|yml|toml))\b"
+)
+_EVENT_NAME = r"[a-z][a-z0-9_]*(?:\.[a-z0-9_]+)+"
+#: An event name given to the structured logger, or to a helper's ``event=`` keyword.
+_EMITTED_EVENT = re.compile(
+    r"(?:\b(?:get_logger|_obs_logger)\(\)\s*\.\s*(?:debug|info|warning|error)\(\s*|\bevent=)"
+    rf"[\"']({_EVENT_NAME})[\"']"
 )
 
 
@@ -128,6 +144,36 @@ def check_doctests(files: List[Path] = None) -> List[str]:
     return errors
 
 
+def events_in_source(text: str) -> set:
+    """Event names ``text`` hands to the structured logger."""
+    return set(_EMITTED_EVENT.findall(text))
+
+
+def events_in_table(text: str) -> set:
+    """Backticked event names in the first column of the "Structured logs" table in ``text``."""
+    _, _, section = text.partition("## Structured logs")
+    section = section.split("\n## ", 1)[0]
+    rows = [line.split("|")[1] for line in section.splitlines() if line.startswith("|")]
+    return {name for cell in rows for name in re.findall(rf"`({_EVENT_NAME})`", cell)}
+
+
+def check_events() -> List[str]:
+    """Return events emitted but not documented, or documented but never emitted."""
+    doc = EVENTS_DOC.relative_to(REPO_ROOT)
+    documented = events_in_table(EVENTS_DOC.read_text(encoding="utf-8"))
+    emitted = set()
+    for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+        emitted |= events_in_source(path.read_text(encoding="utf-8"))
+    if not documented or not emitted:
+        return [f"{doc}: no structured-log events found -- the event pass lost its table or its call sites"]
+    errors = []
+    for name in sorted(emitted - documented):
+        errors.append(f"{doc}: emitted event `{name}` is not in the Structured logs table")
+    for name in sorted(documented - emitted):
+        errors.append(f"{doc}: Structured logs event `{name}` is never emitted under src/repro")
+    return errors
+
+
 def main() -> int:
     # The docs' examples import repro.*; make `src` importable when the
     # caller forgot PYTHONPATH.
@@ -135,7 +181,7 @@ def main() -> int:
     if src not in sys.path:
         sys.path.insert(0, src)
     files = doc_files()
-    errors = check_links(files) + check_paths(files) + check_doctests(files)
+    errors = check_links(files) + check_paths(files) + check_doctests(files) + check_events()
     for error in errors:
         print(f"FAIL: {error}")
     print(
