@@ -1,4 +1,4 @@
-"""Serving a DONN over HTTP/JSON with the gateway (``repro.gateway``).
+"""Serving a DONN over HTTP with the gateway (``repro.gateway``).
 
 Boots a digit-classifier DONN behind an
 :class:`~repro.serve.InferenceServer` and a
@@ -8,9 +8,9 @@ walks the whole API surface through :class:`~repro.gateway.GatewayClient`
 ``slo_ms`` budgets, and the error mapping (an unknown model comes back
 as a 404 that the client re-raises as the original
 :class:`~repro.serve.UnknownModelError`).  A final section verifies that
-the logits that crossed the wire as JSON match a direct
-:func:`repro.engine.compile` run bit-for-bit at ``atol=1e-10`` -- JSON
-round-trips doubles exactly.
+the logits that crossed the wire as raw float64 tensor frames (the
+client's infer format) match a direct :func:`repro.engine.compile` run
+at ``atol=1e-10`` -- a frame carries the doubles' bytes verbatim.
 
 Everything runs in one process over 127.0.0.1; point the same client at
 another host to serve for real (see ``docs/gateway.md`` for the
@@ -89,8 +89,8 @@ async def main() -> None:
             # -- wire-format parity ------------------------------------- #
             reference = engine_compile(model).run(images)
             drift = float(np.max(np.abs(batch - reference)))
-            print(f"\nparity:  max |HTTP - compile()| = {drift:.2e} (JSON "
-                  "round-trips float64 exactly)")
+            print(f"\nparity:  max |HTTP - compile()| = {drift:.2e} (tensor frames "
+                  "carry float64 verbatim)")
             assert drift < 1e-10
 
             stats = await client.stats()

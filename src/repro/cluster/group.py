@@ -506,7 +506,9 @@ class ReplicaGroup:
         (on an idle fleet: when the fleet is retargeted), so a swap whose
         first new worker fails leaves later growth on the old version.
         Serialized with all other membership changes; a failed new-worker
-        spawn propagates with the old fleet still intact and serving.
+        spawn propagates with the old fleet still intact and serving.  A
+        remote member whose reconnect fails keeps the old spec, so its
+        next revive rebuilds the version the group still serves.
         """
         with self._membership:
             if self._closed:
@@ -539,9 +541,15 @@ class ReplicaGroup:
                     message="replica group %(group)r: remote replica %(replica)d still busy after the "
                     "%(timeout_s).1fs swap drain; reconnecting it anyway",
                 ):
-                    replica.transport.spec = spec
+                    previous, replica.transport.spec = replica.transport.spec, spec
                     if not self._closed:
-                        replica.restart()
+                        try:
+                            replica.restart()
+                        except BaseException:
+                            # Later revives of this member must rebuild the
+                            # version the group still serves.
+                            replica.transport.spec = previous
+                            raise
                         self.spec = spec
             return len(self)
 

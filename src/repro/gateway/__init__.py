@@ -1,4 +1,4 @@
-"""``repro.gateway``: the HTTP/JSON network front door of the serving stack.
+"""``repro.gateway``: the HTTP network front door of the serving stack.
 
 Everything below the gateway already existed -- dynamic batching
 (``repro.serve``), process-sharded replica groups (``repro.cluster``),
@@ -10,7 +10,9 @@ inside one Python process.  This package puts an HTTP/1.1 server
 ===========  ===============================  ==============================
 ``POST``     ``/v1/models/{name}/infer``      single (``input``) or batch
                                               (``inputs``) inference, with
-                                              optional per-request ``slo_ms``
+                                              optional per-request ``slo_ms``;
+                                              JSON or a raw float64 tensor
+                                              frame each way
 ``POST``     ``/v1/models/{name}/swap``       zero-downtime version swap
 ``GET``      ``/v1/models``                   per-model static metadata
 ``GET``      ``/v1/stats``                    batcher/replica/gateway counters
@@ -20,6 +22,12 @@ inside one Python process.  This package puts an HTTP/1.1 server
 ``GET``      ``/metrics``                     Prometheus text exposition
 ``GET``      ``/healthz``                     liveness probe
 ===========  ===============================  ==============================
+
+Every route speaks JSON.  The infer route also takes and answers one
+tensor frame (:mod:`repro.utils.tensor_codec`: a fixed header plus raw
+little-endian float64 data) when ``Content-Type`` and ``Accept`` name
+``application/octet-stream``; :class:`GatewayClient` always uses frames
+for inference, and a frame is never unpickled.
 
 Every response carries ``X-Request-Id`` (client-sent or gateway-minted);
 the same id keys the request's trace in ``GET /v1/traces/{id}`` (see

@@ -14,6 +14,11 @@ and serves until interrupted::
     PY
     )"
 
+The infer route also takes a raw float64 tensor frame (``Content-Type:
+application/octet-stream``; curl ``--data-binary @frame.bin``) and
+answers with one when ``Accept`` asks for it -- the format and a
+frame-writing snippet are in ``docs/gateway.md``.
+
 ``--replicas N`` runs the model on a process-sharded replica group;
 ``--workers host:port,...`` additionally attaches remote ``repro-worker``
 processes (see ``docs/gateway.md`` for the multi-host walkthrough).
@@ -67,6 +72,10 @@ async def run(args) -> None:
         print(
             f"  curl -X POST {base}v1/models/{args.model_name}/infer "
             f"-d '{{\"input\": [[0.5, ...]] }}'  # {args.sys_size}x{args.sys_size} image",
+        )
+        print(
+            f"  curl -X POST {base}v1/models/{args.model_name}/infer "
+            "-H 'Content-Type: application/octet-stream' --data-binary @frame.bin  # tensor frame",
             flush=True,
         )
         await gateway.serve_forever()
@@ -75,7 +84,7 @@ async def run(args) -> None:
 def main(argv: Optional[list] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.gateway",
-        description="Serve a demo DONN classifier over HTTP/JSON.",
+        description="Serve a demo DONN classifier over HTTP (JSON, or raw float64 tensor frames on /infer).",
     )
     parser.add_argument("--host", default="127.0.0.1", help="bind address (default %(default)s)")
     parser.add_argument("--port", type=int, default=8080, help="port; 0 = ephemeral (default %(default)s)")

@@ -10,6 +10,10 @@ full wire format against a live gateway) and load generators such as
   many HTTP exchanges concurrently -- a pool of persistent (keep-alive)
   connections, bounded by ``max_connections``, each carrying one
   request/response exchange at a time.
+* **Binary inference.**  ``infer`` and ``infer_many`` send the batch as
+  one raw float64 tensor frame (:mod:`repro.utils.tensor_codec`) and
+  ask for the answer in the same format, so neither side spends CPU on
+  number text.  Every other call, and every error body, is JSON.
 * **Exception fidelity.**  A load generator buckets outcomes by
   catching the serving layer's exception types.  The client therefore
   re-raises the *original* types from the gateway's structured error
@@ -32,7 +36,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.gateway.codec import json_bytes, read_response
+from repro.gateway.codec import TENSOR_MEDIA_TYPE, json_bytes, media_type, read_response
 from repro.serve import (
     DeadlineExceededError,
     ServerClosedError,
@@ -40,6 +44,7 @@ from repro.serve import (
     UnknownModelError,
 )
 from repro.store import StoreIntegrityError, VersionNotFoundError
+from repro.utils.tensor_codec import decode_tensor, encode_tensor
 
 __all__ = ["GatewayClient", "GatewayError"]
 
@@ -102,18 +107,16 @@ class GatewayClient:
     # ------------------------------------------------------------------ #
     # Plumbing
     # ------------------------------------------------------------------ #
-    async def _request(
-        self, method: str, path: str, payload=None, *, request_id: Optional[str] = None
-    ) -> Tuple[int, Dict[str, str], dict]:
-        """One exchange on a pooled connection; returns ``(status, headers, body)``."""
+    async def _exchange(
+        self, method: str, path: str, body: bytes, headers: Dict[str, str]
+    ) -> Tuple[int, Dict[str, str], bytes]:
+        """One exchange on a pooled connection; returns ``(status, headers, raw body)``."""
         if self._closed:
             raise GatewayError(0, "client_closed", "client is closed")
-        body = json_bytes(payload) if payload is not None else b""
-        extra = f"X-Request-Id: {request_id}\r\n" if request_id else ""
+        extra = "".join(f"{name}: {value}\r\n" for name, value in headers.items())
         head = (
             f"{method} {path} HTTP/1.1\r\n"
             f"Host: {self.host}:{self.port}\r\n"
-            f"Content-Type: application/json\r\n"
             f"Content-Length: {len(body)}\r\n"
             f"{extra}"
             f"Connection: keep-alive\r\n\r\n"
@@ -123,16 +126,47 @@ class GatewayClient:
             try:
                 writer.write(head + body)
                 await writer.drain()
-                status, headers, raw = await asyncio.wait_for(read_response(reader), self.timeout_s)
+                status, reply_headers, raw = await asyncio.wait_for(read_response(reader), self.timeout_s)
             except Exception:
                 await _discard(writer)
                 raise
-            if headers.get("connection", "keep-alive").lower() == "close":
+            if reply_headers.get("connection", "keep-alive").lower() == "close":
                 await _discard(writer)
             else:
                 self._idle.append((reader, writer))
-        parsed = json.loads(raw.decode("utf-8")) if raw else {}
-        return status, headers, parsed
+        return status, reply_headers, raw
+
+    async def _request(self, method: str, path: str, payload=None) -> Tuple[int, Dict[str, str], dict]:
+        """A JSON exchange: ``payload`` encoded as the body; returns ``(status, headers, body)``."""
+        body = json_bytes(payload) if payload is not None else b""
+        status, headers, raw = await self._exchange(method, path, body, {"Content-Type": "application/json"})
+        return status, headers, _json(raw)
+
+    async def _infer(self, model: str, batch, slo_ms: Optional[float], request_id: Optional[str]) -> np.ndarray:
+        """``POST /v1/models/{model}/infer`` with ``batch`` as one tensor frame; the stacked outputs."""
+        body = encode_tensor(batch)
+        headers = {"Content-Type": TENSOR_MEDIA_TYPE, "Accept": TENSOR_MEDIA_TYPE}
+        if slo_ms is not None:
+            headers["X-Slo-Ms"] = repr(float(slo_ms))
+        if request_id:
+            headers["X-Request-Id"] = request_id
+        status, reply_headers, raw = await self._exchange("POST", f"/v1/models/{model}/infer", body, headers)
+        rid = reply_headers.get("x-request-id")
+        if status >= 400 or media_type(reply_headers.get("content-type", "")) != TENSOR_MEDIA_TYPE:
+            self._raise_for_error(status, _json(raw), reply_headers)
+            raise GatewayError(status, "invalid_response", "infer reply is not a tensor frame", request_id=rid)
+        try:
+            outputs = decode_tensor(raw)
+        except ValueError as exc:
+            raise GatewayError(status, "invalid_response", f"infer reply: {exc}", request_id=rid) from None
+        if len(outputs) != len(batch):
+            raise GatewayError(
+                status,
+                "invalid_response",
+                f"infer reply holds {len(outputs)} outputs for {len(batch)} inputs",
+                request_id=rid,
+            )
+        return outputs
 
     async def _acquire(self) -> _Conn:
         while self._idle:
@@ -189,16 +223,11 @@ class GatewayClient:
 
         ``request_id`` rides as ``X-Request-Id`` and becomes the trace id
         (the gateway mints one otherwise); on failure the raised
-        exception carries it back as ``.request_id``.
+        exception carries it back as ``.request_id``.  The payload
+        travels as a ``(1, *shape)`` tensor frame; the result is a
+        read-only float64 view of the reply body.
         """
-        request: dict = {"input": np.asarray(payload)}
-        if slo_ms is not None:
-            request["slo_ms"] = float(slo_ms)
-        status, headers, body = await self._request(
-            "POST", f"/v1/models/{model}/infer", request, request_id=request_id
-        )
-        self._raise_for_error(status, body, headers)
-        return np.asarray(body["output"], dtype=float)
+        return (await self._infer(model, np.asarray(payload)[None], slo_ms, request_id))[0]
 
     async def infer_many(
         self,
@@ -208,15 +237,8 @@ class GatewayClient:
         *,
         request_id: Optional[str] = None,
     ) -> np.ndarray:
-        """Batch variant: ``{"inputs": [...]}``; stacked results."""
-        request: dict = {"inputs": [np.asarray(payload) for payload in payloads]}
-        if slo_ms is not None:
-            request["slo_ms"] = float(slo_ms)
-        status, headers, body = await self._request(
-            "POST", f"/v1/models/{model}/infer", request, request_id=request_id
-        )
-        self._raise_for_error(status, body, headers)
-        return np.asarray(body["outputs"], dtype=float)
+        """Batch variant: the payloads stacked into one frame; stacked results."""
+        return await self._infer(model, np.asarray(payloads), slo_ms, request_id)
 
     async def swap_model(self, model: str, version=None) -> dict:
         """``POST /v1/models/{model}/swap`` -- roll onto another stored version.
@@ -266,3 +288,7 @@ async def _discard(writer: asyncio.StreamWriter) -> None:
         await writer.wait_closed()
     except (ConnectionError, OSError):  # pragma: no cover - teardown race
         pass
+
+
+def _json(raw: bytes):
+    return json.loads(raw.decode("utf-8")) if raw else {}

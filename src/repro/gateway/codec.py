@@ -1,21 +1,26 @@
-"""HTTP/1.1 and JSON codec of the gateway: parse requests, render responses.
+"""HTTP/1.1 codec of the gateway: parse requests, render responses.
 
 The gateway speaks a deliberately small slice of HTTP/1.1 over asyncio
 streams -- ``Content-Length`` bodies only (chunked transfer encoding is
-refused with ``501``), persistent connections by default, JSON in both
-directions.  Everything protocol-shaped lives here so the route handlers
-(:mod:`repro.gateway.routes`) deal in Python objects, and the client
-(:mod:`repro.gateway.client`) reuses the exact same framing from the
-other side of the wire.
+refused with ``501``; ``Expect: 100-continue`` is answered before the
+body is read), persistent connections by default.  Bodies are JSON,
+except that the infer route also takes and returns raw float64 tensor
+frames (:mod:`repro.utils.tensor_codec`) under the
+``application/octet-stream`` media type.  Everything protocol-shaped
+lives here so the route handlers (:mod:`repro.gateway.routes`) deal in
+Python objects, and the client (:mod:`repro.gateway.client`) reuses the
+exact same framing from the other side of the wire.
 
 Error discipline: every protocol violation raises :class:`ApiError`,
 which carries its HTTP status, a stable machine-readable ``type`` and a
 human message; :func:`error_response` renders it as the structured body
-``{"error": {"type", "message", "status"}}`` every endpoint shares.
+``{"error": {"type", "message", "status"}}`` every endpoint shares --
+always JSON, whatever the request's media type.
 
-JSON floats round-trip exactly in Python (``repr`` emits the shortest
-string that parses back to the same double), which is what lets the
-gateway promise bit-level ``atol=1e-10`` parity between HTTP responses
+Both infer encodings are exact.  A frame carries the doubles' bytes
+verbatim, and JSON floats round-trip exactly in Python (``repr`` emits
+the shortest string that parses back to the same double); that is what
+lets the gateway promise ``atol=1e-10`` parity between HTTP responses
 and in-process ``compile()`` output.  ``NaN``/``Inf`` -- which are *not*
 valid JSON -- are scrubbed to ``null`` before encoding (they appear in
 stats percentiles before any traffic has completed).
@@ -31,9 +36,13 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.utils.tensor_codec import decode_tensor
+
 __all__ = [
     "ApiError",
     "HttpRequest",
+    "TENSOR_MEDIA_TYPE",
+    "media_type",
     "read_request",
     "read_response",
     "render_response",
@@ -45,10 +54,13 @@ __all__ = [
     "decode_infer_payload",
 ]
 
+#: The media type of a binary tensor frame, in ``Content-Type`` and ``Accept``.
+TENSOR_MEDIA_TYPE = "application/octet-stream"
+
 #: Upper bound on the request line + headers block.
 MAX_HEADER_BYTES = 32 * 1024
-#: Default upper bound on a request body (a sys-512 float64 image is ~2 MiB
-#: of binary; its JSON text is a few times that -- 8 MiB covers a healthy
+#: Default upper bound on a request body (a sys-512 float64 image is a 2 MiB
+#: tensor frame; its JSON text is a few times that -- 8 MiB covers a healthy
 #: batch at the benchmark sizes without letting one request buffer a DVD).
 DEFAULT_MAX_BODY_BYTES = 8 * 1024 * 1024
 
@@ -106,17 +118,28 @@ class HttpRequest:
         return self.headers.get("connection", "keep-alive").lower() != "close"
 
 
+def media_type(header: str) -> str:
+    """The bare, lower-cased media type of a ``Content-Type`` value (parameters dropped)."""
+    return header.partition(";")[0].strip().lower()
+
+
 # ---------------------------------------------------------------------- #
 # Parsing (server side)
 # ---------------------------------------------------------------------- #
 async def read_request(
-    reader: asyncio.StreamReader, *, max_body_bytes: int = DEFAULT_MAX_BODY_BYTES
+    reader: asyncio.StreamReader,
+    writer: asyncio.StreamWriter,
+    *,
+    max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
 ) -> Optional[HttpRequest]:
     """Parse one request off the stream; ``None`` on a cleanly closed peer.
 
     Raises :class:`ApiError` for anything malformed -- the connection
     handler answers it and closes (a parser that lost framing cannot
-    trust the next bytes to start a request).
+    trust the next bytes to start a request).  A client that sent
+    ``Expect: 100-continue`` gets the interim ``100 Continue`` on
+    ``writer`` once its headers pass the size check, and only then is
+    its body read (an over-limit body is refused unread).
     """
     try:
         blob = await reader.readuntil(b"\r\n\r\n")
@@ -166,6 +189,11 @@ async def read_request(
         )
     body = b""
     if length:
+        if headers.get("expect", "").lower() == "100-continue":
+            # Without the interim line, clients such as curl hold the body
+            # back for a second before sending it anyway.
+            writer.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+            await writer.drain()
         try:
             body = await reader.readexactly(length)
         except asyncio.IncompleteReadError:
@@ -203,10 +231,9 @@ def _scrub(obj):
     if isinstance(obj, (list, tuple)):
         return [_scrub(item) for item in obj]
     if isinstance(obj, np.ndarray):
-        # Hot path: a numeric array with no non-finite values converts in
-        # C (`tolist`), never element-by-element in Python -- inference
-        # payloads are exactly this, and the per-request codec cost is
-        # what the gateway-overhead benchmark gates on.
+        # A numeric array with no non-finite values converts in C
+        # (`tolist`), never element-by-element in Python: JSON infer
+        # responses are exactly this.
         if obj.dtype.kind in "iub":
             return obj.tolist()
         if obj.dtype.kind == "f" and bool(np.isfinite(obj).all()):
@@ -298,26 +325,53 @@ def decode_json_body(body: bytes) -> dict:
     """The request body as a JSON object, or :class:`ApiError` 400."""
     try:
         obj = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad UTF-8, JSONDecodeError and over-long integer
+        # literals; RecursionError, arrays nested past the parser's stack.
         raise ApiError(400, "invalid_json", f"request body is not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise ApiError(400, "invalid_request", "request body must be a JSON object")
     return obj
 
 
-def decode_infer_payload(body: bytes) -> Tuple[np.ndarray, bool, Optional[float]]:
+def _check_slo_ms(value) -> float:
+    """A latency budget from the JSON field or the ``X-Slo-Ms`` header, or ApiError 400."""
+    try:
+        slo_ms = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ApiError(400, "invalid_request", '"slo_ms" must be a number') from None
+    if not math.isfinite(slo_ms) or slo_ms <= 0:
+        raise ApiError(400, "invalid_request", '"slo_ms" must be a positive finite number')
+    return slo_ms
+
+
+def decode_infer_payload(
+    body: bytes, content_type: str = "application/json", slo_header: Optional[str] = None
+) -> Tuple[np.ndarray, bool, Optional[float]]:
     """Parse an infer body into ``(batch, single, slo_ms)``.
 
-    Exactly one of ``"input"`` (one payload) or ``"inputs"`` (a list of
-    payloads) must be present; ``"slo_ms"`` optionally attaches a
-    per-request latency budget.  Unknown keys are refused -- a typo like
-    ``"slo"`` silently ignored would *weaken* the caller's SLO, the
-    worst possible failure mode for a latency contract.
+    A ``content_type`` of :data:`TENSOR_MEDIA_TYPE` (parameters and case
+    ignored) makes the body one tensor frame holding the whole batch --
+    the binary twin of ``"inputs"`` -- and ``slo_header`` (the
+    ``X-Slo-Ms`` value) its optional latency budget.  A malformed frame
+    is ``400 invalid_tensor``.
+
+    Any other media type is a JSON object with exactly one of
+    ``"input"`` (one payload) or ``"inputs"`` (a list of payloads), and
+    ``"slo_ms"`` optionally attaches the budget.  Unknown keys are
+    refused -- a typo like ``"slo"`` silently ignored would *weaken* the
+    caller's SLO, the worst possible failure mode for a latency contract.
 
     ``batch`` always has a leading batch axis (``single`` records
     whether to unwrap the response); shape validation against the model
     happens downstream in the batcher.
     """
+    if media_type(content_type) == TENSOR_MEDIA_TYPE:
+        try:
+            batch = decode_tensor(body)
+        except ValueError as exc:
+            raise ApiError(400, "invalid_tensor", f"request body is not a tensor frame: {exc}") from None
+        return batch, False, None if slo_header is None else _check_slo_ms(slo_header)
     obj = decode_json_body(body)
     unknown = sorted(set(obj) - {"input", "inputs", "slo_ms"})
     if unknown:
@@ -328,17 +382,12 @@ def decode_infer_payload(body: bytes) -> Tuple[np.ndarray, bool, Optional[float]
         raise ApiError(400, "invalid_request", 'provide exactly one of "input" or "inputs"')
     slo_ms = obj.get("slo_ms")
     if slo_ms is not None:
-        try:
-            slo_ms = float(slo_ms)
-        except (TypeError, ValueError):
-            raise ApiError(400, "invalid_request", '"slo_ms" must be a number') from None
-        if not math.isfinite(slo_ms) or slo_ms <= 0:
-            raise ApiError(400, "invalid_request", '"slo_ms" must be a positive finite number')
+        slo_ms = _check_slo_ms(slo_ms)
     single = "input" in obj
     raw = obj["input"] if single else obj["inputs"]
     try:
         batch = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ApiError(400, "invalid_input", f"payload is not numeric array data: {exc}") from None
     if single:
         batch = batch[None]

@@ -11,7 +11,7 @@ method     path                            answers
 ``GET``    ``/v1/stats``                   batcher/replica/gateway counters
 ``GET``    ``/v1/traces``                  recent traces (``?slow=N`` for worst)
 ``GET``    ``/v1/traces/{id}``             one retained trace by id
-``POST``   ``/v1/models/{name}/infer``     run inference (single or batch)
+``POST``   ``/v1/models/{name}/infer``     run inference (JSON or tensor frame)
 ``POST``   ``/v1/models/{name}/swap``      zero-downtime version swap
 =========  ==============================  =================================
 
@@ -40,12 +40,15 @@ from urllib.parse import parse_qs, unquote
 import numpy as np
 
 from repro.gateway.codec import (
+    TENSOR_MEDIA_TYPE,
     ApiError,
     HttpRequest,
     decode_infer_payload,
     decode_json_body,
     error_response,
     json_response,
+    media_type,
+    render_response,
     text_response,
 )
 from repro.obs.prom import render_server_metrics
@@ -57,6 +60,7 @@ from repro.serve import (
     ServerOverloadedError,
     UnknownModelError,
 )
+from repro.utils.tensor_codec import encode_tensor
 
 __all__ = ["dispatch", "map_exception"]
 
@@ -145,6 +149,11 @@ async def dispatch(gateway, request: HttpRequest) -> bytes:
         return error_response(error, keep_alive=keep_alive, headers=headers)
     except Exception as exc:  # noqa: BLE001 - the wire gets a 500, not a traceback
         return error_response(map_exception(exc), keep_alive=keep_alive, headers=headers)
+
+
+def _accepts_tensor(accept: str) -> bool:
+    """Whether an ``Accept`` value lists the tensor media type (parameters and case ignored)."""
+    return any(media_type(item) == TENSOR_MEDIA_TYPE for item in accept.split(","))
 
 
 def _require_method(request: HttpRequest, method: str) -> None:
@@ -270,7 +279,9 @@ async def _infer(
     error_label: Optional[str] = None
     try:
         decode_span = trace.span("gateway.decode") if trace is not None else None
-        batch, single, slo_ms = decode_infer_payload(request.body)
+        batch, single, slo_ms = decode_infer_payload(
+            request.body, request.headers.get("content-type", ""), request.headers.get("x-slo-ms")
+        )
         if decode_span is not None:
             decode_span.end().set(model=name, items=len(batch))
         if not gateway.limits.try_begin_request():
@@ -296,12 +307,19 @@ async def _infer(
             gateway.limits.end_request()
         latency_ms = (loop.time() - started) * 1000.0
         encode_span = trace.span("gateway.encode") if trace is not None else None
-        if single:
+        as_tensor = _accepts_tensor(request.headers.get("accept", ""))
+        if single and not as_tensor:
             body = {"model": name, "output": results[0], "latency_ms": latency_ms}
+            response = json_response(body, headers=headers, keep_alive=keep_alive)
         else:
             stacked = np.stack(results, axis=0) if results else np.empty((0,))
-            body = {"model": name, "outputs": stacked, "count": len(results), "latency_ms": latency_ms}
-        response = json_response(body, headers=headers, keep_alive=keep_alive)
+            if as_tensor:
+                response = render_response(
+                    200, encode_tensor(stacked), {**headers, "Content-Type": TENSOR_MEDIA_TYPE}, keep_alive=keep_alive
+                )
+            else:
+                body = {"model": name, "outputs": stacked, "count": len(results), "latency_ms": latency_ms}
+                response = json_response(body, headers=headers, keep_alive=keep_alive)
         if encode_span is not None:
             encode_span.end()
         if trace is not None:

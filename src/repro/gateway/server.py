@@ -50,7 +50,7 @@ __all__ = ["Gateway"]
 
 
 class Gateway:
-    """HTTP/JSON front door for an :class:`~repro.serve.InferenceServer`.
+    """HTTP front door for an :class:`~repro.serve.InferenceServer`.
 
     Parameters
     ----------
@@ -166,7 +166,7 @@ class Gateway:
         try:
             while True:
                 try:
-                    request = await read_request(reader, max_body_bytes=self.max_body_bytes)
+                    request = await read_request(reader, writer, max_body_bytes=self.max_body_bytes)
                 except ApiError as error:
                     # A parser that lost framing cannot trust the next
                     # bytes: answer and hang up.  No parsed headers means

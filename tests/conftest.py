@@ -7,6 +7,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.data import load_digits, load_fashion, load_segmentation_scenes
 from repro.models.config import DONNConfig
@@ -18,6 +19,18 @@ from repro.optics.grid import SpatialGrid
 if os.environ.get("DERANDOMIZE_CI"):
     np.random.seed(20230423)
     random.seed(20230423)
+
+# The one Hypothesis profile for every property suite.  Loading a profile
+# is process-global, so test modules must not load their own: whichever
+# imported last would set the example count for all of them.  A test
+# that needs another count says so in its own @settings.
+settings.register_profile(
+    "repro",
+    max_examples=int(os.environ.get("HYPOTHESIS_MAX_EXAMPLES", "20")),
+    deadline=None,
+    derandomize=bool(os.environ.get("DERANDOMIZE_CI")),
+)
+settings.load_profile("repro")
 
 
 @pytest.fixture(scope="session")

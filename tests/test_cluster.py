@@ -531,6 +531,22 @@ class TestReplicaGroup:
                 np.testing.assert_allclose(group.infer_sync(images), tiny_session.run(images), atol=1e-10)
             assert [row["dispatched"] for row in group.stats()] == [1, 1]
 
+    def test_failed_remote_swap_leaves_the_member_on_its_spec(self, tiny_session, rng):
+        """A remote member whose swap reconnect fails must be revived on
+        the version the group still serves, not on the failed one."""
+        spec = tiny_session.to_spec()
+        images = rng.uniform(size=(3, 16, 16))
+        with WorkerServer(port=0) as worker:
+            worker.serve_in_thread()
+            with ReplicaGroup(spec, replicas=0, workers=[worker.address], name="badremoteswap") as group:
+                with pytest.raises(WorkerStartupError):
+                    group.swap_spec(SessionSpec.from_model("not a model"))
+                (member,) = group._replicas
+                assert member.transport.spec is spec and group.spec is spec
+                assert group.check_health() == [False]  # the failed reconnect left it down; this revives it
+                assert group.check_health() == [True]
+                np.testing.assert_allclose(group.infer_sync(images), tiny_session.run(images), atol=1e-10)
+
     def test_router_instance_shared_across_cluster_models_refused(self, tiny_session):
         router = LeastLoadedRouter()
         server = InferenceServer()

@@ -2,29 +2,20 @@
 
 Engine/autograd parity must hold for *any* input shape, batch size and
 chunk size, not just the handful pinned in ``tests/test_engine.py`` --
-hypothesis searches that space.  CI sets ``DERANDOMIZE_CI=1`` which loads
-a derandomized settings profile (the tinygrad idiom), so the suite is
-reproducible run to run there while still exploring locally.
+hypothesis searches that space.  CI sets ``DERANDOMIZE_CI=1``, which
+derandomizes the suite's one settings profile (``tests/conftest.py``; the
+tinygrad idiom), so the suite is reproducible run to run there while
+still exploring locally.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro import DONN, DONNConfig, MultiChannelDONN, SegmentationDONN
 from repro.autograd import no_grad
 from repro.engine import COMPLEX64_LOGIT_ATOL, compile as engine_compile
-
-settings.register_profile(
-    "repro",
-    max_examples=int(os.environ.get("HYPOTHESIS_MAX_EXAMPLES", "20")),
-    deadline=None,
-    derandomize=bool(os.environ.get("DERANDOMIZE_CI")),
-)
-settings.load_profile("repro")
 
 PARITY_ATOL = 1e-10
 # Different chunkings batch the FFTs differently, which moves the last

@@ -1,23 +1,29 @@
-"""Tests for the HTTP/JSON gateway (``repro.gateway``) and the transport seam.
+"""Tests for the HTTP gateway (``repro.gateway``) and the transport seam.
 
 Three layers of coverage:
 
-* pure codec/limits units (no sockets),
+* pure codec/limits units (no sockets), including Hypothesis fuzzing of
+  both infer decoders (JSON and tensor frame) and frame round trips,
 * live-gateway round trips over loopback -- routes, error statuses,
-  backpressure mapping, slo_ms plumb-through -- against fake sessions,
-* parity: HTTP responses vs in-process ``compile()`` output at
-  ``atol=1e-10``, and ``SocketTransport`` vs ``LocalTransport`` vs
-  in-process on one spec.
+  backpressure mapping, slo_ms plumb-through, ``Expect: 100-continue``
+  -- against fake sessions; ``GatewayClient`` speaks tensor frames, so
+  the JSON infer path is driven with raw requests,
+* parity: HTTP responses (both encodings) vs in-process ``compile()``
+  output at ``atol=1e-10``, and ``SocketTransport`` vs
+  ``LocalTransport`` vs in-process on one spec.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import math
+import struct
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.cluster import ReplicaGroup, WorkerServer
 from repro.cluster.transport import (
@@ -28,7 +34,14 @@ from repro.cluster.transport import (
 )
 from repro.engine import compile as engine_compile
 from repro.gateway import Gateway, GatewayClient, GatewayError, GatewayLimits
-from repro.gateway.codec import ApiError, decode_infer_payload, json_bytes
+from repro.gateway.codec import (
+    ApiError,
+    decode_infer_payload,
+    json_bytes,
+    read_request,
+    read_response,
+    render_response,
+)
 from repro.models.config import DONNConfig
 from repro.models.donn import DONN
 from repro.serve import (
@@ -37,6 +50,7 @@ from repro.serve import (
     ServerOverloadedError,
     UnknownModelError,
 )
+from repro.utils.tensor_codec import MAX_RANK, decode_tensor, encode_tensor
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
@@ -80,21 +94,27 @@ class BlockingSession:
         return batch * 2.0
 
 
-async def _raw_request(port: int, payload: bytes):
-    """Fire raw bytes at the gateway; returns ``(status, headers, body_dict)``."""
-    from repro.gateway.codec import read_response
-
+async def _converse(port: int, *payloads: bytes):
+    """Send each raw request on one keep-alive connection; the ``(status, headers, body)`` replies."""
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
     try:
-        writer.write(payload)
-        await writer.drain()
-        status, headers, body = await asyncio.wait_for(read_response(reader), 10.0)
+        replies = []
+        for payload in payloads:
+            writer.write(payload)
+            await writer.drain()
+            replies.append(await asyncio.wait_for(read_response(reader), 10.0))
+        return replies
     finally:
         writer.close()
         try:
             await writer.wait_closed()
         except (ConnectionError, OSError):
             pass
+
+
+async def _raw_request(port: int, payload: bytes):
+    """Fire raw bytes at the gateway; returns ``(status, headers, body_dict)``."""
+    ((status, headers, body),) = await _converse(port, payload)
     return status, headers, json.loads(body.decode("utf-8")) if body else {}
 
 
@@ -103,6 +123,10 @@ def _http(method: str, path: str, body: bytes = b"", extra_headers: str = "") ->
         f"{method} {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {len(body)}\r\n"
         f"{extra_headers}\r\n"
     ).encode() + body
+
+
+_FRAME = "Content-Type: application/octet-stream\r\n"
+_WANT_FRAME = "Accept: application/octet-stream\r\n"
 
 
 # ---------------------------------------------------------------------- #
@@ -175,6 +199,10 @@ class TestPayloadCodec:
             json.dumps({"input": [1.0], "slo_ms": -3}).encode(),  # bad budget
             json.dumps({"input": [1.0], "slo_ms": "soon"}).encode(),
             json.dumps({"input": ["a", "b"]}).encode(),  # non-numeric
+            pytest.param(b"[" * 100_000, id="nested-past-the-recursion-limit"),
+            pytest.param(b'{"input": ' + b"1" * 5000 + b"}", id="integer-past-the-digit-limit"),
+            pytest.param(json.dumps({"input": 10**400}).encode(), id="integer-too-large-for-a-double"),
+            pytest.param(json.dumps({"input": [1.0], "slo_ms": 10**400}).encode(), id="slo-too-large-for-a-double"),
         ],
     )
     def test_malformed_payloads_are_400(self, body):
@@ -182,9 +210,141 @@ class TestPayloadCodec:
             decode_infer_payload(body)
         assert info.value.status == 400
 
+    def test_tensor_body_is_a_batch_with_slo_from_the_header(self):
+        batch = np.arange(8.0).reshape(2, 2, 2)
+        decoded, single, slo = decode_infer_payload(
+            encode_tensor(batch), "Application/Octet-Stream; charset=binary", "25"
+        )
+        assert not single and slo == 25.0
+        assert np.array_equal(decoded, batch) and not decoded.flags.writeable
+        assert decode_infer_payload(encode_tensor(batch), "application/octet-stream")[2] is None
+
+    @pytest.mark.parametrize(
+        "body, slo_header, error_type",
+        [
+            (encode_tensor(np.ones(2))[:-1], None, "invalid_tensor"),  # TestTensorCodec has the rest
+            (json.dumps({"input": [[1.0]]}).encode(), None, "invalid_tensor"),  # JSON under the frame type
+            (encode_tensor(np.ones(2)), "soon", "invalid_request"),
+            (encode_tensor(np.ones(2)), "-3", "invalid_request"),
+            (encode_tensor(np.ones(2)), "nan", "invalid_request"),
+        ],
+        ids=["truncated-frame", "json-body", "slo-text", "slo-negative", "slo-nan"],
+    )
+    def test_malformed_tensor_bodies_are_400(self, body, slo_header, error_type):
+        with pytest.raises(ApiError) as info:
+            decode_infer_payload(body, "application/octet-stream", slo_header)
+        assert info.value.status == 400 and info.value.error_type == error_type
+
     def test_json_bytes_scrubs_non_finite(self):
         blob = json_bytes({"p99": float("nan"), "rate": float("inf"), "x": np.float64(2.5)})
         assert json.loads(blob) == {"p99": None, "rate": None, "x": 2.5}
+
+
+class TestTensorCodec:
+    _SPECIALS = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -1.7976931348623157e308]
+
+    @given(
+        shape=st.lists(st.integers(0, 2), min_size=1, max_size=MAX_RANK),
+        data=st.data(),
+    )
+    def test_round_trip_is_bit_exact(self, shape, data):
+        size = math.prod(shape)
+        raw = data.draw(st.binary(min_size=8 * size, max_size=8 * size))
+        array = np.frombuffer(raw, dtype="<f8").reshape(shape)  # every bit pattern: NaN payloads included
+        decoded = decode_tensor(encode_tensor(array))
+        assert decoded.shape == array.shape and decoded.dtype == np.dtype("<f8")
+        assert np.array_equal(decoded.view("<u8"), array.view("<u8"))
+
+    def test_specials_survive_and_decode_is_a_read_only_view(self):
+        specials = np.array(self._SPECIALS + [np.array(0x7FF0000000000001, "<u8").view("<f8")])
+        frame = encode_tensor(specials.reshape(3, 3))
+        decoded = decode_tensor(frame)
+        assert np.array_equal(decoded.reshape(-1).view("<u8"), specials.view("<u8"))
+        assert not decoded.flags.writeable and not decoded.flags.owndata
+        assert len(frame) == 8 + 8 * 2 + 8 * 9 and frame[:8] == b"RPT1\x01\x02\x00\x00"
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda f: f[:7],  # shorter than the fixed header
+            lambda f: b"RPT0" + f[4:],  # magic
+            lambda f: f[:4] + b"\x02" + f[5:],  # dtype code
+            lambda f: f[:5] + b"\x00" + f[6:],  # rank 0
+            lambda f: f[:5] + b"\x09" + f[6:],  # rank past MAX_RANK
+            lambda f: f[:6] + b"\x01\x00" + f[8:],  # padding
+            lambda f: f[:20],  # dims cut short
+            lambda f: f[:-8],  # data cut short
+            lambda f: f + b"\x00" * 8,  # data past the declared shape
+            lambda f: f[:8] + struct.pack("<2Q", 2**63, 2**63) + f[24:],  # absurd dims
+        ],
+    )
+    def test_malformed_frames_are_value_errors(self, mutate):
+        with pytest.raises(ValueError):
+            decode_tensor(mutate(encode_tensor(np.ones((2, 3)))))
+
+    @pytest.mark.parametrize("array", [np.float64(1.0), np.ones((1,) * 9), np.ones(2, complex), np.array(["a"])])
+    def test_encode_refuses_what_a_frame_cannot_hold(self, array):
+        with pytest.raises(ValueError):
+            encode_tensor(array)
+
+
+# Valid bodies for the decoder fuzz to break: frames and JSON objects.
+_frames = st.builds(
+    lambda shape, seed: encode_tensor(np.random.default_rng(seed).standard_normal(shape)),
+    st.lists(st.integers(0, 3), min_size=1, max_size=4),
+    st.integers(0, 2**32 - 1),
+)
+_json_bodies = st.builds(
+    lambda key, shape, slo: json.dumps(
+        {key: np.zeros(shape).tolist(), **({} if slo is None else {"slo_ms": slo})}
+    ).encode(),
+    st.sampled_from(["input", "inputs"]),
+    st.lists(st.integers(0, 3), max_size=3),
+    st.none() | st.floats(-10, 100),
+)
+_HEADER_SPAN = 8 + 8 * MAX_RANK
+
+
+def _declared_shape(body: bytes, content_type: str) -> tuple:
+    """The batch shape a body declares, read independently of the decoder."""
+    if "octet-stream" in content_type.lower():
+        return struct.unpack_from(f"<{body[5]}Q", body, 8)
+    obj = json.loads(body)
+    return (1, *np.shape(obj["input"])) if "input" in obj else np.shape(obj["inputs"])
+
+
+class TestInferDecoderFuzz:
+    @given(
+        base=st.one_of(_frames, _json_bodies),
+        noise=st.binary(max_size=96),
+        tail=st.binary(min_size=1, max_size=24),
+        cut=st.integers(0, 2**20),
+        at=st.integers(0, _HEADER_SPAN - 1),
+        byte=st.integers(0, 255),
+        content_type=st.sampled_from(
+            ["application/octet-stream", "APPLICATION/OCTET-STREAM; x=1", "application/json", ""]
+        ),
+        slo_header=st.none() | st.sampled_from(["25", "0", "-1", "nan", "inf", "1e400", "x"]),
+    )
+    def test_either_a_batch_of_the_declared_shape_or_a_400(
+        self, base, noise, tail, cut, at, byte, content_type, slo_header
+    ):
+        """Arbitrary bytes, and a valid body intact, cut at every header
+        offset and at one random point, extended, or with one header
+        byte changed: each decodes to its declared shape or is a 400."""
+        at %= len(base)
+        bodies = [noise, base, base[: cut % (len(base) + 1)], base + tail]
+        bodies.append(base[:at] + bytes([byte]) + base[at + 1 :])
+        bodies.extend(base[:end] for end in range(min(len(base), _HEADER_SPAN + 8)))
+        for body in bodies:
+            try:
+                batch, _, slo_ms = decode_infer_payload(body, content_type, slo_header)
+            except ApiError as error:
+                assert error.status == 400
+                continue
+            assert batch.dtype == np.float64
+            assert batch.shape == _declared_shape(body, content_type)
+            assert slo_ms is None or (math.isfinite(slo_ms) and slo_ms > 0)
 
 
 # ---------------------------------------------------------------------- #
@@ -218,6 +378,99 @@ class TestGatewayRoutes:
         assert stats["models"]["echo"]["completed"] == 3
         assert stats["gateway"]["total_requests"] == 2
         assert stats["gateway"]["open_connections"] >= 1
+
+    def test_json_bodies_answer_as_before_and_frames_follow_accept(self):
+        """Raw JSON requests keep their keys and values; a frame is sent
+        or answered exactly when the media types ask for one."""
+        image, batch = np.full((4, 4), 1.5), np.stack([np.ones((4, 4)), np.zeros((4, 4))])
+        path = "/v1/models/echo/infer"
+
+        async def scenario():
+            server = InferenceServer(max_batch=8, max_wait_ms=1.0)
+            server.add_model("echo", FakeSession())
+            async with Gateway(server, port=0) as gateway:
+                return await _converse(
+                    gateway.port,
+                    _http("POST", path, json.dumps({"input": image.tolist()}).encode()),
+                    _http("POST", path, json.dumps({"inputs": batch.tolist(), "slo_ms": 5000}).encode()),
+                    _http("POST", path, json.dumps({"input": image.tolist()}).encode(), _WANT_FRAME),
+                    _http("POST", path, encode_tensor(batch), _FRAME + "X-Slo-Ms: 5000\r\n"),
+                    _http("POST", path, encode_tensor(batch), _FRAME + "X-Slo-Ms: soon\r\n"),
+                )
+
+        single, many, json_to_frame, frame_to_json, bad_slo = asyncio.run(scenario())
+        status, headers, body = single
+        body = json.loads(body)
+        assert status == 200 and headers["content-type"] == "application/json"
+        assert set(body) == {"model", "output", "latency_ms"} and body["model"] == "echo"
+        assert body["output"] == (image * 2.0).tolist()
+        status, _, body = many
+        body = json.loads(body)
+        assert status == 200 and set(body) == {"model", "outputs", "count", "latency_ms"}
+        assert body["count"] == 2 and body["outputs"] == (batch * 2.0).tolist()
+        status, headers, body = json_to_frame
+        assert status == 200 and headers["content-type"] == "application/octet-stream"
+        assert np.array_equal(decode_tensor(body), (image * 2.0)[None])
+        status, headers, body = frame_to_json
+        body = json.loads(body)
+        assert status == 200 and headers["content-type"] == "application/json"
+        assert body["count"] == 2 and body["outputs"] == (batch * 2.0).tolist()
+        status, _, body = bad_slo
+        assert status == 400 and json.loads(body)["error"]["type"] == "invalid_request"
+
+    def test_malformed_frame_is_400_and_the_connection_serves_on(self):
+        good = encode_tensor(np.ones((1, 4, 4)))
+        path = "/v1/models/echo/infer"
+
+        async def scenario():
+            server = InferenceServer(max_wait_ms=1.0)
+            server.add_model("echo", FakeSession())
+            async with Gateway(server, port=0) as gateway:
+                return await _converse(
+                    gateway.port,
+                    _http("POST", path, good[:-8], _FRAME + _WANT_FRAME + "X-Request-Id: bad-frame\r\n"),
+                    _http("POST", path, encode_tensor(np.ones((1, 2, 2))), _FRAME + _WANT_FRAME),
+                    _http("POST", path, good, _FRAME + _WANT_FRAME),
+                )
+
+        (status, headers, body), (shape_status, _, shape_body), (ok_status, ok_headers, ok_body) = asyncio.run(
+            scenario()
+        )
+        assert status == 400 and headers["content-type"] == "application/json"
+        assert headers["x-request-id"] == "bad-frame"
+        assert json.loads(body)["error"]["type"] == "invalid_tensor"
+        assert shape_status == 400 and json.loads(shape_body)["error"]["type"] == "invalid_input"
+        assert ok_status == 200 and ok_headers["content-type"] == "application/octet-stream"
+        assert np.array_equal(decode_tensor(ok_body), np.full((1, 4, 4), 2.0))
+
+    def test_expect_100_continue_is_answered_before_the_body(self):
+        body = encode_tensor(np.ones((1, 4, 4)))
+        head = _http("POST", "/v1/models/echo/infer", b"", _FRAME + _WANT_FRAME + "Expect: 100-continue\r\n")
+        head = head.replace(b"Content-Length: 0", f"Content-Length: {len(body)}".encode())
+
+        async def scenario():
+            server = InferenceServer(max_wait_ms=1.0)
+            server.add_model("echo", FakeSession())
+            async with Gateway(server, port=0, max_body_bytes=1024) as gateway:
+                reader, writer = await asyncio.open_connection("127.0.0.1", gateway.port)
+                try:
+                    writer.write(head)  # headers only: the body waits for the interim line
+                    await writer.drain()
+                    interim = await asyncio.wait_for(reader.readuntil(b"\r\n\r\n"), 10.0)
+                    writer.write(body)
+                    await writer.drain()
+                    answer = await asyncio.wait_for(read_response(reader), 10.0)
+                finally:
+                    writer.close()
+                    await writer.wait_closed()
+                oversize = head.replace(f"Content-Length: {len(body)}".encode(), b"Content-Length: 4096")
+                refused = await _raw_request(gateway.port, oversize)  # no body sent, none read
+            return interim, answer, refused
+
+        interim, (status, _, reply), refused = asyncio.run(scenario())
+        assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+        assert status == 200 and np.array_equal(decode_tensor(reply), np.full((1, 4, 4), 2.0))
+        assert refused[0] == 413 and refused[2]["error"]["type"] == "payload_too_large"
 
     def test_unknown_model_is_404_and_remaps(self):
         async def scenario():
@@ -368,6 +621,45 @@ class TestGatewayRoutes:
         error = asyncio.run(scenario())
         assert error.status == 404 and error.error_type == "not_found"
 
+    def test_client_refuses_replies_that_are_not_one_row_per_input(self):
+        """A 200 must be a frame with exactly N rows; anything else is a GatewayError."""
+        replies = [
+            (encode_tensor(np.zeros((2, 3))), "application/octet-stream"),  # 2 rows for 1 input
+            (encode_tensor(np.zeros((2, 3))), "application/octet-stream"),  # 2 rows for 2 inputs
+            (encode_tensor(np.zeros((2, 3)))[:-1], "application/octet-stream"),  # not a frame
+            (b'{"outputs": [[0.0]]}', "application/json"),  # not the asked-for format
+        ]
+
+        async def answer(reader, writer):
+            for body, content_type in replies:
+                await read_request(reader, writer)
+                writer.write(render_response(200, body, {"Content-Type": content_type}))
+                await writer.drain()
+            writer.close()
+
+        async def scenario():
+            listener = await asyncio.start_server(answer, "127.0.0.1", 0)
+            port = listener.sockets[0].getsockname()[1]
+            try:
+                async with GatewayClient(port=port, max_connections=1) as client:
+                    outcomes = []
+                    for method, payload in [
+                        (client.infer, np.ones(3)),
+                        (client.infer_many, np.ones((2, 3))),
+                        (client.infer_many, np.ones((2, 3))),
+                        (client.infer_many, np.ones((1, 3))),
+                    ]:
+                        try:
+                            outcomes.append((await method("m", payload)).shape)
+                        except GatewayError as error:
+                            outcomes.append(error.error_type)
+                    return outcomes
+            finally:
+                listener.close()
+                await listener.wait_closed()
+
+        assert asyncio.run(scenario()) == ["invalid_response", (2, 3), "invalid_response", "invalid_response"]
+
 
 # ---------------------------------------------------------------------- #
 # Parity: HTTP vs compile(), socket vs local transport
@@ -379,21 +671,33 @@ class TestParity:
         rng = np.random.default_rng(11)
         images = rng.random((5, 16, 16))
         reference = session.run(images)
+        path = "/v1/models/digits/infer"
 
         async def scenario():
             server = InferenceServer(max_batch=8, max_wait_ms=1.0)
             # Register the *same compiled session*: the HTTP path must add
-            # nothing but JSON round-trips, which are exact for doubles.
+            # nothing but encoding round trips, which are exact for doubles.
             server.add_model("digits", session)
             async with Gateway(server, port=0) as gateway:
                 async with GatewayClient(port=gateway.port) as client:
                     single = await client.infer("digits", images[0])
                     batch = await client.infer_many("digits", images)
-            return single, batch
+                json_replies = await _converse(
+                    gateway.port,
+                    _http("POST", path, json.dumps({"input": images[0].tolist()}).encode()),
+                    _http("POST", path, json.dumps({"inputs": images.tolist()}).encode()),
+                )
+            return single, batch, [json.loads(body) for _, _, body in json_replies]
 
-        single, batch = asyncio.run(scenario())
+        single, batch, (json_single, json_batch) = asyncio.run(scenario())
         np.testing.assert_allclose(single, reference[0], atol=1e-10)
         np.testing.assert_allclose(batch, reference, atol=1e-10)
+        np.testing.assert_allclose(json_single["output"], reference[0], atol=1e-10)
+        np.testing.assert_allclose(json_batch["outputs"], reference, atol=1e-10)
+        # The lone single request ran as a batch of one: a frame carries
+        # that computation's doubles bit for bit.
+        assert single.dtype == np.float64 and single.shape == reference[0].shape
+        assert np.array_equal(single.view("<u8"), session.run(images[:1])[0].view("<u8"))
 
     def test_socket_transport_matches_local_and_in_process(self):
         spec = engine_compile(_tiny_model(), backend="numpy").to_spec()

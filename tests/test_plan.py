@@ -18,26 +18,17 @@ gate, ``refresh()`` as a re-compile, and the deprecation shims.
 
 from __future__ import annotations
 
-import os
 import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro import DONN, DONNConfig, MultiChannelDONN, SegmentationDONN
 from repro.engine import COMPLEX64_LOGIT_ATOL, InferenceSession, compile as engine_compile
 from repro.engine.backends import get_fft_backend
 from repro.engine.plan import Encode, Intensity, count_ops, emit_ops, lower
 from repro.engine.passes import optimize_plan, transpose_linear_ops
-
-settings.register_profile(
-    "repro-plan",
-    max_examples=int(os.environ.get("HYPOTHESIS_MAX_EXAMPLES", "20")),
-    deadline=None,
-    derandomize=bool(os.environ.get("DERANDOMIZE_CI")),
-)
-settings.load_profile("repro-plan")
 
 PARITY_ATOL = 1e-10
 

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro import DONN, DONNConfig, MultiChannelDONN, SegmentationDONN
 from repro.cluster import ReplicaGroup, WorkerServer
@@ -41,14 +41,6 @@ from repro.store import (
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 from dump_store import dump_store  # noqa: E402  (tools/ is not a package)
-
-settings.register_profile(
-    "repro-store",
-    max_examples=int(os.environ.get("HYPOTHESIS_MAX_EXAMPLES", "15")),
-    deadline=None,
-    derandomize=bool(os.environ.get("DERANDOMIZE_CI")),
-)
-settings.load_profile("repro-store")
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
