@@ -4,7 +4,10 @@ The paper sweeps {1,3,5,7,10}-layer DONNs with resolutions from 100^2 to
 500^2 and reports LightRidge's speedup over LightPipes on CPU and GPU.
 Here the same sweep (scaled to 48^2-160^2, depths 1/3/5) is run against
 the LightPipes-style baseline; the speedup should grow with system size,
-mirroring the paper's trend.
+mirroring the paper's trend.  Both sides get a warm-up call and are timed
+as the median of a few interleaved repeats, so neither one-off start-up
+cost (which lands on whichever call runs first) nor a slow spell of the
+host reads as a speedup.
 """
 
 from __future__ import annotations
@@ -23,6 +26,20 @@ DEPTHS = (1, 5)
 BATCH = 4
 WAVELENGTH = 532e-9
 DISTANCE = 0.1
+REPEATS = 7
+
+
+def _median_seconds(*runs) -> list:
+    """Median wall time of each of ``runs`` over ``REPEATS`` interleaved rounds, after a warm-up call each."""
+    for run in runs:
+        run()
+    times = [[] for _ in runs]
+    for _ in range(REPEATS):
+        for run, samples in zip(runs, times):
+            start = time.perf_counter()
+            run()
+            samples.append(time.perf_counter() - start)
+    return [float(np.median(samples)) for samples in times]
 
 
 def _lightridge_emulation(propagator, fields: Tensor, phases) -> None:
@@ -45,14 +62,11 @@ def _sweep():
             phases = [rng.uniform(0, 2 * np.pi, size=(size, size)) for _ in range(depth)]
 
             tensor_fields = Tensor(fields)
-            _lightridge_emulation(propagator, tensor_fields, phases)  # warm-up
-            start = time.perf_counter()
-            _lightridge_emulation(propagator, tensor_fields, phases)
-            lightridge_seconds = time.perf_counter() - start
-
-            start = time.perf_counter()
-            emulator.run_donn(list(fields), phases)
-            lightpipes_seconds = time.perf_counter() - start
+            field_list = list(fields)
+            lightridge_seconds, lightpipes_seconds = _median_seconds(
+                lambda: _lightridge_emulation(propagator, tensor_fields, phases),
+                lambda: emulator.run_donn(field_list, phases),
+            )
 
             rows.append(
                 {

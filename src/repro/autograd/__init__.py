@@ -7,8 +7,11 @@ reproduction.  It provides:
   that records the operations applied to it and can back-propagate a real
   scalar loss through complex-valued computation graphs (Wirtinger
   calculus).
-* :mod:`~repro.autograd.ops` -- FFT2/iFFT2, padding, stacking and other
-  array-level operators used by the optical physics kernels.
+* :mod:`~repro.autograd.ops` -- FFT2/iFFT2, the fused free-space
+  ``propagate`` op, padding, stacking and other array-level operators
+  used by the optical physics kernels.
+* :mod:`~repro.autograd.fft` -- the scipy/numpy FFT dispatcher that
+  ``propagate`` and the inference engine share.
 * :mod:`~repro.autograd.functional` -- neural-network style operators
   (softmax, relu, layer norm, conv2d, losses) used by the digital
   baselines and by DONN training.

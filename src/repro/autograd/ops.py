@@ -4,6 +4,12 @@ The heavy lifting of DONN emulation is three operators (Section 5.3 of the
 paper): complex 2-D FFT, inverse 2-D FFT, and complex element-wise /
 matrix multiplication.  The FFTs live here; multiplication is on
 :class:`~repro.autograd.tensor.Tensor` directly.
+
+Free-space hops do not chain those nodes: :func:`propagate` fuses pad,
+FFT, transfer-function product, inverse FFT and crop into one tape node
+whose backward is the same op with the conjugate transfer function, and
+runs its transforms on the FFT backend the engine uses
+(:func:`repro.autograd.fft.autograd_backend`).
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
+from repro.autograd import fft as fft_backends
 from repro.autograd.tensor import Tensor
 
 
@@ -48,6 +55,51 @@ def ifft2(x: Tensor, axes: Tuple[int, int] = (-2, -1)) -> Tensor:
             x._accumulate(np.fft.fft2(grad, axes=axes) / n)
 
     return Tensor._make(data, (x,), backward)
+
+
+def _propagate_array(field: np.ndarray, transfer: np.ndarray, pad: int, fft) -> np.ndarray:
+    """``crop(ifft2(fft2(pad(field)) * transfer))``, never writing into ``field``.
+
+    Only arrays allocated here (the padded field, the spectrum) are handed
+    to the backend with ``overwrite_x=True``.
+    """
+    if pad:
+        rows, cols = field.shape[-2:]
+        padded = np.zeros(field.shape[:-2] + (rows + 2 * pad, cols + 2 * pad), dtype=np.complex128)
+        padded[..., pad:-pad, pad:-pad] = field
+        spectrum = fft.fft2(padded, overwrite_x=True)
+    else:
+        spectrum = fft.fft2(field)
+    spectrum *= transfer
+    out = fft.ifft2(spectrum, overwrite_x=True)
+    if pad:
+        # Copy the crop so the tape does not keep the padded buffer alive.
+        out = out[..., pad:-pad, pad:-pad].copy()
+    return out
+
+
+def propagate(field: Tensor, transfer: np.ndarray, transfer_conj: np.ndarray, pad: int = 0) -> Tensor:
+    """Free-space propagation ``crop(ifft2(fft2(pad(field)) * transfer))`` as one tape node.
+
+    The map is linear in the field: ``P = C F^-1 diag(H) F Z`` with ``Z``
+    zero padding by ``pad`` pixels and ``C`` the matching crop.  Its
+    adjoint, which the package's gradient convention back-propagates, is
+    ``Z^T F^H diag(conj H) F^-H C^T``.  Numpy's normalisation gives
+    ``F^H = N F^-1`` and ``F^-H = F / N``; the factors cancel, so the
+    adjoint is the same op on ``transfer_conj`` (``conj(transfer)``,
+    passed in so callers compute it once).  The node saves nothing beyond
+    its input; the transforms run on
+    :func:`repro.autograd.fft.autograd_backend`.
+    """
+    field = Tensor._coerce(field)
+    fft = fft_backends.autograd_backend()
+    data = _propagate_array(field.data, transfer, pad, fft)
+
+    def backward(grad: np.ndarray) -> None:
+        if field.requires_grad:
+            field._accumulate(_propagate_array(grad, transfer_conj, pad, fft))
+
+    return Tensor._make(data, (field,), backward)
 
 
 def fftshift(x: Tensor, axes: Tuple[int, int] = (-2, -1)) -> Tensor:

@@ -80,6 +80,12 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _adjoint(matrix: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of the last two axes; a view when ``matrix`` is real."""
+    swapped = np.swapaxes(matrix, -1, -2)
+    return np.conj(swapped) if np.iscomplexobj(swapped) else swapped
+
+
 class Tensor:
     """A numpy-backed array that supports reverse-mode differentiation."""
 
@@ -152,15 +158,21 @@ class Tensor:
     # Autograd machinery
     # ------------------------------------------------------------------ #
     def _accumulate(self, grad: np.ndarray) -> None:
-        """Add ``grad`` into ``self.grad``, handling dtype/broadcast mismatch."""
+        """Add ``grad`` into ``self.grad``, handling dtype/broadcast mismatch.
+
+        The first gradient is copied once into a buffer this tensor owns
+        (C-contiguous, of its shape and gradient dtype); later ones are
+        added into it in place.  ``grad`` itself is never written, so one
+        upstream array can reach several parents.
+        """
         grad = _unbroadcast(np.asarray(grad), self.data.shape)
         if not np.iscomplexobj(self.data) and np.iscomplexobj(grad):
             grad = grad.real
         if self.grad is None:
-            self.grad = np.array(grad, dtype=complex if np.iscomplexobj(self.data) else float)
-            self.grad = np.broadcast_to(self.grad, self.data.shape).copy()
+            self.grad = np.empty(self.data.shape, dtype=complex if np.iscomplexobj(self.data) else float)
+            self.grad[...] = grad
         else:
-            self.grad = self.grad + grad
+            self.grad += grad
 
     def backward(self, grad: Optional[ArrayLike] = None) -> None:
         """Back-propagate from this tensor.
@@ -307,10 +319,10 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                g = grad @ np.conj(np.swapaxes(other.data, -1, -2))
+                g = grad @ _adjoint(other.data)
                 self._accumulate(_unbroadcast(g, self.data.shape))
             if other.requires_grad:
-                g = np.conj(np.swapaxes(self.data, -1, -2)) @ grad
+                g = _adjoint(self.data) @ grad
                 other._accumulate(_unbroadcast(g, other.data.shape))
 
         return self._make(data, (self, other), backward)

@@ -63,6 +63,7 @@ import time
 from abc import ABC, abstractmethod
 from typing import Optional, Tuple
 
+from repro.autograd.fft import usable_cores
 from repro.cluster.errors import WorkerStartupError
 from repro.cluster.shm import ShmArena, ShmReader
 
@@ -95,17 +96,6 @@ THREAD_ENV_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 #: Serializes the environment swap around ``Process.start()``: a group boots
 #: its replicas on parallel threads, and the environment is process-wide.
 _SPAWN_ENV_LOCK = threading.Lock()
-
-
-def usable_cores() -> int:
-    """Cores this process may run on (its scheduler affinity).
-
-    On cgroup-limited containers this, not ``os.cpu_count()``, is the
-    number that bounds multi-process scaling.
-    """
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1  # pragma: no cover - non-linux
 
 
 @contextlib.contextmanager

@@ -12,7 +12,8 @@ Public surface:
   (batching, streaming, ``plan_summary()`` introspection).
 * :func:`get_fft_backend` / :func:`available_backends` -- the FFT
   dispatch layer (scipy with thread workers when installed, numpy
-  fallback otherwise).
+  fallback otherwise), re-exported from :mod:`repro.autograd.fft`, which
+  autograd's training kernels share.
 * :class:`SessionSpec` -- picklable recipe (``session.to_spec()`` /
   ``spec.build()``) that lets ``repro.cluster`` rebuild the session in a
   spawned worker process; ``SessionSpec.of`` specs out a model, session
@@ -22,7 +23,7 @@ Public surface:
   (``optimize_plan``), for tooling such as ``tools/dump_plan.py``.
 """
 
-from repro.engine.backends import (
+from repro.autograd.fft import (
     NumpyFFTBackend,
     ScipyFFTBackend,
     available_backends,

@@ -518,8 +518,9 @@ def _emit_op(op: Op, fft, cdtype: np.dtype) -> FieldFn:
     """Close one op over the FFT backend.
 
     Emitted pipelines own their intermediates: every array reaching a
-    ``PointwiseMul`` was freshly allocated by an upstream op (or by the
-    caller, for hand-built pipelines), so the in-place multiply is safe.
+    ``PointwiseMul`` or an FFT was freshly allocated by an upstream op (or
+    by the caller, for hand-built pipelines), so the in-place multiply and
+    the transforms' ``overwrite_x=True`` are safe.
     """
     if isinstance(op, Encode):
         # Encode needs the plan's grid; CompiledProgram binds it directly.
@@ -531,14 +532,14 @@ def _emit_op(op: Op, fft, cdtype: np.dtype) -> FieldFn:
 
             def centered_fft(field: np.ndarray) -> np.ndarray:
                 shifted = np.fft.ifftshift(field, axes=(-2, -1))
-                return np.fft.fftshift(fft.fft2(shifted), axes=(-2, -1))
+                return np.fft.fftshift(fft.fft2(shifted, overwrite_x=True), axes=(-2, -1))
 
             return centered_fft
 
         def forward(field: np.ndarray) -> np.ndarray:
             if pad:
                 field = _pad2d(field, pad)
-            return fft.fft2(field)
+            return fft.fft2(field, overwrite_x=True)
 
         return forward
 
@@ -546,7 +547,7 @@ def _emit_op(op: Op, fft, cdtype: np.dtype) -> FieldFn:
         crop = op.crop
 
         def inverse(spectrum: np.ndarray) -> np.ndarray:
-            out = fft.ifft2(spectrum)
+            out = fft.ifft2(spectrum, overwrite_x=True)
             if crop:
                 out = out[..., crop:-crop, crop:-crop]
             return out

@@ -32,7 +32,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.engine.backends import get_fft_backend
+from repro.autograd.fft import get_fft_backend
 from repro.engine.plan import Plan, emit, lower
 from repro.engine.passes import OPTIMIZE_LEVELS, optimize_plan
 

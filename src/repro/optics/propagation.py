@@ -18,8 +18,11 @@ three approximations offered by the paper are implemented:
 A :class:`DirectIntegrationPropagator` evaluates Eq. 5 by explicit
 convolution with the sampled impulse response; it is slower but serves as
 an independent reference for validating the transfer-function kernels.
-All propagators are differentiable because they are built from
-:func:`repro.autograd.ops.fft2` / ``ifft2`` and element-wise products.
+All propagators are differentiable.  The transfer-function kernels
+(Rayleigh-Sommerfeld, Fresnel, direct) apply one fused
+:func:`repro.autograd.ops.propagate` node per hop, whose backward is the
+same propagation with ``conj(H)``; Fraunhofer is built from
+:func:`repro.autograd.ops.fft2` and element-wise products.
 """
 
 from __future__ import annotations
@@ -71,34 +74,36 @@ class Propagator:
         self.distance = float(distance)
         self.pad_factor = int(pad_factor)
         self._work_grid = grid if pad_factor == 1 else grid.padded(pad_factor)
-        self.transfer_function = self._build_transfer_function(self._work_grid)
-        # Wrap once: re-wrapping the (constant) transfer function into a new
-        # Tensor on every call added per-batch overhead in the training loop.
-        self._transfer_tensor = Tensor(self.transfer_function)
+        self._build_kernels()
 
     # -- to be provided by subclasses ------------------------------------- #
     def _build_transfer_function(self, grid: SpatialGrid) -> np.ndarray:
         raise NotImplementedError
 
+    def _build_kernels(self) -> None:
+        self.transfer_function = self._build_transfer_function(self._work_grid)
+        # The backward pass of every hop applies conj(H); compute it once.
+        self._transfer_conj = np.conj(self.transfer_function)
+
     # -- pickling ----------------------------------------------------------- #
-    # The transfer function (and the Fraunhofer prefactor) are pure
-    # functions of grid/wavelength/distance, so they are dropped from the
-    # pickle and rebuilt on load.  This keeps SessionSpec blobs -- which
-    # ship a pickled model (with one propagator per layer) to every
-    # cluster replica -- proportional to the *trained parameters*, not to
-    # cached complex kernels.  The rebuild is bit-exact: the kernels are
-    # deterministic numpy expressions of the pickled scalars.
+    # The transfer function and its conjugate (and the Fraunhofer
+    # prefactor) are pure functions of grid/wavelength/distance, so they
+    # are dropped from the pickle and rebuilt on load.  This keeps
+    # SessionSpec blobs -- which ship a pickled model (with one propagator
+    # per layer) to every cluster replica -- proportional to the *trained
+    # parameters*, not to cached complex kernels.  The rebuild is
+    # bit-exact: the kernels are deterministic numpy expressions of the
+    # pickled scalars.
     def __getstate__(self):
         state = self.__dict__.copy()
         state.pop("transfer_function", None)
-        state.pop("_transfer_tensor", None)
+        state.pop("_transfer_conj", None)
         state.pop("_cached_prefactor", None)
         return state
 
     def __setstate__(self, state):
         self.__dict__.update(state)
-        self.transfer_function = self._build_transfer_function(self._work_grid)
-        self._transfer_tensor = Tensor(self.transfer_function)
+        self._build_kernels()
 
     # -- public API -------------------------------------------------------- #
     @property
@@ -111,14 +116,7 @@ class Propagator:
         if field.shape[-2:] != self.grid.shape:
             raise ValueError(f"field shape {field.shape[-2:]} does not match grid {self.grid.shape}")
         pad = (self._work_grid.size - self.grid.size) // 2
-        if pad:
-            field = ops.pad2d(field, pad)
-        spectrum = ops.fft2(field)
-        propagated = spectrum * self._transfer_tensor
-        out = ops.ifft2(propagated)
-        if pad:
-            out = ops.crop2d(out, pad)
-        return out
+        return ops.propagate(field, self.transfer_function, self._transfer_conj, pad)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

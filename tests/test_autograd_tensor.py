@@ -5,7 +5,8 @@ import threading
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor, no_grad, is_grad_enabled, tensor, check_gradients
+from repro.autograd import Parameter, Tensor, no_grad, is_grad_enabled, tensor, check_gradients
+from repro.autograd.tensor import _adjoint
 
 
 class Testconstruction:
@@ -201,6 +202,53 @@ class TestAutogradBasics:
         c = a * 4
         (b * c).backward()  # d/da (12 a^2) = 24a = 48
         assert a.grad == pytest.approx(48.0)
+
+
+class TestGradOwnership:
+    """``.grad`` is a buffer the tensor owns; accumulation never writes an upstream array."""
+
+    def test_grad_is_an_owned_contiguous_buffer_of_the_parameter(self):
+        real = Parameter(np.ones((3, 4)))
+        cplx = Parameter(np.ones((4, 3)) + 1j)
+        # real.T gives a transposed (non-contiguous) first gradient; real.sum()
+        # then adds a read-only broadcast view.
+        loss = (real.T * cplx).abs2().sum() + real.sum()
+        loss.backward()
+        for param in (real, cplx):
+            assert param.grad.shape == param.shape
+            assert param.grad.dtype == param.dtype
+            assert param.grad.flags.c_contiguous and param.grad.flags.writeable and param.grad.flags.owndata
+
+    def test_two_parents_of_one_upstream_array_get_separate_buffers(self):
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        b = Tensor([3.0, 4.0], requires_grad=True)
+        out = a + b
+        out.backward(np.ones(2))
+        assert not np.shares_memory(a.grad, b.grad)
+        a.grad += 10.0
+        np.testing.assert_array_equal(b.grad, [1.0, 1.0])
+        np.testing.assert_array_equal(out.grad, [1.0, 1.0])
+
+    @pytest.mark.parametrize("op, expected", [(lambda x: x + x, [2.0, 2.0]), (lambda x: x * x, [2.0, -4.0])])
+    def test_repeated_parent_accumulates_without_touching_upstream(self, op, expected):
+        x = Tensor([1.0, -2.0], requires_grad=True)
+        out = op(x)
+        out.backward(np.ones(2))
+        np.testing.assert_array_equal(x.grad, expected)
+        np.testing.assert_array_equal(out.grad, [1.0, 1.0])
+
+    def test_backward_leaves_callers_gradient_unchanged(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        g = np.array([1.0, -1.0])
+        (x + x).backward(g)
+        np.testing.assert_array_equal(g, [1.0, -1.0])
+        np.testing.assert_array_equal(x.grad, [2.0, -2.0])
+
+    def test_matmul_adjoint_copies_only_complex_operands(self):
+        real = np.arange(6.0).reshape(2, 3)
+        assert np.shares_memory(_adjoint(real), real)
+        cplx = real + 1j
+        np.testing.assert_array_equal(_adjoint(cplx), np.conj(cplx.T))
 
 
 class TestShapes:

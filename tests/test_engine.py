@@ -14,7 +14,7 @@ from repro.engine import (
     compile as engine_compile,
     get_fft_backend,
 )
-from repro.engine import backends as engine_backends
+from repro.autograd import fft as engine_backends
 from repro.train import evaluate_classifier
 from repro.train.loop import evaluate_with_detector_noise
 

@@ -26,7 +26,7 @@ from hypothesis import given, strategies as st
 
 from repro import DONN, DONNConfig, MultiChannelDONN, SegmentationDONN
 from repro.engine import COMPLEX64_LOGIT_ATOL, InferenceSession, compile as engine_compile
-from repro.engine.backends import get_fft_backend
+from repro.autograd.fft import get_fft_backend
 from repro.engine.plan import Encode, Intensity, count_ops, emit_ops, lower
 from repro.engine.passes import optimize_plan, transpose_linear_ops
 
