@@ -50,7 +50,6 @@ safe from any thread.
 
 from __future__ import annotations
 
-import logging
 import math
 import threading
 import time
@@ -61,8 +60,6 @@ from typing import Optional
 from repro.obs.log import get_logger as _obs_logger
 
 __all__ = ["AutoscaleConfig", "Autoscaler", "Decision"]
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -353,13 +350,6 @@ class Autoscaler:
         except Exception as exc:  # noqa: BLE001 - loop must survive a bad spawn
             with self._lock:
                 self.errors += 1
-            logger.warning(
-                "autoscaler %r: scale_to(%d) failed (%s); holding at %d",
-                self.model,
-                verdict.target,
-                exc,
-                len(self.group),
-            )
             _obs_logger().warning(
                 "autoscale.resize_failed",
                 model=self.model,
@@ -373,15 +363,6 @@ class Autoscaler:
                     self.scale_ups += 1
                 else:
                     self.scale_downs += 1
-            logger.info(
-                "autoscaler %r: scaled %s to %d replicas (%s, p99=%.1fms, in_flight=%d)",
-                self.model,
-                verdict.action,
-                verdict.target,
-                verdict.reason,
-                verdict.p99_ms,
-                verdict.in_flight,
-            )
             _obs_logger().info(
                 "autoscale.scaled",
                 model=self.model,
@@ -411,16 +392,10 @@ class Autoscaler:
         try:
             registry.demote(self.model)
         except Exception as exc:  # noqa: BLE001 - demotion is advisory
-            logger.warning("autoscaler %r: idle demotion failed (%s)", self.model, exc)
             _obs_logger().warning("autoscale.demote_failed", model=self.model, error=str(exc))
         else:
             with self._lock:
                 self.idle_demotions += 1
-            logger.info(
-                "autoscaler %r: idle for >= %.1fs; demoted to LRU eviction front",
-                self.model,
-                self.config.idle_timeout_s,
-            )
             _obs_logger().info(
                 "autoscale.idle_demoted",
                 model=self.model,

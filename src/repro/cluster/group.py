@@ -51,7 +51,6 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import functools
-import logging
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -72,8 +71,6 @@ from repro.obs.log import get_logger as _obs_logger
 from repro.obs.trace import get_dispatch_context
 
 __all__ = ["ReplicaGroup"]
-
-logger = logging.getLogger(__name__)
 
 
 class ReplicaGroup:
@@ -311,13 +308,6 @@ class ReplicaGroup:
             self._changed.wait_for(lambda: not self._restarting, self.close_timeout_s)
             stuck = sorted(self._restarting)
         if stuck:
-            logger.warning(
-                "replica group %r: restart thread(s) for replica(s) %s still running "
-                "after the %.1fs close drain; terminating workers around them",
-                self.name,
-                stuck,
-                self.close_timeout_s,
-            )
             _obs_logger().warning(
                 "cluster.close_drain_timeout",
                 group=self.name,
@@ -418,13 +408,7 @@ class ReplicaGroup:
                         raise ValueError(f"no replica with index {index} in group {self.name!r}")
                     if index in self._draining:
                         raise ValueError(f"replica {index} is already draining")
-            with self._drained(
-                victim,
-                drain_timeout_s,
-                event="cluster.drain_timeout",
-                message="replica group %(group)r: replica %(replica)d still has %(in_flight)d in-flight "
-                "call(s)%(pending)s after the %(timeout_s).1fs drain deadline; terminating it anyway",
-            ):
+            with self._drained(victim, drain_timeout_s, event="cluster.drain_timeout"):
                 victim.close()
                 with self._lock:
                     if victim in self._replicas:
@@ -433,16 +417,13 @@ class ReplicaGroup:
             return index
 
     @contextlib.contextmanager
-    def _drained(
-        self, replica: Replica, drain_timeout_s: Optional[float], *, event: str, message: str
-    ) -> Iterator[None]:
+    def _drained(self, replica: Replica, drain_timeout_s: Optional[float], *, event: str) -> Iterator[None]:
         """Hide ``replica`` from the router until the body is done; the one drain path.
 
         The body runs once the member has no call in flight and no
         pending revive (a revive must clear its slot before the worker is
         torn down or reconnected under it), or once the drain deadline
-        passes -- then logged as ``message`` (%-formatted from the
-        event's fields) and emitted as ``event``, never silent.
+        passes -- then emitted as ``event``, never silent.
         """
         timeout = self.drain_timeout_s if drain_timeout_s is None else float(drain_timeout_s)
         index = replica.index
@@ -454,10 +435,7 @@ class ReplicaGroup:
             stuck = dict(in_flight=replica.in_flight, restarting=index in self._restarting)
         try:
             if not idle:
-                fields = dict(group=self.name, replica=index, **stuck, timeout_s=timeout)
-                pending = " (and a pending restart)" if stuck["restarting"] else ""
-                logger.warning(message, {**fields, "pending": pending})
-                _obs_logger().warning(event, **fields)
+                _obs_logger().warning(event, group=self.name, replica=index, **stuck, timeout_s=timeout)
             yield
         finally:
             with self._lock:
@@ -534,13 +512,7 @@ class ReplicaGroup:
                 # no second process to spawn-then-publish into, so its swap
                 # is a drained reconnect: the fresh connection's init frame
                 # carries the new spec while siblings keep serving.
-                with self._drained(
-                    replica,
-                    drain_timeout_s,
-                    event="cluster.swap_drain_timeout",
-                    message="replica group %(group)r: remote replica %(replica)d still busy after the "
-                    "%(timeout_s).1fs swap drain; reconnecting it anyway",
-                ):
+                with self._drained(replica, drain_timeout_s, event="cluster.swap_drain_timeout"):
                     previous, replica.transport.spec = replica.transport.spec, spec
                     if not self._closed:
                         try:

@@ -28,12 +28,13 @@ from __future__ import annotations
 
 import asyncio
 import logging
-from typing import Dict, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.serve.batcher import BatcherStats, DynamicBatcher
-from repro.serve.errors import ServerClosedError
+from repro.serve.errors import ServerClosedError, UnknownModelError
 from repro.serve.policy import BatchingPolicy
 from repro.serve.registry import SessionRegistry, _as_store_ref
 from repro.obs.log import get_logger as _obs_logger
@@ -74,15 +75,21 @@ def _build_group(model_or_session, replicas: int, router, cluster_options: dict,
     return ReplicaGroup(spec, replicas=replicas, router=router, name=name, **cluster_options)
 
 
-def _expected_input_shape(session) -> Optional[Sequence[int]]:
-    """Per-request payload shape for shape validation, when the session knows it."""
-    shape = getattr(session, "input_shape", None)
-    return tuple(shape) if shape is not None else None
+@dataclass
+class _ServedModel:
+    """Everything the server keeps for one model name."""
 
-
-def _holder(table: Dict[str, object], instance, name: str) -> Optional[str]:
-    """The name other than ``name`` whose entry in ``table`` is ``instance``."""
-    return next((key for key, held in table.items() if held is instance and key != name), None)
+    session: object  # what the batcher runs: the session, or the model's replica group
+    policy: object = None  # policy spec: None, a BatchingPolicy or a zero-arg factory
+    overrides: dict = field(default_factory=dict)  # per-model batcher tuning
+    group: object = None  # ReplicaGroup of a cluster model
+    router: object = None  # the Router instance its group was built with
+    ref: object = None  # StoreRef of a store-backed model
+    autoscale: object = None  # AutoscaleConfig of an elastic fleet
+    # Set by the wiring path while the server runs:
+    batcher: Optional[DynamicBatcher] = None
+    autoscaler: object = None
+    task: Optional[asyncio.Task] = None
 
 
 def _resolve_policy(spec) -> Optional[BatchingPolicy]:
@@ -114,6 +121,8 @@ class InferenceServer:
     registry:
         An existing :class:`SessionRegistry` to serve from; by default the
         server owns a fresh one (populate it via :meth:`add_model`).
+        Names registered directly on it are served from :meth:`start`
+        with the batcher defaults below and no server-wide policy.
     policy:
         Default batching policy for every model: a zero-arg factory (each
         model gets a fresh instance) or, for a single-model server, a
@@ -166,8 +175,11 @@ class InferenceServer:
         model in this process -- and enables
         :meth:`swap_model(name, version) <swap_model>`, the
         zero-downtime rolling version swap.  A server-owned registry is
-        store-attached too, so LRU-evicted store-backed models rebuild
-        from disk on their next use.
+        store-attached too.  A started server serves only the names it
+        holds: a store-backed model the LRU registry evicted before
+        :meth:`start` is unknown to it (the registry's own ``get()``
+        still rebuilds it from disk) and comes back through
+        :meth:`add_model`.
 
     Thread/async-safety: the server is bound to the event loop that runs
     :meth:`start`; all coroutines must be awaited on that loop.
@@ -220,15 +232,9 @@ class InferenceServer:
         self._default_router = router
         self._cluster_options = dict(cluster_options or {})
         self._default_autoscale = autoscale
-        self._autoscale_cfgs: Dict[str, object] = {}  # name -> AutoscaleConfig
-        self._autoscalers: Dict[str, object] = {}  # name -> Autoscaler (while started)
-        self._autoscale_tasks: Dict[str, asyncio.Task] = {}
-        self._overrides: Dict[str, dict] = {}
-        self._policies: Dict[str, object] = {}
-        self._batchers: Dict[str, DynamicBatcher] = {}
-        self._groups: Dict[str, object] = {}  # name -> ReplicaGroup (cluster models)
-        self._routers: Dict[str, object] = {}  # name -> Router instance its group was built with
-        self._model_refs: Dict[str, object] = {}  # name -> StoreRef (store-backed models)
+        # The store that resolves "name@version" strings and version swaps.
+        self._resolver = store if store is not None else getattr(self.registry, "store", None)
+        self._models: Dict[str, _ServedModel] = {}
         self._started = False
         self._closed = False
 
@@ -285,7 +291,8 @@ class InferenceServer:
         """
         if self._closed:
             raise ServerClosedError("server is stopped")
-        if name in self._batchers and (replace or name not in self.registry):
+        held = self._models.get(name)
+        if held is not None and held.batcher is not None and (replace or name not in self.registry):
             # Guard before touching the registry: a half-applied swap would
             # leave the live batcher serving a session the registry no
             # longer reports.  The second clause catches re-registering a
@@ -295,13 +302,12 @@ class InferenceServer:
             # growth ``max_models`` exists to prevent.
             raise RuntimeError("stop the server before replacing a live model")
         if isinstance(model_or_session, str):
-            resolver = self.store if self.store is not None else getattr(self.registry, "store", None)
-            if resolver is None:
+            if self._resolver is None:
                 raise TypeError(
                     f"cannot register the string {model_or_session!r}: string model "
                     "references need InferenceServer(store=...)"
                 )
-            model_or_session = resolver.ref(model_or_session)
+            model_or_session = self._resolver.ref(model_or_session)
         spec = policy if policy is not None else self._default_policy
         if isinstance(spec, BatchingPolicy):
             # Policies are stateful (EWMA latency model, AIMD target): one
@@ -310,7 +316,7 @@ class InferenceServer:
             # server-wide defaults must be factories.  The owner is whichever
             # other name holds this very instance, so a refused or failed add
             # claims nothing and a replace or eviction releases it.
-            owner = _holder(self._policies, spec, name)
+            owner = self._holder(spec, name)
             if owner is not None:
                 raise TypeError(
                     f"policy instance passed for {name!r} is already serving {owner!r}; "
@@ -346,7 +352,7 @@ class InferenceServer:
                 # Routers hold per-group state (cursor, RNG) mutated under
                 # each group's own lock: one instance feeding two groups
                 # would race.  Same identity contract as the policy guard.
-                owner = _holder(self._routers, effective_router, name)
+                owner = self._holder(effective_router, name)
                 if owner is not None:
                     raise TypeError(
                         f"router instance passed for {name!r} is already serving {owner!r}; "
@@ -367,48 +373,6 @@ class InferenceServer:
             session = self.registry.register(name, group, replace=replace)
         else:
             session = self.registry.register(name, model_or_session, replace=replace, **session_kwargs)
-        ref = _as_store_ref(model_or_session)
-        if ref is not None:
-            self._model_refs[name] = ref
-        else:
-            self._model_refs.pop(name, None)
-        # Reconcile the group table with what just got registered: a
-        # replace can swap a cluster model for an in-process one (or for
-        # a different group), and the displaced group's workers must not
-        # keep running -- nor keep answering under the old model.
-        displaced = self._groups.pop(name, None)
-        if displaced is not None and displaced is not group:
-            displaced.close()
-            self._routers.pop(name, None)
-        if group is not None:
-            self._groups[name] = group
-        if router_instance is not None:
-            self._routers[name] = router_instance
-        effective_autoscale = explicit_autoscale
-        if effective_autoscale is None and group is not None:
-            effective_autoscale = self._default_autoscale
-        if effective_autoscale is not None:
-            self._autoscale_cfgs[name] = effective_autoscale
-        else:
-            self._autoscale_cfgs.pop(name, None)
-            self._autoscalers.pop(name, None)
-        # Server-side bookkeeping must honor the registry's LRU bound:
-        # names the registration just evicted (and that have no live
-        # batcher keeping them serving) are gone for good, including any
-        # not-yet-started replica group waiting under them.
-        for evicted in self.registry.last_evicted:
-            if evicted not in self._batchers:
-                self._overrides.pop(evicted, None)
-                self._policies.pop(evicted, None)
-                self._autoscale_cfgs.pop(evicted, None)
-                self._autoscalers.pop(evicted, None)
-                # Server bookkeeping only: the *registry* keeps its own
-                # pinned ref, so a store-backed eviction stays reversible.
-                self._model_refs.pop(evicted, None)
-                self._routers.pop(evicted, None)
-                stale = self._groups.pop(evicted, None)
-                if stale is not None:
-                    stale.close()
         overrides = {
             key: value
             for key, value in (
@@ -419,13 +383,32 @@ class InferenceServer:
             )
             if value is not None
         }
-        self._overrides[name] = overrides
-        self._policies[name] = policy if policy is not None else self._default_policy
+        effective_autoscale = explicit_autoscale
+        if effective_autoscale is None and group is not None:
+            effective_autoscale = self._default_autoscale
+        record = _ServedModel(
+            session,
+            policy=spec,
+            overrides=overrides,
+            group=group,
+            router=router_instance,
+            ref=_as_store_ref(model_or_session),
+            autoscale=effective_autoscale,
+        )
+        # A replace displaces the name's old record, and the names this
+        # registration evicted from the LRU registry are gone for good
+        # unless a live batcher keeps serving them.  Their groups close:
+        # the workers must not keep running, nor answer under the old model.
+        released = [self._models.pop(name, None)]
+        for evicted in self.registry.last_evicted:
+            if evicted in self._models and self._models[evicted].batcher is None:
+                released.append(self._models.pop(evicted))
+        self._models[name] = record
+        for old in released:
+            if old is not None and old.group is not None and old.group is not group:
+                old.group.close()
         if self._started:
-            if group is not None and not group.started:
-                group.start()
-            self._batchers[name] = self._make_batcher(name).start()
-            self._start_autoscaler(name)
+            self._wire(name, record)
         return session
 
     async def swap_model(self, name: str, version=None) -> dict:
@@ -453,19 +436,18 @@ class InferenceServer:
         """
         if self._closed:
             raise ServerClosedError("server is stopped")
-        resolver = self.store if self.store is not None else getattr(self.registry, "store", None)
-        if resolver is None:
+        if self._resolver is None:
             raise ValueError("swap_model needs a model store (InferenceServer(store=...))")
-        group = self._groups.get(name)
-        if group is None:
-            self.registry.get(name)  # raises UnknownModelError for unknown names
+        model = self._lookup(name)
+        if model is None or model.group is None:
             raise ValueError(
                 f"model {name!r} serves in-process; rolling swaps need a replica group "
                 "(add it with replicas >= 2, autoscale=..., or remote workers)"
             )
-        previous = self._model_refs.get(name)
+        group = model.group
+        previous = model.ref
         store_name = previous.name if previous is not None else name
-        ref = resolver.ref(store_name, version)
+        ref = self._resolver.ref(store_name, version)
         if previous is not None and ref.content_hash == previous.content_hash:
             return {"model": name, **ref.describe(), "replicas": len(group), "changed": False}
         if self._started:
@@ -473,15 +455,7 @@ class InferenceServer:
             await loop.run_in_executor(None, group.swap_spec, ref)
         else:
             group.swap_spec(ref)
-        self._model_refs[name] = ref
-        logger.info(
-            "model %r: swapped to %s@%s (sha256-%.12s...) across %d replica(s)",
-            name,
-            ref.name,
-            ref.version_tag,
-            ref.content_hash,
-            len(group),
-        )
+        model.ref = ref
         _obs_logger().info(
             "serve.model_swapped",
             model=name,
@@ -491,25 +465,35 @@ class InferenceServer:
         )
         return {"model": name, **ref.describe(), "replicas": len(group), "changed": True}
 
-    def _make_batcher(self, name: str) -> DynamicBatcher:
-        group = self._groups.get(name)
-        # The group outlives a registry LRU eviction (the server owns it);
-        # in-process sessions must still be in the registry to serve.
-        session = group if group is not None else self.registry.get(name)
-        options = {**self._defaults, **self._overrides.get(name, {})}
-        policy = _resolve_policy(self._policies.get(name))
+    def _holder(self, instance, name: str) -> Optional[str]:
+        """The name other than ``name`` whose record holds ``instance`` as its policy or router."""
+        for key, model in self._models.items():
+            if key != name and (model.policy is instance or model.router is instance):
+                return key
+        return None
+
+    def _wire(self, name: str, model: _ServedModel) -> None:
+        """Start the model's group, its batcher and its autoscaler task: the one wiring path.
+
+        :meth:`start` runs it for every record; :meth:`add_model` runs it
+        for a model added to a started server.
+        """
+        policy = _resolve_policy(model.policy)
+        options = {**self._defaults, **model.overrides}
         if policy is not None:
             # The policy owns the window knobs; only queue/executor tuning
             # still applies at the batcher level.
             options = {key: options[key] for key in ("max_queue", "run_in_executor")}
+        group = model.group
         if group is not None:
+            if not group.started:
+                group.start()
             options["dispatch"] = group.infer
             options["shed_retry"] = group.rescue
             # One outstanding batch per replica: full fleet utilization,
             # backpressure past that.
             options["max_concurrent_dispatches"] = max(1, len(group))
-            autoscale = self._autoscale_cfgs.get(name)
-            if autoscale is not None:
+            if model.autoscale is not None:
                 # The dispatch semaphore is fixed at construction, so an
                 # elastic fleet sizes it for the cap up front (a fleet
                 # below the cap simply backpressures through the replicas
@@ -517,16 +501,27 @@ class InferenceServer:
                 # traffic displace stale percentile samples fast enough
                 # for the control loop to see its own effect.
                 options["max_concurrent_dispatches"] = max(
-                    1, len(group), autoscale.max_replicas
+                    1, len(group), model.autoscale.max_replicas
                 )
-                options["stats_window"] = autoscale.stats_window
-        return DynamicBatcher(
-            session,
+                options["stats_window"] = model.autoscale.stats_window
+        # A group knows its per-request input shape once it has started.
+        shape = getattr(model.session, "input_shape", None)
+        model.batcher = DynamicBatcher(
+            model.session,
             policy=policy,
-            input_shape=_expected_input_shape(session),
+            input_shape=tuple(shape) if shape is not None else None,
             name=name,
             **options,
-        )
+        ).start()
+        if model.autoscale is not None:
+            from repro.cluster import Autoscaler
+
+            model.autoscaler = Autoscaler(
+                group, model.batcher.stats(), model.autoscale, registry=self.registry, model=name
+            )
+            model.task = asyncio.get_running_loop().create_task(
+                self._autoscale_loop(model.autoscaler), name=f"repro-autoscale-{name}"
+            )
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -552,7 +547,11 @@ class InferenceServer:
             # final no-pending check runs with no await before the flag
             # flips, so nothing can slip between.
             while True:
-                pending = [group for group in self._groups.values() if not group.started]
+                pending = [
+                    model.group
+                    for model in self._models.values()
+                    if model.group is not None and not model.group.started
+                ]
                 if not pending:
                     break
                 loop = asyncio.get_running_loop()
@@ -563,36 +562,20 @@ class InferenceServer:
                 failures = [outcome for outcome in outcomes if isinstance(outcome, BaseException)]
                 if failures:
                     self._closed = True
+                    groups = [model.group for model in self._models.values() if model.group is not None]
+                    self._models.clear()
                     await asyncio.gather(
-                        *(loop.run_in_executor(None, group.close) for group in self._groups.values()),
+                        *(loop.run_in_executor(None, group.close) for group in groups),
                         return_exceptions=True,
                     )
-                    self._groups.clear()
                     raise failures[0]
             self._started = True
-            names = list(self.registry.names())
-            names.extend(name for name in self._groups if name not in names)
-            for name in names:
-                if name not in self._batchers:
-                    self._batchers[name] = self._make_batcher(name).start()
-            for name in list(self._autoscale_cfgs):
-                self._start_autoscaler(name)
+            for name, session in self.registry.items():
+                if name not in self._models:
+                    self._models[name] = _ServedModel(session)
+            for name, model in self._models.items():
+                self._wire(name, model)
         return self
-
-    def _start_autoscaler(self, name: str) -> None:
-        """Build the model's autoscaler and spawn its periodic driver task."""
-        config = self._autoscale_cfgs.get(name)
-        group = self._groups.get(name)
-        batcher = self._batchers.get(name)
-        if config is None or group is None or batcher is None or name in self._autoscale_tasks:
-            return
-        from repro.cluster import Autoscaler
-
-        scaler = Autoscaler(group, batcher.stats(), config, registry=self.registry, model=name)
-        self._autoscalers[name] = scaler
-        self._autoscale_tasks[name] = asyncio.get_running_loop().create_task(
-            self._autoscale_loop(scaler), name=f"repro-autoscale-{name}"
-        )
 
     async def _autoscale_loop(self, scaler) -> None:
         """Drive one autoscaler until :meth:`stop` cancels the task.
@@ -625,21 +608,19 @@ class InferenceServer:
             return
         self._closed = True
         self._started = False
+        models = list(self._models.values())
+        self._models.clear()
         # Autoscalers first: a membership change racing the shutdown
         # would spawn workers the close sweep below never sees.  A tick
         # already running in the executor cannot be interrupted, but
         # ReplicaGroup.close() serializes with it on the membership lock.
-        tasks = list(self._autoscale_tasks.values())
-        self._autoscale_tasks.clear()
+        tasks = [model.task for model in models if model.task is not None]
         for task in tasks:
             task.cancel()
         if tasks:
             await asyncio.gather(*tasks, return_exceptions=True)
-        batchers = list(self._batchers.values())
-        self._batchers.clear()
-        await asyncio.gather(*(batcher.stop() for batcher in batchers))
-        groups = list(self._groups.values())
-        self._groups.clear()
+        await asyncio.gather(*(model.batcher.stop() for model in models if model.batcher is not None))
+        groups = [model.group for model in models if model.group is not None]
         if groups:
             loop = asyncio.get_running_loop()
             await asyncio.gather(*(loop.run_in_executor(None, group.close) for group in groups))
@@ -665,38 +646,53 @@ class InferenceServer:
         attaches an explicit per-request latency budget (deadline-aware
         policies stamp their default when omitted).
 
-        Raises :class:`UnknownModelError` for unregistered names,
-        :class:`ServerClosedError` before :meth:`start`/after
+        Raises :class:`UnknownModelError` for a name the server does not
+        serve (a started server serves exactly the names it holds, so a
+        name the LRU registry evicted before :meth:`start` is unknown
+        too), :class:`ServerClosedError` before :meth:`start`/after
         :meth:`stop`, :class:`ServerOverloadedError` on a full queue, and
         :class:`DeadlineExceededError` when the budget expires in queue.
         """
         if self._closed:
             raise ServerClosedError("server is stopped")
-        try:
-            batcher = self._batchers[name]
-        except KeyError:
-            self.registry.get(name)  # raises UnknownModelError for unknown names
-            raise ServerClosedError("server is not started (use `async with server:` or await start())") from None
-        return await batcher.submit(payload, slo_ms=slo_ms)
+        model = self._lookup(name)
+        if model is None or model.batcher is None:
+            raise ServerClosedError("server is not started (use `async with server:` or await start())")
+        return await model.batcher.submit(payload, slo_ms=slo_ms)
 
     async def submit_many(self, name: str, payloads) -> np.ndarray:
         """Submit a burst of requests concurrently; returns stacked results."""
         if self._closed:
             raise ServerClosedError("server is stopped")
+        model = self._lookup(name)
         results = await asyncio.gather(*(self.submit(name, payload) for payload in payloads))
         if results:
             return np.stack(results, axis=0)
         # Preserve the engine's empty-batch output shape ((0, C) / (0, N, N))
         # when the session can tell us what an empty request batch looks
-        # like.  Prefer the live batcher's session: a model the LRU
-        # registry evicted keeps serving through its batcher, and an
-        # empty burst must not be the one call that raises.
-        batcher = self._batchers.get(name)
-        session = batcher.session if batcher is not None else self.registry.get(name)
+        # like.  A model the LRU registry evicted keeps serving through
+        # its record, and an empty burst must not be the one call that
+        # raises.
+        session = model.session if model is not None else self.registry.get(name)
         shape = getattr(session, "input_shape", None)
         if shape is not None:
             return session.run(np.empty((0, *shape)))
         return np.empty((0,))
+
+    def _lookup(self, name: str) -> Optional[_ServedModel]:
+        """The record of ``name``; raises :class:`UnknownModelError` when there is none.
+
+        Before :meth:`start`, a name registered directly on the registry
+        is known too and looks up as ``None`` (it gets its record at
+        start).  A started server knows only the names it holds records
+        for, so a request never reaches into the registry, where a lookup
+        could rebuild an evicted model and evict a serving one.
+        """
+        model = self._models.get(name)
+        if model is None and (self._started or name not in self.registry):
+            served = ", ".join(sorted(self._models)) or "<none>"
+            raise UnknownModelError(f"no model served under {name!r} (serving: {served})")
+        return model
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -716,43 +712,27 @@ class InferenceServer:
         models report full metadata only once their workers have
         hand-shaken (i.e. after :meth:`start`).
         """
-        names = list(self.registry.names())
-        names.extend(name for name in self._groups if name not in names)
-        names.extend(name for name in self._batchers if name not in names)
         models: Dict[str, dict] = {}
-        for name in sorted(set(names)):
-            ref = self._model_refs.get(name)
-            version = ref.describe() if ref is not None else None
-            group = self._groups.get(name)
+        for name, model in sorted(self._models.items()):
+            group = model.group
             if group is not None:
                 meta = group.meta or {}
-                shape = meta.get("input_shape")
-                models[name] = {
-                    "name": name,
-                    "kind": meta.get("kind"),
-                    "input_shape": list(shape) if shape is not None else None,
-                    "backend": meta.get("backend"),
-                    "dtype": meta.get("dtype"),
-                    "replicas": len(group),
-                    "router": group.router_name,
-                    "autoscale": name in self._autoscale_cfgs,
-                    "store": version,
-                }
-                continue
-            batcher = self._batchers.get(name)
-            session = batcher.session if batcher is not None else self.registry.get(name)
-            shape = getattr(session, "input_shape", None)
-            dtype = getattr(session, "dtype", None)
+                kind, shape, backend, dtype = (meta.get(key) for key in ("kind", "input_shape", "backend", "dtype"))
+            else:
+                kind, shape, backend, dtype = (
+                    getattr(model.session, key, None) for key in ("kind", "input_shape", "backend_name", "dtype")
+                )
+                dtype = dtype.name if dtype is not None else None
             models[name] = {
                 "name": name,
-                "kind": getattr(session, "kind", None),
+                "kind": kind,
                 "input_shape": list(shape) if shape is not None else None,
-                "backend": getattr(session, "backend_name", None),
-                "dtype": dtype.name if dtype is not None else None,
-                "replicas": 1,
-                "router": None,
-                "autoscale": False,
-                "store": version,
+                "backend": backend,
+                "dtype": dtype,
+                "replicas": len(group) if group is not None else 1,
+                "router": group.router_name if group is not None else None,
+                "autoscale": model.autoscale is not None,
+                "store": model.ref.describe() if model.ref is not None else None,
             }
         return models
 
@@ -771,17 +751,16 @@ class InferenceServer:
         worker process).
         """
         snapshot: Dict[str, BatcherStats] = {}
-        for name, batcher in self._batchers.items():
-            stats = batcher.stats()
-            group = self._groups.get(name)
-            stats.replicas = group.stats() if group is not None else None
-            scaler = self._autoscalers.get(name)
-            stats.autoscaler = scaler.snapshot() if scaler is not None else None
-            ref = self._model_refs.get(name)
-            stats.store = ref.describe() if ref is not None else None
+        for name, model in self._models.items():
+            if model.batcher is None:
+                continue
+            stats = model.batcher.stats()
+            stats.replicas = model.group.stats() if model.group is not None else None
+            stats.autoscaler = model.autoscaler.snapshot() if model.autoscaler is not None else None
+            stats.store = model.ref.describe() if model.ref is not None else None
             snapshot[name] = stats
         return snapshot
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "closed" if self._closed else ("started" if self._started else "idle")
-        return f"InferenceServer(models={sorted(self.registry.names())}, state={state!r})"
+        return f"InferenceServer(models={sorted(self._models)}, state={state!r})"

@@ -13,6 +13,7 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
+import os
 import threading
 import time
 
@@ -23,6 +24,7 @@ from repro.cluster import AutoscaleConfig, Autoscaler, ReplicaGroup
 from repro.engine import compile as engine_compile
 from repro.models.config import DONNConfig
 from repro.models.donn import DONN
+from repro.obs.log import get_logger
 from repro.serve import InferenceServer, SessionRegistry
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
@@ -419,12 +421,16 @@ class TestElasticGroup:
         group = ReplicaGroup(tiny_spec, replicas=1, close_timeout_s=0.3, call_timeout_s=30.0)
         group.start()
         group._restarting.add(99)  # a revive thread that never finishes
+        get_logger().clear()
         started = time.monotonic()
-        with caplog.at_level(logging.WARNING, logger="repro.cluster.group"):
+        with caplog.at_level(logging.WARNING):
             group.close()
         assert time.monotonic() - started < 5.0  # bounded by close_timeout_s, not 60s
-        assert any("still running" in record.message for record in caplog.records)
-        assert any("99" in record.getMessage() for record in caplog.records)
+        (record,) = get_logger().records("cluster.close_drain_timeout")
+        assert record["replicas"] == [99] and record["timeout_s"] == 0.3
+        # One line per event: the JSON record, with no plain-text twin.
+        lines = [(line.name, json.loads(line.getMessage())["event"]) for line in caplog.records]
+        assert lines == [("repro.obs", "cluster.close_drain_timeout")]
 
     def test_close_interrupts_backoff_sleep_promptly(self, tiny_spec):
         """A revive waiting out a 30 s backoff must not hold close() hostage."""
@@ -490,6 +496,37 @@ class TestServerAutoscale:
         assert autoscaler["fleet"] == 2
         assert any(entry["action"] == "up" for entry in autoscaler["decisions"])
         assert row["autoscaler"]["config"]["slo_p99_ms"] == 80.0
+
+    def test_autoscaled_model_added_to_a_started_server(self, tiny_spec, rng):
+        """A late add_model takes start()'s wiring path: the group, the
+        batcher and the autoscaler task all run, and stop() reclaims them."""
+        image = rng.uniform(size=(16, 16))
+
+        async def scenario():
+            server = InferenceServer(max_wait_ms=1.0, cluster_options={"call_timeout_s": 30.0})
+            async with server:
+                server.add_model(
+                    "late", tiny_spec.build(), autoscale={"slo_p99_ms": 50.0, "interval_s": 0.05, "max_replicas": 2}
+                )
+                answer = await server.submit("late", image)
+                described = server.describe()["late"]
+                deadline = asyncio.get_running_loop().time() + 30.0
+                while server.stats()["late"].autoscaler["last_decision"] is None:
+                    assert asyncio.get_running_loop().time() < deadline, "the autoscaler never ticked"
+                    await asyncio.sleep(0.05)
+                stats = server.stats()["late"]
+            drivers = [task for task in asyncio.all_tasks() if task.get_name() == "repro-autoscale-late"]
+            return answer, described, stats, drivers
+
+        answer, described, stats, drivers = asyncio.run(scenario())
+        expected = engine_compile(_tiny_model(), backend="numpy").run(image[None])[0]
+        np.testing.assert_allclose(answer, expected, atol=1e-10)
+        assert described["autoscale"] is True
+        assert stats.autoscaler["model"] == "late" and stats.replicas
+        assert drivers == [], "the autoscaler task outlived stop()"
+        for row in stats.replicas:
+            with pytest.raises(ProcessLookupError):
+                os.kill(row["pid"], 0)  # the worker was joined
 
     def test_explicit_autoscale_needs_a_shardable_model(self):
         class InProcessOnly:

@@ -601,12 +601,16 @@ class TestReplicaGroup:
     def test_replace_swaps_cluster_model_for_in_process_session(self, tiny_session, rng):
         """replace=True from a cluster model to an in-process session must
         drop (and close) the displaced group, not keep serving through it."""
+        displaced = ReplicaGroup(tiny_session.to_spec(), replicas=2, name="m")
         server = InferenceServer()
-        server.add_model("m", tiny_session, replicas=2)
-        displaced = server._groups["m"]
+        server.add_model("m", displaced)
+        assert server.describe()["m"]["replicas"] == 2
         server.add_model("m", tiny_session, replace=True)  # back to in-process
-        assert "m" not in server._groups, "stale group would shadow the new session"
+        described = server.describe()["m"]
+        assert described["replicas"] == 1 and described["router"] is None, "stale group would shadow the new session"
         assert not displaced.started
+        with pytest.raises(RuntimeError, match="closed"):
+            displaced.start()  # closed, not merely idle
 
         image = rng.uniform(size=(16, 16))
 

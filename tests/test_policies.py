@@ -386,7 +386,7 @@ class TestSLOSemanticsThroughTheBatcher:
                 await server.submit("digits", image)
                 await server.submit("adaptive-digits", image)
                 policies = {
-                    name: type(batcher.policy).__name__ for name, batcher in server._batchers.items()
+                    name: type(model.batcher.policy).__name__ for name, model in server._models.items()
                 }
                 stats = {name: s.as_dict() for name, s in server.stats().items()}
             return policies, stats

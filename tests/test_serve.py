@@ -434,13 +434,12 @@ class TestRegistryLRUEviction:
 
     def test_eviction_prunes_server_bookkeeping_for_idle_names(self, small_config):
         """On a not-started server, an evicted name must not keep growing
-        the server's per-model override/policy tables."""
+        the server's per-model record table."""
         registry = SessionRegistry(max_models=1)
         server = InferenceServer(registry=registry)
         for index in range(4):
             server.add_model(f"model-{index}", DONN(small_config), max_batch=4)
-        assert set(server._overrides) == {"model-3"}
-        assert set(server._policies) == {"model-3"}
+        assert set(server._models) == {"model-3"}
 
     def test_reregistering_evicted_live_name_is_refused(self, small_config):
         """A name evicted from the registry but still live on a started
@@ -529,6 +528,27 @@ class TestInferenceServer:
                 await server.start()
 
         run_async(scenario())
+
+    def test_names_registered_on_the_registry_serve_with_window_defaults(self, small_config, rng):
+        """A name registered directly on a caller-supplied registry is served
+        from start() with the server's window defaults, not its policy."""
+        registry = SessionRegistry()
+        session = registry.register("direct", DONN(small_config))
+        server = InferenceServer(registry=registry, policy=lambda: SLOAwarePolicy(slo_ms=500.0), max_batch=3)
+        server.add_model("added", DONN(small_config))
+        image = rng.uniform(0.0, 1.0, size=(32, 32))
+
+        async def scenario():
+            with pytest.raises(ServerClosedError, match="not started"):
+                await server.submit("direct", image)
+            async with server:
+                policies = {name: server._models[name].batcher.policy for name in ("direct", "added")}
+                return await server.submit("direct", image), policies
+
+        served, policies = run_async(scenario())
+        np.testing.assert_allclose(served, session.run(image[None])[0], atol=1e-10)
+        assert isinstance(policies["direct"], FixedWindowPolicy) and policies["direct"].max_batch == 3
+        assert isinstance(policies["added"], SLOAwarePolicy)
 
     def test_add_model_while_running(self, small_config, rng):
         images = rng.uniform(0.0, 1.0, size=(3, 32, 32))

@@ -468,6 +468,46 @@ class TestStoreBackedRegistry:
 
         asyncio.run(scenario())
 
+    def test_started_server_does_not_serve_a_name_evicted_before_start(self, tmp_path, rng):
+        """A started server serves exactly the names it holds: a request for
+        a store-backed name the LRU registry evicted before start() is
+        unknown, and it neither rebuilds that name nor evicts a live one."""
+        store = ModelStore(tmp_path)
+        store.publish("a", _model("donn", seed=1))
+        store.publish("b", _model("donn", seed=2))
+        registry = SessionRegistry(max_models=1, store=store)
+        server = InferenceServer(registry=registry, max_wait_ms=1.0)
+        server.add_model("a", "a@latest")
+        server.add_model("b", "b@latest")  # evicts "a"
+        image = _batch("donn", rng, n=1)[0]
+
+        async def scenario():
+            async with server:
+                with pytest.raises(UnknownModelError):
+                    await server.submit("a", image)
+                assert registry.names() == ("b",), "a request rebuilt or evicted a model"
+                assert sorted(server.describe()) == ["b"]
+                answer = await server.submit("b", image)
+                with pytest.raises(UnknownModelError):
+                    await server.swap_model("a")
+                with pytest.raises(UnknownModelError):
+                    await server.submit_many("a", [])
+                assert registry.names() == ("b",)
+                async with Gateway(server, port=0) as gateway:
+                    async with GatewayClient(port=gateway.port) as client:
+                        status, _, body = await client._request(
+                            "POST", "/v1/models/a/infer", {"input": image.tolist()}
+                        )
+                        with pytest.raises(UnknownModelError):
+                            await client.infer("a", image)
+                assert registry.names() == ("b",)
+            return answer, status, body
+
+        answer, status, body = asyncio.run(scenario())
+        expected = engine_compile(_model("donn", seed=2)).run(image[None])[0]
+        np.testing.assert_allclose(answer, expected, atol=PARITY_ATOL)
+        assert status == 404 and body["error"]["type"] == "unknown_model"
+
 
 # --------------------------------------------------------------------- #
 # Process-crossing: replica groups cold-start from the store
