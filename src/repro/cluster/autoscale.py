@@ -4,8 +4,8 @@ The routers already balance *within* a fixed fleet on in-flight depth
 and EWMA latency, and the serving layer's :class:`~repro.serve.metrics`
 windows already measure the p99 the fleet actually delivers -- this
 module closes the loop.  An :class:`Autoscaler` periodically reads one
-model's :class:`~repro.serve.BatcherStats` percentiles plus its
-:class:`~repro.cluster.ReplicaGroup` depth and drives the group's
+model's ``BatcherStats.as_dict()`` row (the p99 ``GET /v1/stats``
+serves) plus its :class:`~repro.cluster.ReplicaGroup` depth and drives the group's
 elastic primitives (:meth:`~repro.cluster.ReplicaGroup.scale_to`,
 drain-before-terminate underneath) so the fleet is as small as the
 latency budget allows.  The objective is the iso-metrics framing from
@@ -54,7 +54,7 @@ import math
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from repro.obs.log import get_logger as _obs_logger
@@ -195,8 +195,9 @@ class Autoscaler:
         ``__len__``, ``total_in_flight()``, ``alive_count()`` and
         ``scale_to()`` works -- tests drive fakes through the same seam).
     stats:
-        The model's :class:`~repro.serve.BatcherStats` (needs
-        ``p99_latency_ms`` and ``completed``).
+        Anything with ``as_dict()`` returning ``completed`` and
+        ``p99_latency_ms``: the model's :class:`~repro.serve.BatcherStats`
+        (one call per evaluation, the row ``GET /v1/stats`` serves).
     config:
         An :class:`AutoscaleConfig`.
     registry / model:
@@ -256,8 +257,9 @@ class Autoscaler:
         cfg = self.config
         fleet = len(self.group)
         in_flight = int(self.group.total_in_flight())
-        completed = int(self.stats.completed)
-        p99 = float(self.stats.p99_latency_ms)
+        row = self.stats.as_dict()
+        completed = int(row["completed"])
+        p99 = float(row["p99_latency_ms"])
 
         # Idle bookkeeping: any completion or live dispatch counts as traffic.
         if self._last_traffic_at is None:
@@ -379,7 +381,7 @@ class Autoscaler:
             self._last_up_at = now
         else:
             self._last_down_at = now
-        self._completed_at_action = int(self.stats.completed)
+        self._completed_at_action = int(self.stats.as_dict()["completed"])
 
     def _demote_idle(self) -> None:
         registry = self._registry
@@ -423,7 +425,6 @@ class Autoscaler:
         ``BatcherStats.autoscaler`` and the gateway serves under
         ``GET /v1/stats`` -- finite numbers or ``None`` only, never NaN.
         """
-        cfg = self.config
         with self._lock:
             last = self._last_decision
             return {
@@ -439,19 +440,7 @@ class Autoscaler:
                 "errors": self.errors,
                 "last_decision": last.as_dict() if last is not None else None,
                 "decisions": list(self._decisions),
-                "config": {
-                    "slo_p99_ms": cfg.slo_p99_ms,
-                    "min_replicas": cfg.min_replicas,
-                    "max_replicas": cfg.max_replicas,
-                    "interval_s": cfg.interval_s,
-                    "high_fraction": cfg.high_fraction,
-                    "low_fraction": cfg.low_fraction,
-                    "up_cooldown_s": cfg.up_cooldown_s,
-                    "down_cooldown_s": cfg.down_cooldown_s,
-                    "min_samples": cfg.min_samples,
-                    "max_inflight_per_replica": cfg.max_inflight_per_replica,
-                    "idle_timeout_s": cfg.idle_timeout_s,
-                },
+                "config": asdict(self.config),
             }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

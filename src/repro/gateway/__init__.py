@@ -15,7 +15,7 @@ inside one Python process.  This package puts an HTTP/1.1 server
                                               frame each way
 ``POST``     ``/v1/models/{name}/swap``       zero-downtime version swap
 ``GET``      ``/v1/models``                   per-model static metadata
-``GET``      ``/v1/stats``                    batcher/replica/gateway counters
+``GET``      ``/v1/stats``                    batcher/replica/gateway/tracer counters
 ``GET``      ``/v1/traces``                   recent request traces
                                               (``?slow=N`` for the worst)
 ``GET``      ``/v1/traces/{id}``              one trace by ``X-Request-Id``

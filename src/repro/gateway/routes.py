@@ -8,7 +8,7 @@ method     path                            answers
 ``GET``    ``/healthz``                    liveness + model roster
 ``GET``    ``/metrics``                    Prometheus text exposition
 ``GET``    ``/v1/models``                  static per-model metadata
-``GET``    ``/v1/stats``                   batcher/replica/gateway counters
+``GET``    ``/v1/stats``                   batcher/replica/gateway/tracer counters
 ``GET``    ``/v1/traces``                  recent traces (``?slow=N`` for worst)
 ``GET``    ``/v1/traces/{id}``             one retained trace by id
 ``POST``   ``/v1/models/{name}/infer``     run inference (JSON or tensor frame)
@@ -118,7 +118,7 @@ async def dispatch(gateway, request: HttpRequest) -> bytes:
             return _health(gateway, keep_alive, headers)
         if request.path == "/metrics":
             _require_method(request, "GET")
-            return _metrics(gateway, keep_alive, headers)
+            return text_response(render_server_metrics(_stats_body(gateway)), headers=headers, keep_alive=keep_alive)
         if request.path == "/v1/models":
             _require_method(request, "GET")
             return json_response(
@@ -128,7 +128,7 @@ async def dispatch(gateway, request: HttpRequest) -> bytes:
             )
         if request.path == "/v1/stats":
             _require_method(request, "GET")
-            return _stats(gateway, keep_alive, headers)
+            return json_response(_stats_body(gateway), headers=headers, keep_alive=keep_alive)
         if request.path == "/v1/traces":
             _require_method(request, "GET")
             return _traces_index(request, keep_alive, headers)
@@ -199,27 +199,13 @@ def _health(gateway, keep_alive: bool, headers: Dict[str, str]) -> bytes:
     return json_response(body, status=200 if up else 503, headers=headers, keep_alive=keep_alive)
 
 
-def _stats(gateway, keep_alive: bool, headers: Dict[str, str]) -> bytes:
-    models = {}
-    for name, stats in gateway.server.stats().items():
-        # as_dict() already carries the per-replica breakdown and the
-        # autoscaler snapshot when the model has them.
-        models[name] = stats.as_dict()
-    return json_response(
-        {"models": models, "gateway": gateway.limits.snapshot()},
-        headers=headers,
-        keep_alive=keep_alive,
-    )
-
-
-def _metrics(gateway, keep_alive: bool, headers: Dict[str, str]) -> bytes:
-    """Prometheus text exposition over everything this process serves."""
-    text = render_server_metrics(
-        gateway.server.stats(),
-        gateway=gateway.limits.snapshot(),
-        tracer=get_tracer(),
-    )
-    return text_response(text, headers=headers, keep_alive=keep_alive)
+def _stats_body(gateway) -> dict:
+    """One telemetry snapshot: ``/v1/stats`` serves it as JSON, ``/metrics`` renders it as text."""
+    return {
+        "models": {name: stats.as_dict() for name, stats in gateway.server.stats().items()},
+        "gateway": gateway.limits.snapshot(),
+        "obs": get_tracer().snapshot(),
+    }
 
 
 def _int_query(params: Dict[str, list], key: str, default: int, *, cap: int = 256) -> int:

@@ -14,9 +14,10 @@ every layer:
   ring with slow-request exemplars (``GET /v1/traces/{id}``,
   ``GET /v1/traces?slow=N``).
 * **Prometheus exposition** (:mod:`repro.obs.prom`): ``GET /metrics``
-  renders batcher counters, latency histograms, per-replica rows,
-  autoscaler state, store identity and gateway limits in the text
-  format -- NaN-free by construction.
+  renders the ``GET /v1/stats`` body -- batcher counters, latency
+  histograms, per-replica rows, autoscaler state, store identity,
+  gateway limits and tracer counters -- in the text format, NaN-free by
+  construction.
 * **Structured logging** (:mod:`repro.obs.log`): JSON-lines events for
   replica restarts, autoscaler decisions, drain timeouts and swaps,
   each carrying the trace id when one is in scope.

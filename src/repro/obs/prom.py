@@ -17,17 +17,17 @@ invariants the stack cares about:
   buckets) per observe, no allocation), rendered as the standard
   ``_bucket{le=...}`` / ``_sum`` / ``_count`` triplet.
 
-:func:`render_server_metrics` is the one composition point: it walks the
-per-model :class:`~repro.serve.metrics.BatcherStats` (duck-typed -- this
-module must not import the serving layer), the per-replica rows, the
-autoscaler snapshot, the store identity, the gateway limits and the
-tracer counters, and returns the full exposition body.
+:func:`render_server_metrics` is the one composition point: a pure
+function of the ``GET /v1/stats`` body (per-model rows with their replica
+rows, autoscaler snapshot and store identity; the gateway limits; the
+tracer counters), so ``/metrics`` and ``/v1/stats`` show one snapshot.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from itertools import accumulate
 from typing import Dict, List, Optional
 
 __all__ = ["Histogram", "MetricsWriter", "render_server_metrics", "DEFAULT_BUCKETS_MS"]
@@ -134,13 +134,14 @@ class MetricsWriter:
         self.header(name, help_text, "gauge")
         self.sample(name, labels, value)
 
-    def histogram(self, name: str, help_text: str, hist: Histogram, labels=None) -> None:
+    def histogram(self, name: str, help_text: str, hist: dict, labels=None) -> None:
+        """One histogram from its snapshot form (:meth:`Histogram.as_dict`)."""
         self.header(name, help_text, "histogram")
         labels = dict(labels or {})
-        for bound, cum in zip(list(hist.bounds) + [math.inf], hist.cumulative()):
+        for bound, cum in zip(list(hist["bounds"]) + [math.inf], accumulate(hist["counts"])):
             self.sample(f"{name}_bucket", {**labels, "le": _format_value(float(bound))}, cum)
-        self.sample(f"{name}_sum", labels, hist.sum)
-        self.sample(f"{name}_count", labels, hist.count)
+        self.sample(f"{name}_sum", labels, hist["sum"])
+        self.sample(f"{name}_count", labels, hist["count"])
 
     def render(self) -> str:
         return "\n".join(self._lines) + "\n"
@@ -175,60 +176,58 @@ _AUTOSCALER_COUNTERS = (
 )
 
 
-def render_server_metrics(
-    stats_by_model: Dict[str, object],
-    *,
-    gateway: Optional[dict] = None,
-    tracer: Optional[object] = None,
-) -> str:
-    """The full ``GET /metrics`` body for one serving process."""
+def render_server_metrics(body: dict) -> str:
+    """The ``GET /metrics`` text of one ``GET /v1/stats`` body (its JSON, parsed, renders the same).
+
+    ``body`` is all it reads: ``models`` (name -> ``BatcherStats.as_dict()``
+    row), ``gateway`` (the limits snapshot) and ``obs`` (tracer counters).
+    """
     writer = MetricsWriter()
-    for model, stats in sorted(stats_by_model.items()):
+    for model, row in sorted(body.get("models", {}).items()):
         labels = {"model": model}
         for key, help_text in _COUNTERS:
-            writer.counter(f"repro_{key}_total", help_text, getattr(stats, key, None), labels)
-        writer.gauge("repro_largest_batch", "Largest fused batch so far.",
-                     getattr(stats, "largest_batch", None), labels)
-        writer.gauge("repro_mean_batch_size", "Mean fused batch size.",
-                     getattr(stats, "mean_batch_size", None), labels)
-        for attr, name, help_text in (
-            ("latency_hist", "repro_request_latency_ms", "End-to-end request latency (ms)."),
-            ("queue_wait_hist", "repro_queue_wait_ms", "Submit-to-batch-start wait (ms)."),
-            ("compute_hist", "repro_batch_compute_ms", "Fused engine-call duration (ms)."),
+            writer.counter(f"repro_{key}_total", help_text, row.get(key), labels)
+        writer.gauge("repro_largest_batch", "Largest fused batch so far.", row.get("largest_batch"), labels)
+        writer.gauge("repro_mean_batch_size", "Mean fused batch size.", row.get("mean_batch_size"), labels)
+        histograms = row.get("histograms") or {}
+        for key, help_text in (
+            ("request_latency_ms", "End-to-end request latency (ms)."),
+            ("queue_wait_ms", "Submit-to-batch-start wait (ms)."),
+            ("batch_compute_ms", "Fused engine-call duration (ms)."),
         ):
-            hist = getattr(stats, attr, None)
-            if isinstance(hist, Histogram):
-                writer.histogram(name, help_text, hist, labels)
-        window = getattr(stats, "latency", None)
-        if window is not None and len(window):
-            # Quantile gauges only exist once the window has samples --
-            # an empty window would be NaN, and NaN never reaches the wire.
-            for quantile, value in zip((0.5, 0.95, 0.99), window.quantiles((50, 95, 99))):
+            if key in histograms:
+                writer.histogram(f"repro_{key}", help_text, histograms[key], labels)
+        quantiles = [(q, row.get(f"p{key}_latency_ms")) for q, key in (("0.5", 50), ("0.95", 95), ("0.99", 99))]
+        if all(isinstance(value, float) and math.isfinite(value) for _, value in quantiles):
+            # Quantile gauges only exist once the window has samples -- an empty
+            # window answers NaN (null in JSON), and NaN never reaches the wire.
+            for quantile, value in quantiles:
                 writer.gauge(
                     "repro_request_latency_quantile_ms",
                     "Sliding-window request latency quantiles (ms).",
                     value,
-                    {**labels, "quantile": str(quantile)},
+                    {**labels, "quantile": quantile},
                 )
-        for row in getattr(stats, "replicas", None) or []:
-            rlabels = {**labels, "replica": str(row.get("replica"))}
-            writer.gauge("repro_replica_alive", "Replica liveness (1 = routable).",
-                         row.get("alive"), rlabels)
+        for replica in row.get("replicas") or []:
+            rlabels = {**labels, "replica": str(replica.get("replica"))}
+            writer.gauge("repro_replica_alive",
+                         "Worker up (1 = handshaken and connected; a draining replica still reads 1).",
+                         replica.get("alive"), rlabels)
             writer.gauge("repro_replica_in_flight", "Batches dispatched at this replica.",
-                         row.get("in_flight"), rlabels)
+                         replica.get("in_flight"), rlabels)
             writer.gauge("repro_replica_ewma_latency_ms", "EWMA call latency (ms).",
-                         row.get("ewma_latency_ms"), rlabels)
+                         replica.get("ewma_latency_ms"), rlabels)
             writer.gauge("repro_replica_threads", "BLAS/OpenMP thread budget the worker started with.",
-                         row.get("threads"), rlabels)
+                         replica.get("threads"), rlabels)
             for key, help_text in _REPLICA_COUNTERS:
-                writer.counter(f"repro_replica_{key}_total", help_text, row.get(key), rlabels)
-        scaler = getattr(stats, "autoscaler", None)
+                writer.counter(f"repro_replica_{key}_total", help_text, replica.get(key), rlabels)
+        scaler = row.get("autoscaler")
         if scaler:
             writer.gauge("repro_autoscaler_fleet", "Replica fleet size.", scaler.get("fleet"), labels)
             writer.gauge("repro_autoscaler_alive", "Routable replicas.", scaler.get("alive"), labels)
             for key, help_text in _AUTOSCALER_COUNTERS:
                 writer.counter(f"repro_autoscaler_{key}_total", help_text, scaler.get(key), labels)
-        store = getattr(stats, "store", None)
+        store = row.get("store")
         if store:
             writer.gauge(
                 "repro_model_store_info",
@@ -240,6 +239,7 @@ def render_server_metrics(
                     "content_hash": str(store.get("content_hash", "?"))[:12],
                 },
             )
+    gateway = body.get("gateway")
     if gateway:
         for key in ("open_connections", "inflight", "max_connections", "max_inflight"):
             writer.gauge(f"repro_gateway_{key}", f"Gateway {key.replace('_', ' ')}.",
@@ -247,11 +247,11 @@ def render_server_metrics(
         for key in ("total_connections", "total_requests", "connections_rejected", "requests_rejected"):
             writer.counter(f"repro_gateway_{key}_total", f"Gateway {key.replace('_', ' ')}.",
                            gateway.get(key))
-    if tracer is not None:
-        snap = tracer.snapshot()
-        writer.gauge("repro_obs_sample_rate", "Trace sampling rate.", snap.get("sample_rate"))
-        writer.gauge("repro_obs_traces_buffered", "Finished traces retained.", snap.get("buffered"))
+    obs = body.get("obs")
+    if obs:
+        writer.gauge("repro_obs_sample_rate", "Trace sampling rate.", obs.get("sample_rate"))
+        writer.gauge("repro_obs_traces_buffered", "Finished traces retained.", obs.get("buffered"))
         for key in ("started", "sampled_out", "finished", "evicted"):
             writer.counter(f"repro_obs_traces_{key}_total", f"Traces {key.replace('_', ' ')}.",
-                           snap.get(key))
+                           obs.get(key))
     return writer.render()

@@ -17,8 +17,9 @@ Public surface:
   (per-request deadlines + EWMA latency model, sheds hopeless requests),
   :class:`AdaptivePolicy` (AIMD batch sizing from queue depth);
   :func:`make_policy` builds one by name.
-* :class:`BatcherStats` / :class:`PercentileWindow` -- sliding-window
-  telemetry (p50/p95/p99 latency, queue-wait vs compute breakdown).
+* :class:`BatcherStats` / :class:`PercentileWindow` -- telemetry, one
+  recorder per quantity: sliding-window p50/p95/p99 plus lifetime
+  histograms (latency, queue-wait vs compute breakdown).
 * :class:`SessionRegistry` -- name -> session catalogue.
 * :class:`ServeError` hierarchy -- explicit overload / closed / unknown
   model / deadline-exceeded errors.

@@ -1,4 +1,4 @@
-"""Per-request serving telemetry: sliding-window percentiles + counters.
+"""Per-request serving telemetry: one recorder per measured quantity.
 
 Throughput alone cannot tell you whether a serving configuration is
 *good*: dynamic batching trades per-request latency for fusion, so the
@@ -8,23 +8,24 @@ rejections, deadline misses).  This module holds those numbers.
 
 Two pieces:
 
-* :class:`PercentileWindow` -- a fixed-capacity ring buffer of recent
-  observations with percentile/mean queries.  A *sliding* window rather
-  than an all-time histogram: serving telemetry should answer "how is the
-  server doing *now*", and a long-gone warm-up spike must age out.
+* :class:`PercentileWindow` -- a quantity's one recorder: a ring buffer
+  of recent observations with percentile/mean queries (how is the server
+  doing *now*; a long-gone warm-up spike ages out) that is also, as a
+  :class:`repro.obs.Histogram`, the quantity's lifetime buckets.
 * :class:`BatcherStats` -- the per-batcher telemetry object
   (:meth:`DynamicBatcher.stats` returns it; ``InferenceServer.stats()``
-  returns one per model).  Plain counters plus three windows: end-to-end
+  returns one per model).  Plain counters plus three recorders: end-to-end
   request latency, queue wait (arrival to batch start) and engine compute
   time.  ``queue_wait + compute`` accounts for essentially the whole
   request latency, so the breakdown tells you whether to tune the policy
-  (queue-dominated) or the engine (compute-dominated).
+  (queue-dominated) or the engine (compute-dominated).  Its
+  :meth:`~BatcherStats.as_dict` row is the one telemetry snapshot.
 
 Thread/async-safety: all mutation happens on the batcher's event loop
 (single worker task), so no locking is needed; reading a snapshot from
 another thread sees a consistent-enough view for monitoring.  The numpy
 percentile call happens at *query* time -- recording an observation is
-O(1) and allocation-free after warm-up.
+O(log buckets) and allocation-free after warm-up.
 """
 
 from __future__ import annotations
@@ -42,42 +43,50 @@ from repro.obs.prom import Histogram
 DEFAULT_WINDOW = 1024
 
 
-class PercentileWindow:
-    """Sliding window over the last ``capacity`` float observations.
+class PercentileWindow(Histogram):
+    """Sliding window over the last ``capacity`` observations, and their lifetime histogram.
 
-    ``record`` is O(1) (ring-buffer overwrite); ``percentile``/``mean``
-    are O(window) at query time.  Percentiles over an empty window return
+    ``record`` fills one ring slot and one inherited histogram bucket
+    (non-finite values are dropped); ``percentile``/``mean`` are
+    O(window) at query time.  Percentiles over an empty window return
     ``nan`` rather than raising, so snapshot code never needs guards.
 
     >>> window = PercentileWindow(capacity=4)
     >>> for value in [1.0, 2.0, 3.0, 4.0, 100.0]:
     ...     window.record(value)
-    >>> len(window)            # the 1.0 has aged out
+    >>> len(window)            # the 1.0 has aged out of the window ...
     4
+    >>> window.count           # ... but not out of the histogram
+    5
     >>> window.percentile(50)  # median of [2, 3, 4, 100]
     3.5
     """
 
+    __slots__ = ("capacity", "_buffer", "_next")
+
     def __init__(self, capacity: int = DEFAULT_WINDOW):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
+        super().__init__()
         self.capacity = int(capacity)
         self._buffer = np.empty(self.capacity, dtype=float)
-        self._count = 0  # total observations ever recorded
-        self._next = 0   # ring-buffer write cursor
+        self._next = 0  # ring-buffer write cursor
 
     def record(self, value: float) -> None:
-        self._buffer[self._next] = float(value)
-        self._next = (self._next + 1) % self.capacity
-        self._count += 1
+        """One observation: one ring slot and one bucket."""
+        value = float(value)
+        if math.isfinite(value):
+            self._buffer[self._next] = value
+            self._next = (self._next + 1) % self.capacity
+            self.observe(value)
 
     def __len__(self) -> int:
-        return min(self._count, self.capacity)
+        return min(self.count, self.capacity)
 
     @property
     def total_recorded(self) -> int:
         """All-time observation count (window length caps at capacity)."""
-        return self._count
+        return self.count
 
     def _values(self) -> np.ndarray:
         return self._buffer[: len(self)]
@@ -145,40 +154,32 @@ class BatcherStats:
         rescued request counts under neither ``deadline_missed`` nor the
         batch counters -- it bypassed the batch entirely.
     batches / largest_batch / mean_batch_size:
-        Fusion quality of the policy.
+        Fusion quality of the policy.  ``completed`` and ``batches`` are
+        read-only: the ``count`` of the ``latency`` / ``compute`` recorder.
 
     ``replicas`` is ``None`` for in-process models; a server running a
     model on a :class:`~repro.cluster.ReplicaGroup` attaches the group's
     per-replica breakdown (in-flight depth, EWMA latency, restarts)
     before returning :meth:`~repro.serve.InferenceServer.stats`.
 
-    Windows (milliseconds)
-    ----------------------
+    Recorders (:class:`PercentileWindow`, milliseconds)
+    ---------------------------------------------------
     ``latency`` (submit to result), ``queue_wait`` (submit to batch
     start) and ``compute`` (fused engine-call duration, recorded once per
-    batch).  Exposed as ``p50_latency_ms`` etc. and via :meth:`as_dict`,
-    which is what ``InferenceServer.stats()`` serializes for dashboards.
+    batch).  Only :meth:`as_dict` reads them: ``GET /v1/stats`` serves
+    its row, ``GET /metrics`` renders it and the autoscaler acts on it.
     """
 
     def __init__(self, window: int = DEFAULT_WINDOW):
         self.submitted = 0
-        self.completed = 0
         self.rejected = 0
         self.deadline_missed = 0
         self.shed_retried = 0
         self.shed_recovered = 0
-        self.batches = 0
         self.largest_batch = 0
         self.latency = PercentileWindow(window)
         self.queue_wait = PercentileWindow(window)
         self.compute = PercentileWindow(window)
-        #: Fixed-bucket histograms for the Prometheus exposition
-        #: (``GET /metrics``): cumulative over the batcher's lifetime,
-        #: unlike the sliding windows above.  Recording is O(log buckets)
-        #: and NaN-safe (:class:`repro.obs.Histogram`).
-        self.latency_hist = Histogram()
-        self.queue_wait_hist = Histogram()
-        self.compute_hist = Histogram()
         #: Per-replica breakdown, attached by the server for cluster models.
         self.replicas = None
         #: Autoscaler snapshot (:meth:`~repro.cluster.Autoscaler.snapshot`),
@@ -194,40 +195,31 @@ class BatcherStats:
     # ------------------------------------------------------------------ #
     def record_batch(self, batch_size: int, compute_s: float) -> None:
         """One fused engine call finished."""
-        self.batches += 1
-        self.completed += batch_size
         self.largest_batch = max(self.largest_batch, batch_size)
         self.compute.record(compute_s * 1000.0)
-        self.compute_hist.observe(compute_s * 1000.0)
 
     def record_request(self, queue_wait_s: float, latency_s: float) -> None:
         """One request resolved (per row of the batch)."""
         self.queue_wait.record(queue_wait_s * 1000.0)
         self.latency.record(latency_s * 1000.0)
-        self.queue_wait_hist.observe(queue_wait_s * 1000.0)
-        self.latency_hist.observe(latency_s * 1000.0)
 
     # ------------------------------------------------------------------ #
     # Queries
     # ------------------------------------------------------------------ #
     @property
+    def completed(self) -> int:
+        return self.latency.count
+
+    @property
+    def batches(self) -> int:
+        return self.compute.count
+
+    @property
     def mean_batch_size(self) -> float:
         return self.completed / self.batches if self.batches else 0.0
 
-    @property
-    def p50_latency_ms(self) -> float:
-        return self.latency.percentile(50)
-
-    @property
-    def p95_latency_ms(self) -> float:
-        return self.latency.percentile(95)
-
-    @property
-    def p99_latency_ms(self) -> float:
-        return self.latency.percentile(99)
-
     def as_dict(self) -> dict:
-        """Flat JSON-friendly snapshot (counters + percentile summary).
+        """JSON-friendly snapshot: counters, percentile summary, ``histograms``.
 
         Cluster-backed models additionally carry a ``replicas`` list with
         one row per worker process.
@@ -250,6 +242,11 @@ class BatcherStats:
             "p99_latency_ms": p99,
             "mean_queue_wait_ms": self.queue_wait.mean(),
             "mean_compute_ms": self.compute.mean(),
+            "histograms": {
+                "request_latency_ms": self.latency.as_dict(),
+                "queue_wait_ms": self.queue_wait.as_dict(),
+                "batch_compute_ms": self.compute.as_dict(),
+            },
         }
         if self.replicas is not None:
             snapshot["replicas"] = list(self.replicas)

@@ -92,25 +92,28 @@ class _ServedModel:
     task: Optional[asyncio.Task] = None
 
 
-def _resolve_policy(spec) -> Optional[BatchingPolicy]:
-    """A policy spec is ``None``, a ready instance, or a zero-arg factory.
+def _policy_spec(spec):
+    """``spec`` itself when it is a policy spec: ``None``, a ready instance, or a zero-arg factory.
 
     Policies are stateful (EWMA latency model, AIMD target), so each
     batcher needs its *own* instance: server-wide defaults must therefore
     be factories, e.g. ``policy=lambda: SLOAwarePolicy(slo_ms=50)``.
     """
-    if spec is None or isinstance(spec, BatchingPolicy):
+    if spec is None or isinstance(spec, BatchingPolicy) or callable(spec):
         return spec
-    if callable(spec):
-        policy = spec()
-        if not isinstance(policy, BatchingPolicy):
-            raise TypeError(
-                f"policy factory returned {type(policy).__name__}, expected a BatchingPolicy"
-            )
-        return policy
     raise TypeError(
         f"policy must be a BatchingPolicy instance or a zero-arg factory, got {type(spec).__name__}"
     )
+
+
+def _resolve_policy(spec) -> Optional[BatchingPolicy]:
+    """The batcher's policy from a checked spec (a factory is called once per batcher)."""
+    if spec is None or isinstance(spec, BatchingPolicy):
+        return spec
+    policy = spec()
+    if not isinstance(policy, BatchingPolicy):
+        raise TypeError(f"policy factory returned {type(policy).__name__}, expected a BatchingPolicy")
+    return policy
 
 
 class InferenceServer:
@@ -216,11 +219,7 @@ class InferenceServer:
             store = ModelStore(store)
         self.store = store
         self.registry = registry if registry is not None else SessionRegistry(store=store)
-        self._default_policy = policy
-        if policy is not None and not (isinstance(policy, BatchingPolicy) or callable(policy)):
-            raise TypeError(
-                f"policy must be a BatchingPolicy instance or a zero-arg factory, got {type(policy).__name__}"
-            )
+        self._default_policy = _policy_spec(policy)
         self._defaults = {
             "max_batch": max_batch,
             "max_wait_ms": max_wait_ms,
@@ -308,7 +307,7 @@ class InferenceServer:
                     "references need InferenceServer(store=...)"
                 )
             model_or_session = self._resolver.ref(model_or_session)
-        spec = policy if policy is not None else self._default_policy
+        spec = _policy_spec(policy if policy is not None else self._default_policy)
         if isinstance(spec, BatchingPolicy):
             # Policies are stateful (EWMA latency model, AIMD target): one
             # instance feeding two batchers would average unrelated models'
@@ -408,7 +407,15 @@ class InferenceServer:
             if old is not None and old.group is not None and old.group is not group:
                 old.group.close()
         if self._started:
-            self._wire(name, record)
+            try:
+                self._wire(name, record)
+            except Exception:
+                # Half-registered, the name would answer 503 forever.
+                del self._models[name]
+                self.registry.unregister(name)
+                if group is not None:
+                    group.close()
+                raise
         return session
 
     async def swap_model(self, name: str, version=None) -> dict:
@@ -532,15 +539,18 @@ class InferenceServer:
         Cluster models spawn their replica worker processes first (in the
         thread-pool executor, concurrently across groups, so the event
         loop stays responsive while sessions compile in the children).
-        A startup failure is terminal for the *server*: every group --
-        including siblings whose workers did spawn -- is closed before
-        the error propagates, so nothing leaks even when ``async with
-        server`` never reaches ``__aexit__``.  Build a fresh server to
-        retry.
+        A startup failure -- a group that cannot spawn, or a model whose
+        batcher options fail when it is wired -- is terminal for the
+        *server*: :meth:`stop` runs before the error propagates, so every
+        batcher, autoscaler task and group (including siblings whose
+        workers did spawn) is gone even when ``async with server`` never
+        reaches ``__aexit__``.  Build a fresh server to retry.
         """
         if self._closed:
             raise ServerClosedError("server is stopped")
-        if not self._started:
+        if self._started:
+            return self
+        try:
             # Loop until no group is left unstarted: add_model may land a
             # *new* cluster model while a spawn gather is awaited, and it
             # only starts groups itself once self._started is True.  The
@@ -559,22 +569,18 @@ class InferenceServer:
                     *(loop.run_in_executor(None, group.start) for group in pending),
                     return_exceptions=True,
                 )
-                failures = [outcome for outcome in outcomes if isinstance(outcome, BaseException)]
-                if failures:
-                    self._closed = True
-                    groups = [model.group for model in self._models.values() if model.group is not None]
-                    self._models.clear()
-                    await asyncio.gather(
-                        *(loop.run_in_executor(None, group.close) for group in groups),
-                        return_exceptions=True,
-                    )
-                    raise failures[0]
+                for outcome in outcomes:
+                    if isinstance(outcome, BaseException):
+                        raise outcome
             self._started = True
             for name, session in self.registry.items():
                 if name not in self._models:
                     self._models[name] = _ServedModel(session)
             for name, model in self._models.items():
                 self._wire(name, model)
+        except BaseException:
+            await self.stop()
+            raise
         return self
 
     async def _autoscale_loop(self, scaler) -> None:

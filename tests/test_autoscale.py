@@ -103,6 +103,9 @@ class FakeStats:
         self.completed = 0
         self.p99_latency_ms = float("nan")
 
+    def as_dict(self):
+        return {"completed": self.completed, "p99_latency_ms": self.p99_latency_ms}
+
 
 def _scaler(size=1, *, registry=None, model=None, **cfg):
     defaults = dict(

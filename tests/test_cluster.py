@@ -43,7 +43,7 @@ from repro.cluster.worker import probe_session
 from repro.engine import InferenceSession, SessionSpec, compile as engine_compile
 from repro.models.config import DONNConfig
 from repro.models.donn import DONN
-from repro.serve import DynamicBatcher, InferenceServer, ServerClosedError, SLOAwarePolicy
+from repro.serve import DynamicBatcher, InferenceServer, ServerClosedError, SLOAwarePolicy, UnknownModelError
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
@@ -597,6 +597,61 @@ class TestReplicaGroup:
         )
         with pytest.raises(ServerClosedError):
             asyncio.run(server.start())  # startup failure is terminal for the server
+
+    @pytest.mark.parametrize(
+        "bad_options, error",
+        [({"max_queue": 0}, ValueError), ({"policy": lambda: 42}, TypeError)],
+        ids=["max_queue", "policy_factory"],
+    )
+    def test_failed_wiring_at_start_leaves_nothing_running(self, tiny_session, bad_options, error):
+        """A model whose options fail only when start() wires it, after a
+        sibling's workers, batcher and autoscaler task are up: start()
+        tears everything down before it raises."""
+        server = InferenceServer()
+        server.add_model("a", tiny_session, replicas=2, autoscale={"slo_p99_ms": 50.0, "interval_s": 3600.0})
+        server.add_model("b", tiny_session, **bad_options)
+
+        async def scenario():
+            before = {process.pid for process in multiprocessing.active_children()}
+            with pytest.raises(error):
+                async with server:  # __aenter__ raises; __aexit__ never runs
+                    raise AssertionError("start must fail")
+            workers = {process.pid for process in multiprocessing.active_children()} - before
+            tasks = [
+                task.get_name()
+                for task in asyncio.all_tasks()
+                if task.get_name().startswith(("repro-serve-", "repro-autoscale-"))
+            ]
+            return workers, tasks
+
+        workers, tasks = asyncio.run(scenario())
+        assert not server.started
+        assert workers == set() and tasks == []
+        with pytest.raises(ServerClosedError):
+            asyncio.run(server.start())
+
+    def test_non_policy_refused_at_add_model(self, tiny_session):
+        server = InferenceServer()
+        with pytest.raises(TypeError, match="zero-arg factory"):
+            server.add_model("b", tiny_session, policy=42)
+        assert "b" not in server.registry and "b" not in server.describe()
+
+    def test_failed_late_add_leaves_no_half_registered_name(self, tiny_session, rng):
+        """A model added to a started server whose workers cannot start is
+        gone afterwards: 404 rather than a 503 forever, and the name is free."""
+        image = rng.uniform(size=(16, 16))
+
+        async def scenario():
+            async with InferenceServer() as server:
+                with pytest.raises(WorkerStartupError):
+                    server.add_model("bad", ReplicaGroup(SessionSpec.from_model("not a model"), replicas=1))
+                assert "bad" not in server.describe() and "bad" not in server.registry.names()
+                with pytest.raises(UnknownModelError):
+                    await server.submit("bad", image)
+                server.add_model("bad", tiny_session)
+                return await server.submit("bad", image)
+
+        np.testing.assert_allclose(asyncio.run(scenario()), tiny_session.run(image[None])[0], atol=1e-10)
 
     def test_replace_swaps_cluster_model_for_in_process_session(self, tiny_session, rng):
         """replace=True from a cluster model to an in-process session must

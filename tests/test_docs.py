@@ -1,5 +1,6 @@
 """The docs stay honest: links and repo paths resolve, tested examples run,
-and the structured-log event table matches the events the code emits.
+the structured-log event table matches the events the code emits, and the
+metric families table matches what ``GET /metrics`` renders.
 
 Runs the same checks as the CI ``docs`` job (``tools/check_docs.py``) so
 a broken doc link or a stale fenced example fails the tier-1 suite
@@ -64,6 +65,31 @@ def test_event_pass_reads_logger_calls_event_keywords_and_the_table_column():
         "| `a.one` / `a.two` | prose naming `not.listed` |\n\n## Tuning\n\n| `b.later` | x |\n"
     )
     assert check_docs.events_in_table(table) == {"a.one", "a.two"}
+
+
+def test_metric_families_match_the_docs_table():
+    assert check_docs.check_metrics() == []
+
+
+def test_metric_pass_reads_types_labels_and_the_table_columns():
+    exposition = (
+        "# HELP h_ms h\n# TYPE h_ms histogram\n"
+        'h_ms_bucket{model="m",le="+Inf"} 1\nh_ms_sum{model="m"} 2.0\nh_ms_count{model="m"} 1\n'
+        "# HELP g g\n# TYPE g gauge\n"
+    )
+    assert check_docs.metrics_in_exposition(exposition) == {
+        "h_ms": ("histogram", frozenset({"model", "le"})),
+        "g": ("gauge", frozenset()),
+    }
+    table = (
+        "## Metric families\n\n| Family | Type | Labels | Field |\n| --- | --- | --- | --- |\n"
+        "| `repro_x_total` | counter | `model`, `replica` | `models.<model>.x` |\n"
+        "| `repro_y` | gauge | — | `gateway.y` |\n\n## Structured logs\n\n| `repro_z` | gauge | — | z |\n"
+    )
+    assert check_docs.metrics_in_table(table) == {
+        "repro_x_total": ("counter", frozenset({"model", "replica"})),
+        "repro_y": ("gauge", frozenset()),
+    }
 
 
 def test_readme_links_the_docs_tree():

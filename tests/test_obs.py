@@ -297,7 +297,7 @@ class TestMetricsWriter:
         writer = MetricsWriter()
         hist = Histogram(bounds=(1.0, 10.0))
         hist.observe(5.0)
-        writer.histogram("h_ms", "a histogram", hist, {"model": "m"})
+        writer.histogram("h_ms", "a histogram", hist.as_dict(), {"model": "m"})
         text = writer.render()
         assert 'h_ms_bucket{model="m",le="+Inf"} 1' in text
         assert 'h_ms_count{model="m"} 1' in text
@@ -306,7 +306,7 @@ class TestMetricsWriter:
     def test_render_server_metrics_over_empty_stats_is_clean(self):
         from repro.serve.metrics import BatcherStats
 
-        text = render_server_metrics({"idle": BatcherStats()}, tracer=Tracer())
+        text = render_server_metrics({"models": {"idle": BatcherStats().as_dict()}, "obs": Tracer().snapshot()})
         # A cold window contributes no quantile gauges -- and no NaN.
         assert "repro_request_latency_quantile_ms" not in text
         assert 'repro_submitted_total{model="idle"} 0' in text
@@ -456,6 +456,50 @@ class TestExpositionEndpoints:
         status, _, body = traces
         assert status == 200
         assert _strict_json(body)["order"] == "slowest"
+
+    def test_metrics_is_the_stats_body_rendered(self, fresh_tracer, tmp_path):
+        """``/metrics`` and ``/v1/stats`` are one snapshot, and the autoscaler
+        acts on the p99 an operator scrapes.  Quiescent: no traffic between
+        the scrapes, one keep-alive connection, an autoscaler that never ticks."""
+        from repro.gateway.codec import read_response
+        from repro.store import ModelStore
+
+        store = ModelStore(tmp_path)
+        store.publish("donn", _tiny_model(), backend="numpy")
+        image = json.dumps({"input": np.random.default_rng(5).uniform(size=(16, 16)).tolist()}).encode()
+
+        async def scenario():
+            server = InferenceServer(store=store, max_wait_ms=1.0)
+            server.add_model("donn", "donn@latest", autoscale={"slo_p99_ms": 50.0, "interval_s": 3600.0})
+            async with Gateway(server, port=0) as gateway:
+                reader, writer = await asyncio.open_connection("127.0.0.1", gateway.port)
+                try:
+                    answers = []
+                    for request in [_http("POST", "/v1/models/donn/infer", image)] * 5 + [
+                        _http("GET", "/v1/stats"),
+                        _http("GET", "/metrics"),
+                    ]:
+                        writer.write(request)
+                        await writer.drain()
+                        answers.append(await asyncio.wait_for(read_response(reader), 10.0))
+                finally:
+                    writer.close()
+                    try:
+                        await writer.wait_closed()
+                    except (ConnectionError, OSError):
+                        pass
+                verdict = server._models["donn"].autoscaler.evaluate()
+            return answers, verdict
+
+        answers, verdict = asyncio.run(scenario())
+        assert [status for status, _, _ in answers] == [200] * 7
+        stats, metrics = _strict_json(answers[-2][2]), answers[-1][2].decode("utf-8")
+        row = stats["models"]["donn"]
+        assert row["completed"] == 5 and row["histograms"]["request_latency_ms"]["count"] == 5
+        assert row["store"]["content_hash"] and row["autoscaler"]["holds"] == 0
+        assert stats["obs"]["finished"] == 5
+        assert render_server_metrics(stats) == metrics
+        assert verdict.p99_ms == row["p99_latency_ms"]
 
     def test_traces_query_validation(self, fresh_tracer):
         async def scenario():

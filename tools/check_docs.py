@@ -1,7 +1,7 @@
-"""Documentation checks: links and repo paths resolve, examples run, events are listed.
+"""Documentation checks: links and repo paths resolve, examples run, events and metrics are listed.
 
-Three passes over ``README.md`` and every ``docs/*.md``, and one over
-``src/repro``:
+Three passes over ``README.md`` and every ``docs/*.md``, one over
+``src/repro`` and one over the ``GET /metrics`` renderer:
 
 1. **Links.** Every relative markdown link (``[text](path)`` or
    ``[text](path#anchor)``) must point at an existing file or directory,
@@ -24,6 +24,12 @@ Three passes over ``README.md`` and every ``docs/*.md``, and one over
    or an ``event=`` keyword to a helper that forwards it there -- is
    listed in the "Structured logs" table of ``docs/observability.md``,
    and every event that table lists is emitted somewhere.
+5. **Metrics.** :func:`repro.obs.render_server_metrics` renders a
+   synthetic ``GET /v1/stats`` body with every block present (a model
+   with a replica, an autoscaler and a store ref; the gateway; the
+   tracer).  Every family it renders (``# TYPE`` line) is listed in the
+   "Metric families" table of ``docs/observability.md`` with the same
+   type and label names, and every family that table lists is rendered.
 
 Run from the repo root (CI job ``docs``)::
 
@@ -31,7 +37,7 @@ Run from the repo root (CI job ``docs``)::
 
 Exit code 0 on success; failures are listed one per line.  Importable
 (``check_links`` / ``check_paths`` / ``check_doctests`` /
-``check_events``) so the test suite runs the same checks as CI (see
+``check_events`` / ``check_metrics``) so the test suite runs the same checks as CI (see
 ``tests/test_docs.py``).
 """
 
@@ -44,8 +50,9 @@ from pathlib import Path
 from typing import List, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-#: The doc whose "Structured logs" table lists every lifecycle event.
-EVENTS_DOC = REPO_ROOT / "docs" / "observability.md"
+#: The doc whose "Structured logs" and "Metric families" tables list every
+#: lifecycle event and every ``/metrics`` family.
+OBS_DOC = REPO_ROOT / "docs" / "observability.md"
 
 #: ``[text](target)`` -- excluding images and in-page ``#`` / external links.
 _LINK = re.compile(r"(?<!\!)\[[^\]]+\]\(([^)\s]+)\)")
@@ -149,18 +156,23 @@ def events_in_source(text: str) -> set:
     return set(_EMITTED_EVENT.findall(text))
 
 
+def _table_rows(text: str, heading: str) -> List[List[str]]:
+    """The cells of each table row in the ``## heading`` section of ``text``."""
+    _, _, section = text.partition(f"## {heading}")
+    section = section.split("\n## ", 1)[0]
+    return [line.split("|")[1:-1] for line in section.splitlines() if line.startswith("|")]
+
+
 def events_in_table(text: str) -> set:
     """Backticked event names in the first column of the "Structured logs" table in ``text``."""
-    _, _, section = text.partition("## Structured logs")
-    section = section.split("\n## ", 1)[0]
-    rows = [line.split("|")[1] for line in section.splitlines() if line.startswith("|")]
-    return {name for cell in rows for name in re.findall(rf"`({_EVENT_NAME})`", cell)}
+    rows = _table_rows(text, "Structured logs")
+    return {name for cells in rows for name in re.findall(rf"`({_EVENT_NAME})`", cells[0])}
 
 
 def check_events() -> List[str]:
     """Return events emitted but not documented, or documented but never emitted."""
-    doc = EVENTS_DOC.relative_to(REPO_ROOT)
-    documented = events_in_table(EVENTS_DOC.read_text(encoding="utf-8"))
+    doc = OBS_DOC.relative_to(REPO_ROOT)
+    documented = events_in_table(OBS_DOC.read_text(encoding="utf-8"))
     emitted = set()
     for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
         emitted |= events_in_source(path.read_text(encoding="utf-8"))
@@ -174,6 +186,73 @@ def check_events() -> List[str]:
     return errors
 
 
+def metrics_in_table(text: str) -> dict:
+    """``{family: (type, label names)}`` from the "Metric families" table in ``text``."""
+    families = {}
+    for cells in _table_rows(text, "Metric families"):
+        names = re.findall(r"`(repro_\w+)`", cells[0])
+        if names:
+            families[names[0]] = (cells[1].strip(), frozenset(re.findall(r"`(\w+)`", cells[2])))
+    return families
+
+
+def metrics_in_exposition(text: str) -> dict:
+    """``{family: (type, label names)}`` from Prometheus exposition ``text``."""
+    lines = text.splitlines()
+    types = dict(line.split()[2:4] for line in lines if line.startswith("# TYPE "))
+    labels = {name: set() for name in types}
+    for line in lines:
+        if line.startswith("#"):
+            continue
+        name, _, rest = line.rpartition(" ")[0].partition("{")
+        family = name if name in types else re.sub(r"_(?:bucket|sum|count)$", "", name)
+        labels[family].update(re.findall(r'(\w+)="', rest))
+    return {name: (types[name], frozenset(labels[name])) for name in types}
+
+
+def synthetic_stats_body() -> dict:
+    """A ``GET /v1/stats`` body with every block the renderer reads."""
+    from repro.gateway.limits import GatewayLimits
+    from repro.obs import Tracer
+    from repro.serve.metrics import BatcherStats
+    from repro.store.ref import StoreRef
+
+    stats = BatcherStats()
+    stats.record_batch(1, compute_s=0.002)
+    stats.record_request(queue_wait_s=0.001, latency_s=0.003)
+    stats.replicas = [
+        {"replica": 0, "alive": True, "in_flight": 0, "ewma_latency_ms": 2.0, "threads": 1,
+         "dispatched": 1, "failures": 0, "restarts": 0, "draining": False}
+    ]
+    stats.autoscaler = {"fleet": 1, "alive": 1, "scale_ups": 0, "scale_downs": 0, "holds": 1,
+                        "nan_holds": 0, "idle_demotions": 0, "errors": 0}
+    stats.store = StoreRef("local", "store", "digits", 1, "0" * 64).describe()
+    return {"models": {"digits": stats.as_dict()}, "gateway": GatewayLimits().snapshot(), "obs": Tracer().snapshot()}
+
+
+def check_metrics() -> List[str]:
+    """Return ``/metrics`` families rendered but not documented, documented but never rendered, or documented wrong."""
+    from repro.obs import render_server_metrics
+
+    doc = OBS_DOC.relative_to(REPO_ROOT)
+    documented = metrics_in_table(OBS_DOC.read_text(encoding="utf-8"))
+    rendered = metrics_in_exposition(render_server_metrics(synthetic_stats_body()))
+    if not documented:
+        return [f"{doc}: no Metric families table found"]
+    errors = []
+    for name in sorted(rendered.keys() - documented.keys()):
+        errors.append(f"{doc}: /metrics family `{name}` is not in the Metric families table")
+    for name in sorted(documented.keys() - rendered.keys()):
+        errors.append(f"{doc}: Metric families lists `{name}`, which /metrics never renders")
+    for name in sorted(documented.keys() & rendered.keys()):
+        if documented[name] != rendered[name]:
+            errors.append(
+                f"{doc}: `{name}` is listed as {documented[name][0]} {sorted(documented[name][1])} "
+                f"but renders as {rendered[name][0]} {sorted(rendered[name][1])}"
+            )
+    return errors
+
+
 def main() -> int:
     # The docs' examples import repro.*; make `src` importable when the
     # caller forgot PYTHONPATH.
@@ -181,7 +260,7 @@ def main() -> int:
     if src not in sys.path:
         sys.path.insert(0, src)
     files = doc_files()
-    errors = check_links(files) + check_paths(files) + check_doctests(files) + check_events()
+    errors = check_links(files) + check_paths(files) + check_doctests(files) + check_events() + check_metrics()
     for error in errors:
         print(f"FAIL: {error}")
     print(
