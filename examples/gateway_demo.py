@@ -48,7 +48,7 @@ async def main() -> None:
     rng = np.random.default_rng(7)
     images = rng.uniform(0.0, 1.0, size=(8, SYS, SYS))
 
-    server = InferenceServer(max_batch=16, max_wait_ms=2.0)
+    server = InferenceServer(max_batch=16)
     server.add_model("digits", model)
 
     # port=0 binds an ephemeral port; gateway.port reports the real one.

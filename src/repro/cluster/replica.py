@@ -10,9 +10,10 @@ transport-agnostic: routing, retry and health semantics are identical
 whether the worker is a child process on this host or a
 ``repro-worker`` on another one.
 
-:meth:`call` is deliberately *blocking* -- the group runs it in the
-event loop's thread-pool executor -- and serialized per replica by a
-lock: one conversation, one in-order exchange.  ``in_flight``
+:meth:`call` is deliberately *blocking* -- the group runs it on its own
+dispatch threads (one per member), not the event loop's executor -- and
+serialized per replica by a lock: one conversation, one in-order
+exchange.  ``in_flight``
 (maintained by the group around each dispatch) therefore counts
 queued-plus-running calls, which is exactly the depth signal
 ``least_loaded`` and ``power_of_two_choices`` balance on.

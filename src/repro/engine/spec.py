@@ -33,6 +33,8 @@ __all__ = ["SessionSpec"]
 #: silently misparsing (``repro.store`` verifies hashes over these bytes).
 _CANONICAL_MAGIC = b"repro-spec"
 _CANONICAL_FORMAT = 1
+#: Every field a canonical header carries (see ``canonical_bytes``).
+_CANONICAL_FIELDS = frozenset({"format", "model_type", "batch_size", "backend", "workers", "dtype", "optimize"})
 
 
 @dataclass(frozen=True)
@@ -157,8 +159,9 @@ class SessionSpec:
         """Rebuild a spec from :meth:`canonical_bytes` output.
 
         Raises ``ValueError`` for bytes that are not a canonical spec
-        serialization (wrong magic, undecodable header, unknown format) --
-        the store wraps that into its integrity error.
+        serialization (wrong magic, undecodable header, a header that is
+        not an object with every field and an integer ``batch_size``,
+        unknown format) -- the store wraps that into its integrity error.
         """
         magic, _, rest = bytes(data).partition(b"\x00")
         if magic != _CANONICAL_MAGIC or not rest:
@@ -168,11 +171,18 @@ class SessionSpec:
             header = json.loads(header_bytes.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ValueError(f"canonical SessionSpec header is unreadable: {exc}") from exc
+        if not isinstance(header, dict):
+            raise ValueError(f"canonical SessionSpec header is a JSON {type(header).__name__}, not an object")
         if header.get("format") != _CANONICAL_FORMAT:
             raise ValueError(
                 f"unsupported canonical SessionSpec format {header.get('format')!r} "
                 f"(this build reads format {_CANONICAL_FORMAT})"
             )
+        missing = sorted(_CANONICAL_FIELDS - header.keys())
+        if missing:
+            raise ValueError(f"canonical SessionSpec header lacks {missing}")
+        if not isinstance(header["batch_size"], int) or isinstance(header["batch_size"], bool):
+            raise ValueError(f"canonical SessionSpec batch_size {header['batch_size']!r} is not an integer")
         return cls(
             model_blob=blob,
             model_type=str(header["model_type"]),

@@ -53,7 +53,6 @@ def build_server(args) -> InferenceServer:
         cluster_options["workers"] = [w.strip() for w in args.workers.split(",") if w.strip()]
     server = InferenceServer(
         max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
         replicas=max(args.replicas, 0 if cluster_options else 1),
         cluster_options=cluster_options or None,
     )
@@ -91,7 +90,6 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument("--sys-size", type=int, default=64, help="optical system size (default %(default)s)")
     parser.add_argument("--model-name", default="digits", help="model name in the URL (default %(default)s)")
     parser.add_argument("--max-batch", type=int, default=16, help="batcher fusion bound (default %(default)s)")
-    parser.add_argument("--max-wait-ms", type=float, default=2.0, help="batcher window (default %(default)s)")
     parser.add_argument(
         "--replicas", type=int, default=1,
         help="local worker processes; >= 2 shards the model across a replica group (default %(default)s)",

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import threading
 import time
 from collections import deque
@@ -34,6 +35,17 @@ _LEVELS = {
 }
 
 
+def _finite(value):
+    """``value`` with every non-finite float, nested ones too, replaced by ``None``."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite(item) for key, item in value.items()}
+    if type(value) in (list, tuple):
+        return type(value)(_finite(item) for item in value)
+    return value
+
+
 class JsonLogger:
     """One JSON object per event, through stdlib logging.
 
@@ -42,7 +54,9 @@ class JsonLogger:
     when the event fires inside a traced request -- the ``trace_id``
     linking it to the request's spans.  Values that do not serialize are
     stringified rather than raised on: a log line must never take down
-    the path it narrates.
+    the path it narrates.  Non-finite floats (a percentile of an empty
+    window is NaN) become ``null`` in the line and the ring alike, so
+    every line parses as strict JSON.
     """
 
     def __init__(self, name: str = "repro.obs", *, keep: int = 256, clock=time.time):
@@ -71,7 +85,7 @@ class JsonLogger:
                 trace_id = trace.trace_id
         if trace_id is not None:
             record["trace_id"] = trace_id
-        record.update(fields)
+        record.update(_finite(fields))
         line = json.dumps(record, separators=(",", ":"), sort_keys=False, default=str)
         with self._lock:
             self._ring.append(record)

@@ -11,9 +11,10 @@ Public surface:
   name, ``async with server:``, ``await server.submit(name, image)``;
   ``stats()`` exposes per-model latency percentiles and counters.
 * :class:`DynamicBatcher` -- per-model request queue + coalescing worker
-  (bounded ``max_queue``, policy-driven fusion and flushing).
+  (bounded ``max_queue``; a batch leaves as soon as an engine slot is
+  free, fused up to the policy's cap).
 * :class:`BatchingPolicy` and the built-ins -- :class:`FixedWindowPolicy`
-  (static ``max_batch``/``max_wait_ms`` window), :class:`SLOAwarePolicy`
+  (static ``max_batch`` cap), :class:`SLOAwarePolicy`
   (per-request deadlines + EWMA latency model, sheds hopeless requests),
   :class:`AdaptivePolicy` (AIMD batch sizing from queue depth);
   :func:`make_policy` builds one by name.

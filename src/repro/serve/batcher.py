@@ -9,28 +9,31 @@ single-image requests* into exactly that shape of work:
 * requests enter a bounded queue (overflow raises
   :class:`~repro.serve.errors.ServerOverloadedError` immediately -- no
   silent buffering, no deadlock);
-* a worker task collects requests into a batch, consulting a pluggable
-  :class:`~repro.serve.policy.BatchingPolicy` for every decision: the
-  fusion cap, how long to linger for more arrivals, and whether a queued
-  request's deadline has already expired (in which case it fails fast
-  with :class:`~repro.serve.errors.DeadlineExceededError` *before* any
-  engine time is spent on it);
+* one worker task forms a batch whenever an engine slot is free: it
+  takes the slot, then the first queued request, then sweeps everything
+  already queued up to the policy's ``batch_limit``, and launches the
+  batch at once.  An in-process model has one slot (a second in-process
+  call would only fight the first for the same cores); a replica fleet
+  has one per replica.  While every slot is busy the queue fills, so the
+  next batch takes in the whole backlog; while a slot is free, waiting
+  for more arrivals would only leave the engine idle.  Each request
+  passes the policy's ``admit`` check as it joins, so one whose deadline
+  expired in the queue fails fast with
+  :class:`~repro.serve.errors.DeadlineExceededError` *before* any engine
+  time is spent on it;
 * the batch runs as **one** engine call (in a thread-pool executor by
   default, so the event loop keeps accepting requests while numpy works)
   -- or, when a ``dispatch`` coroutine is installed, it is handed off
   wholesale (this is the seam ``repro.cluster`` plugs replica groups
-  into: the fused batch leaves the process instead of running inline).
-  A dispatched batch forms when a dispatch slot (a replica) is free and
-  leaves at once: it takes in everything that queued while every
-  replica was busy, and never lingers next to an idle one;
+  into: the fused batch leaves the process instead of running inline);
 * each result row is scattered back to its caller's future, and the
   measured queue-wait / compute times feed both the telemetry windows
   (:class:`~repro.serve.metrics.BatcherStats`) and the policy's
   ``observe`` hook -- the feedback loop adaptive policies learn from.
 
-The mechanism lives here; the throughput/latency trade-off lives in the
-policy.  The default :class:`~repro.serve.policy.FixedWindowPolicy`
-preserves the classic ``max_batch`` / ``max_wait_ms`` window semantics.
+The mechanism lives here; the fusion cap and admission live in the
+policy.  The default :class:`~repro.serve.policy.FixedWindowPolicy` caps
+every batch at ``max_batch``.
 """
 
 from __future__ import annotations
@@ -66,18 +69,13 @@ class DynamicBatcher:
         tests.
     policy:
         A :class:`~repro.serve.policy.BatchingPolicy` owning every
-        batching decision.  Policies are stateful: give each batcher its
-        own instance.  When omitted, a
-        :class:`~repro.serve.policy.FixedWindowPolicy` is built from the
-        three legacy tuning knobs below.  With ``dispatch`` set, only the
-        policy's fusion cap and admission apply: its linger hooks
-        (``flush_deadline`` / ``linger_timeout``) are for the inline path.
-    max_batch / max_wait_ms / idle_flush_ms:
-        Tuning for the default fixed-window policy (upper bound on fused
-        requests; hard cap on the post-first-arrival linger; early flush
-        once arrivals pause -- see :class:`FixedWindowPolicy`).  Ignored
-        when an explicit ``policy`` is passed; the two linger knobs are
-        also ignored with ``dispatch`` set.
+        batching decision (fusion cap, deadlines, admission, feedback).
+        Policies are stateful: give each batcher its own instance.  When
+        omitted, a :class:`~repro.serve.policy.FixedWindowPolicy` is built
+        from ``max_batch``.
+    max_batch:
+        Fusion cap of the default policy; ignored when an explicit
+        ``policy`` is passed.
     max_queue:
         Bound on queued (not yet running) requests; beyond it
         :meth:`submit` raises :class:`ServerOverloadedError`.
@@ -94,19 +92,17 @@ class DynamicBatcher:
         cluster layer uses to route fused batches to replica worker
         processes (``ReplicaGroup.infer``).  ``run_in_executor`` is
         irrelevant when set.  ``session`` is still consulted for
-        ``input_shape``/empty-batch semantics.  Unlike the inline path
-        (which computes one batch at a time -- a second in-process call
-        would just fight the first for the same cores), dispatched
-        batches *pipeline*: the worker keeps forming and launching
-        batches, up to ``max_concurrent_dispatches`` outstanding, so N
-        replicas genuinely compute N batches at once.
+        ``input_shape``/empty-batch semantics.  Dispatched batches
+        *pipeline*: the worker keeps forming and launching batches, up to
+        ``max_concurrent_dispatches`` outstanding, so N replicas
+        genuinely compute N batches at once.
     max_concurrent_dispatches:
-        Cap on in-flight dispatched batches (cluster mode only); the
-        server sets it to the replica count.  When the cap is reached the
-        worker waits for a slot with every pending request still queued
-        -- exactly the backpressure signal that lets the queue (and
-        ``ServerOverloadedError``) do their job, and what makes the next
-        batch as large as the backlog.  Default 2.
+        Engine slots with ``dispatch`` set (an in-process model always
+        has one); the server sets it to the replica count.  When every
+        slot is taken the worker waits with every pending request still
+        queued -- exactly the backpressure signal that lets the queue
+        (and ``ServerOverloadedError``) do their job, and what makes the
+        next batch as large as the backlog.  Default 2.
     stats_window:
         Capacity of the telemetry percentile windows
         (:class:`~repro.serve.metrics.BatcherStats`); defaults to the
@@ -141,7 +137,8 @@ class DynamicBatcher:
     Thread/async-safety: one batcher belongs to one event loop.  All
     public coroutines must be awaited on that loop; the only work that
     leaves the loop is the engine call itself (executor thread).  Stats
-    objects are mutated solely by the worker task.
+    objects are mutated only on the loop, by the worker task and the
+    batch tasks it launches.
     """
 
     def __init__(
@@ -150,9 +147,7 @@ class DynamicBatcher:
         *,
         policy: Optional[BatchingPolicy] = None,
         max_batch: int = 32,
-        max_wait_ms: float = 2.0,
         max_queue: int = 256,
-        idle_flush_ms: Optional[float] = None,
         input_shape: Optional[Sequence[int]] = None,
         run_in_executor: bool = True,
         dispatch=None,
@@ -172,11 +167,7 @@ class DynamicBatcher:
         if shed_retry is not None and not callable(shed_retry):
             raise TypeError(f"shed_retry must be an async callable, got {type(shed_retry).__name__}")
         if policy is None:
-            # FixedWindowPolicy validates the legacy knobs and reproduces
-            # the pre-policy batcher behavior exactly.
-            policy = FixedWindowPolicy(
-                max_batch=max_batch, max_wait_ms=max_wait_ms, idle_flush_ms=idle_flush_ms
-            )
+            policy = FixedWindowPolicy(max_batch=max_batch)  # validates max_batch
         elif not isinstance(policy, BatchingPolicy):
             raise TypeError(f"policy must be a BatchingPolicy, got {type(policy).__name__}")
         self.session = session
@@ -186,9 +177,9 @@ class DynamicBatcher:
         self.run_in_executor = bool(run_in_executor)
         self._dispatch = dispatch
         self._shed_retry = shed_retry
-        self._max_concurrent_dispatches = int(max_concurrent_dispatches)
-        self._dispatch_slots: Optional[asyncio.Semaphore] = None  # created on the worker's loop
-        self._dispatch_tasks: set = set()
+        self._slot_count = int(max_concurrent_dispatches) if dispatch is not None else 1
+        self._slots: Optional[asyncio.Semaphore] = None  # created on the worker's loop
+        self._batch_tasks: set = set()
         self.name = name or type(session).__name__
         self._queue: asyncio.Queue = asyncio.Queue(maxsize=self.max_queue + 1)  # +1 for the stop sentinel
         self._worker: Optional[asyncio.Task] = None
@@ -212,8 +203,9 @@ class DynamicBatcher:
         if self._closed:
             raise ServerClosedError(f"batcher {self.name!r} is closed")
         if self._worker is None or self._worker.done():
-            worker = self._dispatch_loop() if self._dispatch is not None else self._inline_loop()
-            self._worker = asyncio.get_running_loop().create_task(worker, name=f"repro-serve-{self.name}")
+            self._worker = asyncio.get_running_loop().create_task(
+                self._batch_loop(), name=f"repro-serve-{self.name}"
+            )
         return self
 
     async def stop(self) -> None:
@@ -232,10 +224,10 @@ class DynamicBatcher:
             return
         await self._queue.put(_STOP)
         await self._worker
-        if self._dispatch_tasks:
-            # Dispatched batches still computing on replicas: part of the
-            # drain contract -- every accepted request resolves.
-            await asyncio.gather(*list(self._dispatch_tasks), return_exceptions=True)
+        if self._batch_tasks:
+            # Batches still computing (in the executor or on replicas):
+            # part of the drain contract -- every accepted request resolves.
+            await asyncio.gather(*list(self._batch_tasks), return_exceptions=True)
         if self._retry_tasks:
             # Shed-retry rescues already hold their request's future; let
             # them resolve so stop() never strands a caller.
@@ -362,65 +354,23 @@ class DynamicBatcher:
         if not request.future.done():
             request.future.set_result(np.asarray(row))
 
-    async def _inline_loop(self) -> None:
-        """Form one batch at a time and run it in this process."""
-        loop = asyncio.get_running_loop()
-        while True:
-            item = await self._queue.get()
-            if item is _STOP:
-                return
-            now = loop.time()
-            if self._shed_if_expired(item, now):
-                continue
-            batch: List[Request] = [item]
-            stopping = False
-            # Both the fusion cap and the flush deadline are fixed once per
-            # batch, from the policy -- the loop below only asks it how
-            # long to linger.
-            limit = max(1, self.policy.batch_limit(now))
-            flush_at = self.policy.flush_deadline(item, now)
-            while not stopping and len(batch) < limit:
-                # Sweep everything already queued -- no timer machinery on
-                # this path, so convoys fuse at zero added latency.
-                stopping = self._sweep(batch, limit)
-                if stopping or len(batch) >= limit:
-                    break
-                # Queue drained: the policy decides whether (and how long)
-                # to hold the batch open for the next arrival.
-                timeout = self.policy.linger_timeout(batch, loop.time(), flush_at)
-                if timeout <= 0:
-                    break
-                try:
-                    nxt = await asyncio.wait_for(self._queue.get(), timeout)
-                except asyncio.TimeoutError:
-                    break  # arrivals paused; flush what we have
-                if nxt is _STOP:
-                    stopping = True
-                elif self._shed_if_expired(nxt, loop.time()):
-                    continue
-                else:
-                    batch.append(nxt)
-            if batch:
-                await self._execute(batch)
-            if stopping:
-                return
-
-    async def _dispatch_loop(self) -> None:
-        """Launch a batch whenever a dispatch slot is free.
+    async def _batch_loop(self) -> None:
+        """Launch a batch whenever an engine slot is free.
 
         The slot is taken *before* the queue is swept, and the batch
-        launches at once.  While every replica is busy the queue fills,
-        so the next batch takes in the whole backlog (up to the policy's
-        ``batch_limit``); while a replica is free, lingering would only
-        leave it idle.  Admission runs after the slot is taken, so a
-        request that expired while the fleet was busy is shed, not sent.
-        Launched batches pipeline: the loop goes straight back for the
-        next slot while replicas compute in other processes.
+        launches at once.  While every slot is busy the queue fills, so
+        the next batch takes in the whole backlog (up to the policy's
+        ``batch_limit``); while a slot is free, waiting for more arrivals
+        would only leave it idle.  Admission runs after the slot is
+        taken, so a request that expired while the engine was busy is
+        shed, not run.  Launched batches run as their own tasks: the loop
+        goes straight back for the next slot, which on a fleet means the
+        next replica.
         """
         loop = asyncio.get_running_loop()
-        if self._dispatch_slots is None:
-            self._dispatch_slots = asyncio.Semaphore(self._max_concurrent_dispatches)
-        slots = self._dispatch_slots
+        if self._slots is None:
+            self._slots = asyncio.Semaphore(self._slot_count)
+        slots = self._slots
         while True:
             await slots.acquire()
             item = await self._queue.get()
@@ -432,9 +382,10 @@ class DynamicBatcher:
             batch: List[Request] = [] if self._shed_if_expired(item, now) else [item]
             stopping = self._sweep(batch, limit)
             if batch:
-                task = loop.create_task(self._execute_released(batch))
-                self._dispatch_tasks.add(task)
-                task.add_done_callback(self._dispatch_tasks.discard)
+                task = loop.create_task(self._execute(batch))
+                self._batch_tasks.add(task)
+                task.add_done_callback(self._batch_tasks.discard)
+                task.add_done_callback(lambda _: slots.release())
             else:
                 slots.release()
             if stopping:
@@ -454,12 +405,6 @@ class DynamicBatcher:
             if not self._shed_if_expired(nxt, loop.time()):
                 batch.append(nxt)
         return False
-
-    async def _execute_released(self, batch: List[Request]) -> None:
-        try:
-            await self._execute(batch)
-        finally:
-            self._dispatch_slots.release()
 
     async def _execute(self, batch: List[Request]) -> None:
         loop = asyncio.get_running_loop()

@@ -1,33 +1,29 @@
-"""Pluggable batching policies: when to admit, how long to linger, when to flush.
+"""Pluggable batching policies: how many requests fuse, and which are admitted.
 
 :class:`~repro.serve.DynamicBatcher` owns the *mechanism* of dynamic
-batching (queue, worker task, scatter/gather); a :class:`BatchingPolicy`
-owns the *decisions*:
+batching (queue, worker task, scatter/gather): a batch forms whenever an
+engine slot is free and leaves at once.  A :class:`BatchingPolicy` owns
+the *decisions*:
 
 * ``batch_limit`` -- how many requests may fuse into the next engine call;
 * ``assign_deadline``/``admit`` -- per-request latency deadlines, and
   shedding of requests whose deadline already expired in the queue
   (failed with :class:`~repro.serve.DeadlineExceededError` *before* any
   engine time is spent on them);
-* ``flush_deadline``/``linger_timeout`` -- how long the worker may hold a
-  forming batch open waiting for more arrivals (in-process models only:
-  a cluster model's batch leaves as soon as a replica is free);
 * ``observe`` -- feedback after every fused call (batch size, measured
   compute time, queue depth), which is what lets a policy adapt online.
 
 Three built-in policies cover the throughput/latency trade-off space:
 
 :class:`FixedWindowPolicy`
-    The static policy PR 3 shipped inline in the batcher: constant
-    ``max_batch``, constant ``max_wait_ms`` linger, ``idle_flush_ms``
-    early flush.  Bit-for-bit compatible with the old behavior.
+    The static policy: a constant ``max_batch`` fusion cap, no default
+    deadlines.
 :class:`SLOAwarePolicy`
     Deadline-driven: every request gets ``arrival + slo_ms`` as its
-    deadline, an online EWMA model of fused-call latency vs batch size
-    predicts how long a batch of B will compute, and the policy sizes and
-    flushes batches so predicted completion stays inside the tightest
-    deadline in the batch.  Requests that can no longer make their
-    deadline are rejected ahead of admission instead of wasting compute.
+    deadline, and an online EWMA model of fused-call latency vs batch
+    size caps each batch at the size whose predicted compute fits the
+    budget.  Requests that can no longer make their deadline are
+    rejected ahead of admission instead of wasting compute.
 :class:`AdaptivePolicy`
     AIMD feedback on queue depth: additive-increase the target batch size
     while the queue is backed up (throughput mode), multiplicative-decrease
@@ -43,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, List, Optional
+from typing import Any, Optional
 
 __all__ = [
     "Request",
@@ -87,8 +83,8 @@ class BatchingPolicy:
     """Decision interface consulted by :class:`~repro.serve.DynamicBatcher`.
 
     Subclasses override the hooks below; the defaults are permissive
-    (no deadlines, flush immediately, no adaptation), so a minimal policy
-    only needs ``batch_limit``.
+    (no deadlines, no adaptation), so a minimal policy only needs
+    ``batch_limit``.
     """
 
     #: Short name used in stats/benchmark output.
@@ -122,21 +118,6 @@ class BatchingPolicy:
         """Most requests allowed to fuse into the next engine call."""
         raise NotImplementedError
 
-    def flush_deadline(self, first: Request, now: float) -> float:
-        """Absolute time by which the batch forming around ``first`` must
-        flush, regardless of arrivals.  Computed once per batch (the old
-        inline batcher re-derived this every loop tick)."""
-        return now
-
-    def linger_timeout(self, batch: List[Request], now: float, flush_at: float) -> float:
-        """Seconds to wait for one more arrival; ``<= 0`` flushes now.
-
-        Called whenever the queue drains while the batch is below
-        ``batch_limit``.  ``flush_at`` is the value ``flush_deadline``
-        returned for this batch.
-        """
-        return 0.0
-
     # ------------------------------------------------------------------ #
     # Feedback
     # ------------------------------------------------------------------ #
@@ -149,17 +130,12 @@ class BatchingPolicy:
 
 
 class FixedWindowPolicy(BatchingPolicy):
-    """The static window policy (PR 3's inline batcher behavior, exactly).
+    """The static policy: a constant fusion cap.
 
     Parameters
     ----------
     max_batch:
-        Constant fusion cap.
-    max_wait_ms:
-        Hard cap on the linger after the first request of a batch.
-    idle_flush_ms:
-        Flush once arrivals pause this long (default ``max_wait_ms / 4``);
-        ``0`` flushes the moment the queue drains (continuous batching).
+        Most requests one engine call takes.
 
     No deadlines are assigned; explicit per-request budgets passed to
     ``submit(..., slo_ms=...)`` are still honored by the base-class
@@ -168,41 +144,16 @@ class FixedWindowPolicy(BatchingPolicy):
 
     name = "fixed"
 
-    def __init__(
-        self,
-        max_batch: int = 32,
-        max_wait_ms: float = 2.0,
-        idle_flush_ms: Optional[float] = None,
-    ):
+    def __init__(self, max_batch: int = 32):
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if max_wait_ms < 0:
-            raise ValueError("max_wait_ms must be >= 0")
-        if idle_flush_ms is not None and idle_flush_ms < 0:
-            raise ValueError("idle_flush_ms must be >= 0")
         self.max_batch = int(max_batch)
-        self.max_wait = float(max_wait_ms) / 1000.0
-        self.idle_flush = (
-            float(idle_flush_ms) / 1000.0 if idle_flush_ms is not None else self.max_wait / 4.0
-        )
 
     def batch_limit(self, now: float) -> int:
         return self.max_batch
 
-    def flush_deadline(self, first: Request, now: float) -> float:
-        return now + self.max_wait
-
-    def linger_timeout(self, batch: List[Request], now: float, flush_at: float) -> float:
-        remaining = flush_at - now
-        if remaining <= 0:
-            return 0.0
-        return min(remaining, self.idle_flush) if self.idle_flush > 0 else 0.0
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"FixedWindowPolicy(max_batch={self.max_batch}, "
-            f"max_wait_ms={self.max_wait * 1000:g}, idle_flush_ms={self.idle_flush * 1000:g})"
-        )
+        return f"FixedWindowPolicy(max_batch={self.max_batch})"
 
 
 class _EwmaLatencyModel:
@@ -270,11 +221,8 @@ class SLOAwarePolicy(BatchingPolicy):
     long a fused call over B rows takes; the policy then
 
     * caps the batch at the largest B whose predicted compute fits inside
-      ``compute_fraction`` of the SLO (queueing and linger consume the
-      rest of the budget),
-    * lingers for more arrivals only while the *tightest* deadline in the
-      forming batch still leaves room to grow the batch and compute it
-      (plus a ``margin_ms`` safety buffer), and
+      ``compute_fraction`` of the SLO (queueing consumes the rest of the
+      budget), and
     * sheds queued requests whose deadline already passed -- they fail
       fast with :class:`~repro.serve.DeadlineExceededError` rather than
       dragging a whole batch (and every later request) past the SLO.
@@ -292,8 +240,6 @@ class SLOAwarePolicy(BatchingPolicy):
         *,
         max_batch: int = 64,
         compute_fraction: float = 0.25,
-        margin_ms: Optional[float] = None,
-        idle_flush_ms: Optional[float] = None,
         ewma_alpha: float = 0.2,
     ):
         if slo_ms <= 0:
@@ -304,29 +250,15 @@ class SLOAwarePolicy(BatchingPolicy):
             raise ValueError("compute_fraction must be in (0, 1]")
         self.slo = float(slo_ms) / 1000.0
         self.max_batch = int(max_batch)
-        # A request arriving just after a batch was flushed waits out that
+        # A request arriving just after a batch launched waits out that
         # batch's *whole* compute before its own batch even forms, so
-        # worst-case latency is ~2x the per-batch compute plus linger.
-        # A small compute_fraction keeps that structural worst case (plus
+        # worst-case latency is ~2x the per-batch compute.  A small
+        # compute_fraction keeps that structural worst case (plus
         # jitter) well inside the SLO; 0.5 would let it consume the
         # entire budget before queueing noise is even counted.  Batched
         # FFT engines saturate at modest batch sizes anyway, so capping
         # compute small costs little throughput.
         self.compute_fraction = float(compute_fraction)
-        # Safety buffer between predicted completion and the deadline.
-        # Event-loop scheduling jitter does not shrink with the SLO, so
-        # the default has an absolute floor alongside the relative term.
-        self.margin = (
-            (float(margin_ms) / 1000.0) if margin_ms is not None else max(0.003, self.slo * 0.08)
-        )
-        # Idle linger cap: waiting longer than this for the *next* arrival
-        # burns budget with no fusion to show for it.  Deliberately short
-        # even under loose SLOs -- lingering toward a far deadline only
-        # raises baseline latency; under load, fusion comes for free from
-        # requests piling up while the previous batch computes.
-        self.idle_flush = (
-            float(idle_flush_ms) / 1000.0 if idle_flush_ms is not None else min(0.002, self.slo / 10.0)
-        )
         self.model = _EwmaLatencyModel(alpha=ewma_alpha)
 
     # ------------------------------------------------------------------ #
@@ -342,25 +274,6 @@ class SLOAwarePolicy(BatchingPolicy):
             return self.max_batch
         fit = int(budget / per_item)
         return max(1, min(self.max_batch, fit))
-
-    def flush_deadline(self, first: Request, now: float) -> float:
-        """Latest start so the batch's *first* (tightest) deadline holds."""
-        deadline = first.deadline if first.deadline is not None else now + self.slo
-        return deadline - self.model.predict(self.batch_limit(now)) - self.margin
-
-    def linger_timeout(self, batch: List[Request], now: float, flush_at: float) -> float:
-        # The tightest deadline governs.  Arrival order alone does not
-        # guarantee it is batch[0]: an explicit per-request ``slo_ms``
-        # can make a *later* arrival the most urgent.  Re-predict with
-        # the batch one row bigger: if adding the next arrival would push
-        # completion past that deadline, stop lingering now.
-        deadlines = [request.deadline for request in batch if request.deadline is not None]
-        earliest = min(deadlines) if deadlines else now + self.slo
-        must_start = earliest - self.model.predict(len(batch) + 1) - self.margin
-        remaining = min(must_start, flush_at) - now
-        if remaining <= 0:
-            return 0.0
-        return min(remaining, self.idle_flush) if self.idle_flush > 0 else 0.0
 
     def observe(self, *, batch_size: int, compute_s: float, queue_depth: int) -> None:
         self.model.observe(batch_size, compute_s)
@@ -386,8 +299,7 @@ class AdaptivePolicy(BatchingPolicy):
 
     The classic AIMD shape converges near the smallest batch size that
     keeps the queue bounded -- throughput when you need it, latency when
-    you don't.  Linger semantics are fixed-window (``max_wait_ms`` /
-    ``idle_flush_ms``).
+    you don't.
     """
 
     name = "adaptive"
@@ -397,8 +309,6 @@ class AdaptivePolicy(BatchingPolicy):
         *,
         min_batch: int = 1,
         max_batch: int = 64,
-        max_wait_ms: float = 2.0,
-        idle_flush_ms: Optional[float] = None,
         increase: float = 2.0,
         decrease: float = 0.5,
     ):
@@ -412,9 +322,6 @@ class AdaptivePolicy(BatchingPolicy):
         self.max_batch = int(max_batch)
         self.increase = float(increase)
         self.decrease = float(decrease)
-        self._window = FixedWindowPolicy(
-            max_batch=max_batch, max_wait_ms=max_wait_ms, idle_flush_ms=idle_flush_ms
-        )
         self._target = float(self.min_batch)
 
     @property
@@ -424,12 +331,6 @@ class AdaptivePolicy(BatchingPolicy):
 
     def batch_limit(self, now: float) -> int:
         return int(math.ceil(self._target))
-
-    def flush_deadline(self, first: Request, now: float) -> float:
-        return self._window.flush_deadline(first, now)
-
-    def linger_timeout(self, batch: List[Request], now: float, flush_at: float) -> float:
-        return self._window.linger_timeout(batch, now, flush_at)
 
     def observe(self, *, batch_size: int, compute_s: float, queue_depth: int) -> None:
         if queue_depth >= self._target:

@@ -2,7 +2,7 @@
 
 :class:`InferenceServer` is the piece user code talks to::
 
-    server = InferenceServer(max_batch=32, max_wait_ms=2.0)
+    server = InferenceServer(max_batch=32)
     server.add_model("digits", donn_model)            # compiles a session
     server.add_model("scenes", seg_session)           # or use one directly
     async with server:
@@ -130,13 +130,15 @@ class InferenceServer:
         Default batching policy for every model: a zero-arg factory (each
         model gets a fresh instance) or, for a single-model server, a
         ready :class:`~repro.serve.policy.BatchingPolicy`.  ``None``
-        falls back to the fixed-window knobs below.
-    max_batch / max_wait_ms / max_queue / run_in_executor:
+        falls back to a :class:`~repro.serve.policy.FixedWindowPolicy`
+        of ``max_batch``.
+    max_batch / max_queue / run_in_executor:
         Default :class:`DynamicBatcher` tuning for every model; override
-        per model through ``add_model``.  The window knobs only apply to
-        models without an explicit policy, and ``max_wait_ms`` only to
-        in-process models: a cluster model's batch leaves as soon as a
-        replica is free.
+        ``max_batch`` and ``max_queue`` per model through ``add_model``.
+        ``max_batch`` only applies to models without an explicit policy.
+        Every model's batch leaves as soon as its engine is free: an
+        in-process model runs one batch at a time, a cluster model one
+        per replica.
     replicas:
         Default worker-process count per model.  ``1`` (default) serves
         in-process; ``>= 2`` runs each model on a
@@ -197,9 +199,7 @@ class InferenceServer:
         *,
         policy=None,
         max_batch: int = 32,
-        max_wait_ms: float = 2.0,
         max_queue: int = 256,
-        idle_flush_ms: Optional[float] = None,
         run_in_executor: bool = True,
         replicas: int = 1,
         router="round_robin",
@@ -220,13 +220,7 @@ class InferenceServer:
         self.store = store
         self.registry = registry if registry is not None else SessionRegistry(store=store)
         self._default_policy = _policy_spec(policy)
-        self._defaults = {
-            "max_batch": max_batch,
-            "max_wait_ms": max_wait_ms,
-            "max_queue": max_queue,
-            "idle_flush_ms": idle_flush_ms,
-            "run_in_executor": run_in_executor,
-        }
+        self._defaults = {"max_batch": max_batch, "max_queue": max_queue, "run_in_executor": run_in_executor}
         self._default_replicas = int(replicas)
         self._default_router = router
         self._cluster_options = dict(cluster_options or {})
@@ -248,9 +242,7 @@ class InferenceServer:
         replace: bool = False,
         policy=None,
         max_batch: Optional[int] = None,
-        max_wait_ms: Optional[float] = None,
         max_queue: Optional[int] = None,
-        idle_flush_ms: Optional[float] = None,
         replicas: Optional[int] = None,
         router=None,
         autoscale=None,
@@ -373,14 +365,7 @@ class InferenceServer:
         else:
             session = self.registry.register(name, model_or_session, replace=replace, **session_kwargs)
         overrides = {
-            key: value
-            for key, value in (
-                ("max_batch", max_batch),
-                ("max_wait_ms", max_wait_ms),
-                ("max_queue", max_queue),
-                ("idle_flush_ms", idle_flush_ms),
-            )
-            if value is not None
+            key: value for key, value in (("max_batch", max_batch), ("max_queue", max_queue)) if value is not None
         }
         effective_autoscale = explicit_autoscale
         if effective_autoscale is None and group is not None:
@@ -488,7 +473,7 @@ class InferenceServer:
         policy = _resolve_policy(model.policy)
         options = {**self._defaults, **model.overrides}
         if policy is not None:
-            # The policy owns the window knobs; only queue/executor tuning
+            # The policy owns the fusion cap; only queue/executor tuning
             # still applies at the batcher level.
             options = {key: options[key] for key in ("max_queue", "run_in_executor")}
         group = model.group

@@ -266,6 +266,22 @@ class TestControlLaw:
         assert scaler.step(now=3.0).action == "hold"
         assert scaler.idle_demotions == 1
 
+    def test_idle_scale_down_logs_strict_json_on_a_cold_window(self, caplog):
+        """The idle path scales down while p99 is still NaN; the logged
+        ``autoscale.scaled`` line must still parse as strict JSON."""
+        scaler, group, stats = _scaler(size=2, idle_timeout_s=0.5)
+        get_logger().clear()
+        with caplog.at_level(logging.INFO, logger="repro.obs"):
+            scaler.step(now=0.0)
+            assert scaler.step(now=1.0).reason == "idle"
+        (line,) = [
+            record.getMessage() for record in caplog.records if '"event":"autoscale.scaled"' in record.getMessage()
+        ]
+        parsed = json.loads(line, parse_constant=lambda token: pytest.fail(f"non-strict JSON token {token!r}"))
+        assert parsed["action"] == "down" and parsed["p99_ms"] is None
+        (record,) = get_logger().records("autoscale.scaled")
+        assert record["p99_ms"] is None, "the ring record must match the line"
+
     def test_traffic_resets_the_idle_clock(self):
         scaler, group, stats = _scaler(size=2, idle_timeout_s=1.0)
         scaler.step(now=0.0)
@@ -506,7 +522,7 @@ class TestServerAutoscale:
         image = rng.uniform(size=(16, 16))
 
         async def scenario():
-            server = InferenceServer(max_wait_ms=1.0, cluster_options={"call_timeout_s": 30.0})
+            server = InferenceServer(cluster_options={"call_timeout_s": 30.0})
             async with server:
                 server.add_model(
                     "late", tiny_spec.build(), autoscale={"slo_p99_ms": 50.0, "interval_s": 0.05, "max_replicas": 2}

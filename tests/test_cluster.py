@@ -769,7 +769,7 @@ class TestServerIntegration:
     @pytest.fixture(scope="class")
     def served(self, tiny_session):
         """One started cluster server shared by the class (spawn is slow)."""
-        server = InferenceServer(replicas=2, router="least_loaded", max_wait_ms=1.0)
+        server = InferenceServer(replicas=2, router="least_loaded")
         server.add_model("digits", tiny_session)
         loop = asyncio.new_event_loop()
         loop.run_until_complete(server.start())
@@ -802,7 +802,7 @@ class TestServerIntegration:
         )
 
         async def scenario():
-            server = InferenceServer(max_batch=1, max_wait_ms=0.0)
+            server = InferenceServer(max_batch=1)
             server.add_model("m", group)
             async with server:
                 images = rng.uniform(size=(4, 16, 16))
@@ -830,7 +830,7 @@ class TestServerIntegration:
 
         async def scenario():
             asyncio.get_running_loop().set_default_executor(ThreadPoolExecutor(2))
-            server = InferenceServer(max_batch=1, max_wait_ms=0.0)
+            server = InferenceServer(max_batch=1)
             server.add_model("m", group)
             async with server:
                 images = rng.uniform(size=(8, 16, 16))
@@ -851,7 +851,7 @@ class TestServerIntegration:
         requests and terminates every worker before returning."""
 
         async def scenario():
-            server = InferenceServer(replicas=2, max_wait_ms=1.0)
+            server = InferenceServer(replicas=2)
             server.add_model("digits", tiny_session)
             await server.start()
             pids = [row["pid"] for row in server.stats()["digits"].replicas]

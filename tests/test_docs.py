@@ -1,5 +1,6 @@
 """The docs stay honest: links and repo paths resolve, tested examples run,
-the structured-log event table matches the events the code emits, and the
+python snippets pass only keywords the public API takes, the
+structured-log event table matches the events the code emits, and the
 metric families table matches what ``GET /metrics`` renders.
 
 Runs the same checks as the CI ``docs`` job (``tools/check_docs.py``) so
@@ -42,6 +43,36 @@ def test_path_check_names_a_missing_file_in_prose_and_fences():
 
 def test_fenced_doctest_examples_pass():
     assert check_docs.check_doctests() == []
+
+
+def test_python_blocks_pass_only_keywords_the_public_api_takes():
+    assert check_docs.check_keywords() == []
+
+
+def test_keyword_pass_reads_public_names_and_add_model_and_skips_kwargs_callables():
+    source = (
+        "from repro.serve import InferenceServer\n"
+        "server = InferenceServer(max_batch=8, max_wait_ms=2.0)\n"
+        "server.add_model('digits', model, dtype='complex64', policy=None)\n"
+        "make_policy('fixed', anything=1)\n"
+        "np.stack(rows, axis=0)\n"
+        "session = compile(model, optimize='fuse')\n"
+        "async with Gateway(server, port=0) as gateway:\n"
+        "    await gateway.serve_forever()\n"
+    )
+    public = check_docs.public_keywords()
+    assert public["make_policy"] is None, "a callable taking **kwargs is unchecked"
+    assert {"dtype", "policy", "max_batch"} <= public["add_model"], "add_model forwards its extras to compile"
+    uses = check_docs.keyword_uses(source, public)
+    assert uses == [
+        ("InferenceServer", "max_batch", 2),
+        ("InferenceServer", "max_wait_ms", 2),
+        ("add_model", "dtype", 3),
+        ("add_model", "policy", 3),
+        ("compile", "optimize", 6),
+        ("Gateway", "port", 7),
+    ]
+    assert [use for use in uses if use[1] not in public[use[0]]] == [("InferenceServer", "max_wait_ms", 2)]
 
 
 def test_structured_log_events_match_the_docs_table():

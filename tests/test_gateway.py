@@ -355,7 +355,7 @@ class TestGatewayRoutes:
         fake = FakeSession()
 
         async def scenario():
-            server = InferenceServer(max_batch=8, max_wait_ms=1.0)
+            server = InferenceServer(max_batch=8)
             server.add_model("echo", fake)
             async with Gateway(server, port=0) as gateway:
                 async with GatewayClient(port=gateway.port) as client:
@@ -386,7 +386,7 @@ class TestGatewayRoutes:
         path = "/v1/models/echo/infer"
 
         async def scenario():
-            server = InferenceServer(max_batch=8, max_wait_ms=1.0)
+            server = InferenceServer(max_batch=8)
             server.add_model("echo", FakeSession())
             async with Gateway(server, port=0) as gateway:
                 return await _converse(
@@ -423,7 +423,7 @@ class TestGatewayRoutes:
         path = "/v1/models/echo/infer"
 
         async def scenario():
-            server = InferenceServer(max_wait_ms=1.0)
+            server = InferenceServer()
             server.add_model("echo", FakeSession())
             async with Gateway(server, port=0) as gateway:
                 return await _converse(
@@ -449,7 +449,7 @@ class TestGatewayRoutes:
         head = head.replace(b"Content-Length: 0", f"Content-Length: {len(body)}".encode())
 
         async def scenario():
-            server = InferenceServer(max_wait_ms=1.0)
+            server = InferenceServer()
             server.add_model("echo", FakeSession())
             async with Gateway(server, port=0, max_body_bytes=1024) as gateway:
                 reader, writer = await asyncio.open_connection("127.0.0.1", gateway.port)
@@ -491,7 +491,7 @@ class TestGatewayRoutes:
 
     def test_malformed_json_and_shape_mismatch_are_400(self):
         async def scenario():
-            server = InferenceServer(max_wait_ms=1.0)
+            server = InferenceServer()
             server.add_model("echo", FakeSession())
             async with Gateway(server, port=0) as gateway:
                 bad_json = await _raw_request(
@@ -536,7 +536,7 @@ class TestGatewayRoutes:
 
         async def scenario():
             loop = asyncio.get_running_loop()
-            server = InferenceServer(max_batch=1, max_wait_ms=0.5)
+            server = InferenceServer(max_batch=1)
             server.add_model("slow", blocking)
             limits = GatewayLimits(max_inflight=1, retry_after_s=2.0)
             async with Gateway(server, port=0, limits=limits) as gateway:
@@ -566,7 +566,7 @@ class TestGatewayRoutes:
 
         async def scenario():
             loop = asyncio.get_running_loop()
-            server = InferenceServer(max_batch=1, max_wait_ms=0.5)
+            server = InferenceServer(max_batch=1)
             server.add_model("slow", blocking)
             async with Gateway(server, port=0) as gateway:
                 async with GatewayClient(port=gateway.port) as client:
@@ -674,7 +674,7 @@ class TestParity:
         path = "/v1/models/digits/infer"
 
         async def scenario():
-            server = InferenceServer(max_batch=8, max_wait_ms=1.0)
+            server = InferenceServer(max_batch=8)
             # Register the *same compiled session*: the HTTP path must add
             # nothing but encoding round trips, which are exact for doubles.
             server.add_model("digits", session)

@@ -24,6 +24,7 @@ import math
 import os
 import re
 import signal
+import threading
 import time
 
 import numpy as np
@@ -69,6 +70,21 @@ class FakeSession:
 
     def run(self, batch, batch_size=None):
         return np.asarray(batch) * 2.0
+
+
+class GatedEcho(FakeSession):
+    """Echo session that holds each call until ``release`` is set."""
+
+    def __init__(self):
+        self.batch_sizes = []
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def run(self, batch, batch_size=None):
+        self.batch_sizes.append(len(batch))
+        self.entered.set()
+        self.release.wait(10.0)
+        return super().run(batch, batch_size)
 
 
 @pytest.fixture()
@@ -397,7 +413,7 @@ class TestJsonLogger:
 class TestExpositionEndpoints:
     def test_metrics_and_traces_under_zero_traffic(self, fresh_tracer):
         async def scenario():
-            server = InferenceServer(max_batch=4, max_wait_ms=1.0)
+            server = InferenceServer(max_batch=4)
             server.add_model("echo", FakeSession())
             async with Gateway(server, port=0) as gateway:
                 metrics = await _raw_request(gateway.port, _http("GET", "/metrics"))
@@ -427,7 +443,7 @@ class TestExpositionEndpoints:
         spec = engine_compile(_tiny_model(), backend="numpy").to_spec()
 
         async def scenario():
-            server = InferenceServer(max_batch=4, max_wait_ms=1.0)
+            server = InferenceServer(max_batch=4)
             group = ReplicaGroup(spec, replicas=1, restart_backoff_s=5.0, name="donn")
             server.add_model("donn", group)
             async with Gateway(server, port=0) as gateway:
@@ -469,7 +485,7 @@ class TestExpositionEndpoints:
         image = json.dumps({"input": np.random.default_rng(5).uniform(size=(16, 16)).tolist()}).encode()
 
         async def scenario():
-            server = InferenceServer(store=store, max_wait_ms=1.0)
+            server = InferenceServer(store=store)
             server.add_model("donn", "donn@latest", autoscale={"slo_p99_ms": 50.0, "interval_s": 3600.0})
             async with Gateway(server, port=0) as gateway:
                 reader, writer = await asyncio.open_connection("127.0.0.1", gateway.port)
@@ -503,7 +519,7 @@ class TestExpositionEndpoints:
 
     def test_traces_query_validation(self, fresh_tracer):
         async def scenario():
-            server = InferenceServer(max_batch=4, max_wait_ms=1.0)
+            server = InferenceServer(max_batch=4)
             server.add_model("echo", FakeSession())
             async with Gateway(server, port=0) as gateway:
                 bad_key = await _raw_request(gateway.port, _http("GET", "/v1/traces?deep=1"))
@@ -520,7 +536,7 @@ class TestExpositionEndpoints:
 class TestRequestIdEcho:
     def test_every_routed_path_echoes_or_mints(self, fresh_tracer):
         async def scenario():
-            server = InferenceServer(max_batch=4, max_wait_ms=1.0)
+            server = InferenceServer(max_batch=4)
             server.add_model("echo", FakeSession())
             payload = json.dumps({"input": np.ones((4, 4)).tolist()}).encode()
             async with Gateway(server, port=0) as gateway:
@@ -554,7 +570,7 @@ class TestRequestIdEcho:
 
     def test_connection_refusal_before_routing_carries_an_id(self, fresh_tracer):
         async def scenario():
-            server = InferenceServer(max_batch=4, max_wait_ms=1.0)
+            server = InferenceServer(max_batch=4)
             server.add_model("echo", FakeSession())
             limits = GatewayLimits(max_connections=1, retry_after_s=2.0)
             async with Gateway(server, port=0, limits=limits) as gateway:
@@ -578,7 +594,7 @@ class TestRequestIdEcho:
 
     def test_client_surfaces_request_id_on_failure(self, fresh_tracer):
         async def scenario():
-            server = InferenceServer(max_batch=4, max_wait_ms=1.0)
+            server = InferenceServer(max_batch=4)
             server.add_model("echo", FakeSession())
             async with Gateway(server, port=0) as gateway:
                 async with GatewayClient(port=gateway.port) as client:
@@ -608,7 +624,7 @@ class TestEndToEndTrace:
         async def scenario():
             with WorkerServer(port=0) as worker:
                 worker.serve_in_thread()
-                server = InferenceServer(max_batch=4, max_wait_ms=1.0)
+                server = InferenceServer(max_batch=4)
                 # handicap_s pads the worker call so the dispatch hop
                 # dominates -- the trace must show that, not hide it.
                 group = ReplicaGroup(
@@ -677,7 +693,7 @@ class TestEndToEndTrace:
         rid = "inline-trace-01"
 
         async def scenario():
-            server = InferenceServer(max_batch=4, max_wait_ms=1.0)
+            server = InferenceServer(max_batch=4)
             server.add_model("echo", FakeSession())
             async with Gateway(server, port=0) as gateway:
                 async with GatewayClient(port=gateway.port) as client:
@@ -691,44 +707,44 @@ class TestEndToEndTrace:
         assert spans["serve.batch"]["attrs"]["batch_size"] >= 1
 
     def test_batch_fusion_shares_one_batch_span(self, fresh_tracer):
+        """Two traced requests that queue behind a running engine call fuse
+        into the next batch, and both traces hold that batch's one span."""
+        session = GatedEcho()
+
         async def scenario():
-            server = InferenceServer(max_batch=8, max_wait_ms=20.0)
-            server.add_model("echo", FakeSession())
+            loop = asyncio.get_running_loop()
+            server = InferenceServer(max_batch=8)
+            server.add_model("echo", session)
             async with Gateway(server, port=0) as gateway:
                 async with GatewayClient(port=gateway.port) as client:
+                    held = asyncio.ensure_future(client.infer("echo", np.ones((4, 4)), request_id="held"))
+                    assert await loop.run_in_executor(None, session.entered.wait, 10.0)
                     rids = ["fused-a", "fused-b"]
-                    await asyncio.gather(
-                        *(
-                            client.infer("echo", np.ones((4, 4)), request_id=rid)
-                            for rid in rids
-                        )
-                    )
+                    fused = [
+                        asyncio.ensure_future(client.infer("echo", np.ones((4, 4)), request_id=rid))
+                        for rid in rids
+                    ]
+                    # Both queue behind the held call: nothing waits on a clock.
+                    stats = server.stats()["echo"]
+                    deadline = time.monotonic() + 10.0
+                    while stats.submitted < 3 and time.monotonic() < deadline:
+                        await asyncio.sleep(0.001)
+                    assert stats.submitted == 3, "the two traced requests never reached the queue"
+                    session.release.set()
+                    await asyncio.gather(held, *fused)
                     return [await client.trace(rid) for rid in rids]
 
-        first, second = asyncio.run(scenario())
-        batch_ids = {
-            span["span_id"]
-            for frozen in (first, second)
-            for span in frozen["spans"]
-            if span["name"] == "serve.batch"
-        }
-        # Either the two requests fused (one shared span object -- same
-        # id in both traces) or they ran as two batches (two ids); both
-        # are legal schedules, but a shared batch must share the id.
-        fused = any(
-            span["attrs"]["batch_size"] == 2
-            for frozen in (first, second)
-            for span in frozen["spans"]
-            if span["name"] == "serve.batch"
-        )
-        if fused:
-            assert len(batch_ids) == 1
+        traces = asyncio.run(scenario())
+        assert session.batch_sizes == [1, 2], "the backlog must fuse into the call after the held one"
+        batch_spans = [span for frozen in traces for span in frozen["spans"] if span["name"] == "serve.batch"]
+        assert len(batch_spans) == 2 and {span["attrs"]["batch_size"] for span in batch_spans} == {2}
+        assert len({span["span_id"] for span in batch_spans}) == 1, "a fused batch must share one span id"
 
     def test_sampled_out_requests_cost_no_trace(self, fresh_tracer):
         set_tracer(Tracer(sample_rate=0.0))
 
         async def scenario():
-            server = InferenceServer(max_batch=4, max_wait_ms=1.0)
+            server = InferenceServer(max_batch=4)
             server.add_model("echo", FakeSession())
             async with Gateway(server, port=0) as gateway:
                 async with GatewayClient(port=gateway.port) as client:

@@ -96,28 +96,6 @@ class TestBatcherStats:
 
 
 class TestFixedWindowPolicy:
-    def test_window_semantics_match_the_legacy_knobs(self):
-        policy = FixedWindowPolicy(max_batch=8, max_wait_ms=10.0, idle_flush_ms=2.0)
-        assert policy.batch_limit(now=0.0) == 8
-        first = request(arrival=0.0)
-        flush_at = policy.flush_deadline(first, now=0.0)
-        assert flush_at == pytest.approx(0.010)
-        # Mid-window: linger bounded by the idle gap.
-        assert policy.linger_timeout([first], now=0.004, flush_at=flush_at) == pytest.approx(0.002)
-        # Near the deadline the remaining window wins over the idle gap.
-        assert policy.linger_timeout([first], now=0.009, flush_at=flush_at) == pytest.approx(0.001)
-        # Past the deadline: flush immediately.
-        assert policy.linger_timeout([first], now=0.011, flush_at=flush_at) == 0.0
-
-    def test_idle_flush_zero_means_flush_on_drain(self):
-        policy = FixedWindowPolicy(max_batch=8, max_wait_ms=10.0, idle_flush_ms=0.0)
-        first = request(arrival=0.0)
-        assert policy.linger_timeout([first], now=0.001, flush_at=0.010) == 0.0
-
-    def test_default_idle_flush_is_quarter_of_max_wait(self):
-        policy = FixedWindowPolicy(max_wait_ms=8.0)
-        assert policy.idle_flush == pytest.approx(0.002)
-
     def test_no_default_deadlines_but_explicit_ones_shed(self):
         policy = FixedWindowPolicy()
         assert policy.assign_deadline(arrival=5.0) is None
@@ -176,34 +154,6 @@ class TestSLOAwarePolicy:
         fresh = request(arrival=0.0, deadline=policy.assign_deadline(0.0))
         assert policy.admit(fresh, now=0.005)
         assert not policy.admit(fresh, now=0.011)
-
-    def test_linger_stops_when_predicted_compute_fills_the_slack(self):
-        policy = SLOAwarePolicy(slo_ms=20.0, max_batch=64, margin_ms=1.0)
-        for _ in range(5):
-            policy.observe(batch_size=10, compute_s=0.010, queue_depth=0)  # 1ms/item
-        first = request(arrival=0.0, deadline=0.020)
-        flush_at = policy.flush_deadline(first, now=0.0)
-        # Early on there is slack to linger.
-        assert policy.linger_timeout([first], now=0.001, flush_at=flush_at) > 0.0
-        # With 5 rows batched and ~14ms gone, predicted 6ms more compute
-        # would blow the 20ms deadline: flush immediately.
-        batch = [first] + [request(arrival=0.002 * i, deadline=0.020 + 0.002 * i) for i in range(1, 5)]
-        assert policy.linger_timeout(batch, now=0.014, flush_at=flush_at) == 0.0
-
-    def test_tighter_explicit_deadline_on_later_arrival_governs_linger(self):
-        """An explicit per-request budget can make a *later* arrival the
-        most urgent request in the batch; lingering must honor it."""
-        policy = SLOAwarePolicy(slo_ms=500.0, max_batch=64, margin_ms=1.0)
-        for _ in range(5):
-            policy.observe(batch_size=10, compute_s=0.010, queue_depth=0)  # 1ms/item
-        relaxed = request(arrival=0.0, deadline=0.5)
-        urgent = request(arrival=0.001, deadline=0.006)  # explicit ~5ms budget
-        flush_at = policy.flush_deadline(relaxed, now=0.0)
-        # Alone, the relaxed request leaves plenty of slack to linger...
-        assert policy.linger_timeout([relaxed], now=0.002, flush_at=flush_at) > 0.0
-        # ...but once the urgent request joins, its deadline (not the
-        # first arrival's) must force an immediate flush.
-        assert policy.linger_timeout([relaxed, urgent], now=0.002, flush_at=flush_at) == 0.0
 
     def test_invalid_configuration_rejected(self):
         with pytest.raises(ValueError):
@@ -351,7 +301,7 @@ class TestSLOSemanticsThroughTheBatcher:
 
     def test_policy_feedback_loop_reaches_the_policy(self):
         fake = FakeSession()
-        policy = AdaptivePolicy(min_batch=1, max_batch=8, max_wait_ms=50.0, increase=2.0, decrease=0.5)
+        policy = AdaptivePolicy(min_batch=1, max_batch=8, increase=2.0, decrease=0.5)
 
         async def scenario():
             batcher = DynamicBatcher(fake, policy=policy, run_in_executor=False)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import threading
 
 import numpy as np
 import pytest
@@ -37,17 +38,44 @@ class FakeSession:
         return batch * 2.0
 
 
+class GatedSession:
+    """Session double for executor threads: each call records its size and
+    announces itself on ``entered``, then blocks until ``gate`` opens;
+    ``peak`` is the most calls that ever ran at once."""
+
+    def __init__(self):
+        self.batch_sizes = []
+        self.entered = threading.Event()
+        self.gate = threading.Event()
+        self.peak = 0
+        self._active = 0
+        self._lock = threading.Lock()
+
+    def run(self, batch, batch_size=None):
+        with self._lock:
+            self.batch_sizes.append(len(batch))
+            self._active += 1
+            self.peak = max(self.peak, self._active)
+        self.entered.set()
+        self.gate.wait(10.0)
+        with self._lock:
+            self._active -= 1
+        return np.asarray(batch) * 2.0
+
+
 def run_async(coro):
     return asyncio.run(coro)
 
 
 class TestDynamicBatching:
     def test_concurrent_requests_fuse_into_one_engine_call(self):
-        """Eight concurrent submits must produce exactly one fused call."""
+        """Eight concurrent submits must produce exactly one fused call:
+        all eight queue before the idle worker wakes, and its first sweep
+        takes the whole backlog."""
         fake = FakeSession()
 
         async def scenario():
-            batcher = DynamicBatcher(fake, max_batch=16, max_wait_ms=100, run_in_executor=False)
+            batcher = DynamicBatcher(fake, max_batch=16, run_in_executor=False)
             batcher.start()
             payloads = [np.full((4, 4), float(i)) for i in range(8)]
             results = await asyncio.gather(*(batcher.submit(p) for p in payloads))
@@ -63,7 +91,7 @@ class TestDynamicBatching:
         fake = FakeSession()
 
         async def scenario():
-            batcher = DynamicBatcher(fake, max_batch=4, max_wait_ms=50, run_in_executor=False)
+            batcher = DynamicBatcher(fake, max_batch=4, run_in_executor=False)
             batcher.start()
             payloads = [np.full((2, 2), float(i)) for i in range(10)]
             results = await asyncio.gather(*(batcher.submit(p) for p in payloads))
@@ -81,7 +109,7 @@ class TestDynamicBatching:
         fake = FakeSession()
 
         async def scenario():
-            batcher = DynamicBatcher(fake, max_batch=8, max_wait_ms=0, run_in_executor=False)
+            batcher = DynamicBatcher(fake, max_batch=8, run_in_executor=False)
             # Queue up before the worker exists, then start: one sweep, one call.
             tasks = [asyncio.create_task(batcher.submit(np.full((2, 2), float(i)))) for i in range(5)]
             await asyncio.sleep(0)
@@ -94,11 +122,52 @@ class TestDynamicBatching:
         assert fake.batch_sizes == [5]
         assert len(results) == 5
 
+    def test_lone_request_reaches_an_idle_engine_without_lingering(self):
+        """The in-process twin of the dispatch case: an idle engine is a
+        free slot, so a lone request runs within a few loop turns."""
+        fake = FakeSession()
+
+        async def scenario():
+            batcher = DynamicBatcher(fake, max_batch=8, run_in_executor=False)
+            batcher.start()
+            request = asyncio.ensure_future(batcher.submit(np.full((2, 2), 3.0)))
+            await _settle()
+            assert fake.batch_sizes == [1], "a lone request must run while the engine is idle"
+            await batcher.stop()
+            return await request
+
+        np.testing.assert_array_equal(run_async(scenario()), np.full((2, 2), 6.0))
+
+    def test_in_process_engine_runs_one_batch_at_a_time(self):
+        """An in-process model has one slot: while its call runs in the
+        executor, arrivals queue, and the next call takes the backlog."""
+        session = GatedSession()
+
+        async def scenario():
+            batcher = DynamicBatcher(session, max_batch=8)
+            batcher.start()
+            payloads = [np.full((2, 2), float(i)) for i in range(5)]
+            tasks = [asyncio.ensure_future(batcher.submit(payloads[0]))]
+            assert await asyncio.to_thread(session.entered.wait, 10.0), "the first call never started"
+            tasks.extend(asyncio.ensure_future(batcher.submit(p)) for p in payloads[1:])
+            await _settle()
+            assert session.batch_sizes == [1], "nothing may start while the engine is busy"
+            session.gate.set()
+            results = await asyncio.gather(*tasks)
+            await batcher.stop()
+            return payloads, results
+
+        payloads, results = run_async(scenario())
+        assert session.batch_sizes == [1, 4], "the freed engine must take the whole backlog"
+        assert session.peak == 1, "an in-process model makes one engine call at a time"
+        for payload, result in zip(payloads, results):
+            np.testing.assert_array_equal(result, payload * 2.0)
+
     def test_queue_overflow_raises_overload_instead_of_deadlocking(self):
         fake = FakeSession()
 
         async def scenario():
-            batcher = DynamicBatcher(fake, max_batch=4, max_wait_ms=0, max_queue=2, run_in_executor=False)
+            batcher = DynamicBatcher(fake, max_batch=4, max_queue=2, run_in_executor=False)
             # Worker not started: the bounded queue fills, the third submit
             # must fail fast -- not block forever.
             pending = [asyncio.create_task(batcher.submit(np.ones((2, 2)) * i)) for i in range(2)]
@@ -120,7 +189,7 @@ class TestDynamicBatching:
         fake = FakeSession()
 
         async def scenario():
-            batcher = DynamicBatcher(fake, max_queue=1, max_wait_ms=0, run_in_executor=False)
+            batcher = DynamicBatcher(fake, max_queue=1, run_in_executor=False)
             task = asyncio.create_task(batcher.submit(np.ones((2, 2))))
             await asyncio.sleep(0)
             with pytest.raises(ServerOverloadedError):
@@ -141,7 +210,7 @@ class TestDynamicBatching:
         fake = FakeSession(fail=True)
 
         async def scenario():
-            batcher = DynamicBatcher(fake, max_batch=8, max_wait_ms=50, run_in_executor=False)
+            batcher = DynamicBatcher(fake, max_batch=8, run_in_executor=False)
             batcher.start()
             results = await asyncio.gather(
                 *(batcher.submit(np.ones((2, 2))) for _ in range(3)), return_exceptions=True
@@ -185,8 +254,6 @@ class TestDynamicBatching:
         with pytest.raises(ValueError):
             DynamicBatcher(fake, max_batch=0)
         with pytest.raises(ValueError):
-            DynamicBatcher(fake, max_wait_ms=-1)
-        with pytest.raises(ValueError):
             DynamicBatcher(fake, max_queue=0)
         with pytest.raises(TypeError):
             DynamicBatcher(object())
@@ -228,14 +295,13 @@ class TestDispatchBatching:
     """Cluster mode: a batch forms when a dispatch slot is free and leaves at once."""
 
     def test_lone_request_is_dispatched_without_lingering(self):
-        """A free slot means a free replica: a minute-long linger window
-        must not hold the batch."""
+        """A free slot means a free replica: a lone request leaves at once."""
         dispatch = GatedDispatch()
 
         async def scenario():
             batcher = DynamicBatcher(
                 FakeSession(),
-                policy=FixedWindowPolicy(max_batch=8, max_wait_ms=60_000),
+                policy=FixedWindowPolicy(max_batch=8),
                 dispatch=dispatch,
                 max_concurrent_dispatches=2,
             )
@@ -256,7 +322,7 @@ class TestDispatchBatching:
         async def scenario():
             batcher = DynamicBatcher(
                 FakeSession(),
-                policy=FixedWindowPolicy(max_batch=8, max_wait_ms=0),
+                policy=FixedWindowPolicy(max_batch=8),
                 dispatch=dispatch,
                 max_concurrent_dispatches=2,
             )
@@ -294,7 +360,7 @@ class TestDispatchBatching:
         async def scenario():
             batcher = DynamicBatcher(
                 FakeSession(),
-                policy=ClockedWindow(max_batch=8, max_wait_ms=0),
+                policy=ClockedWindow(max_batch=8),
                 dispatch=dispatch,
                 max_concurrent_dispatches=1,
             )
@@ -396,7 +462,7 @@ class TestRegistryLRUEviction:
         """Eviction drops the registry reference only: a live batcher keeps
         serving (and finishing) traffic for the evicted model."""
         registry = SessionRegistry(max_models=1)
-        server = InferenceServer(registry=registry, max_wait_ms=1.0)
+        server = InferenceServer(registry=registry)
         first = server.add_model("first", DONN(small_config))
         image = rng.uniform(size=small_config.grid.shape)
         expected = first.run(image[None])[0]
@@ -468,7 +534,7 @@ class TestInferenceServer:
         rgb = rng.uniform(0.0, 1.0, size=(6, 3, 32, 32))
 
         async def scenario():
-            server = InferenceServer(max_batch=8, max_wait_ms=50)
+            server = InferenceServer(max_batch=8)
             server.add_model("digits", donn)
             server.add_model("rgb", multi)
             server.add_model("scenes", seg)
@@ -492,7 +558,7 @@ class TestInferenceServer:
         images = rng.uniform(0.0, 1.0, size=(12, 32, 32))
 
         async def scenario():
-            server = InferenceServer(max_batch=16, max_wait_ms=100)
+            server = InferenceServer(max_batch=16)
             server.add_model("digits", model)
             async with server:
                 await server.submit_many("digits", images)
@@ -555,7 +621,7 @@ class TestInferenceServer:
         model = DONN(small_config)
 
         async def scenario():
-            server = InferenceServer(max_wait_ms=10)
+            server = InferenceServer()
             async with server:
                 server.add_model("late", model)
                 return await server.submit_many("late", images)
@@ -570,7 +636,7 @@ class TestInferenceServer:
         images = rng.uniform(0.0, 1.0, size=(4, 32, 32))
 
         async def scenario():
-            server = InferenceServer(max_wait_ms=10)
+            server = InferenceServer()
             server.add_model("digits64", model, dtype="complex64")
             async with server:
                 return await server.submit_many("digits64", images)
@@ -586,7 +652,7 @@ class TestInferenceServer:
         image = rng.uniform(0.0, 1.0, size=(32, 32))
 
         async def scenario():
-            server = InferenceServer(max_wait_ms=10)
+            server = InferenceServer()
             original_session = server.add_model("digits", old)
             async with server:
                 with pytest.raises(RuntimeError, match="stop the server"):
@@ -619,7 +685,7 @@ class TestInferenceServer:
         images = rng.uniform(0.0, 1.0, size=(8, 32, 32))
 
         async def scenario():
-            server = InferenceServer(max_batch=16, max_wait_ms=50)
+            server = InferenceServer(max_batch=16)
             server.add_model("digits", DONN(small_config))
             async with server:
                 await server.submit_many("digits", images)
@@ -655,14 +721,14 @@ class TestInferenceServer:
         assert stats["completed"] == 1
 
     def test_explicit_policy_instance_per_model(self, small_config, rng):
-        """add_model(policy=...) pins a policy to one model; window knobs
-        still govern policy-less models on the same server."""
+        """add_model(policy=...) pins a policy to one model; the server's
+        max_batch still governs policy-less models on the same server."""
         images = rng.uniform(0.0, 1.0, size=(4, 32, 32))
 
         async def scenario():
-            server = InferenceServer(max_batch=2, max_wait_ms=50)
+            server = InferenceServer(max_batch=2)
             server.add_model("windowed", DONN(small_config))
-            server.add_model("slo", DONN(small_config), policy=FixedWindowPolicy(max_batch=16, max_wait_ms=50))
+            server.add_model("slo", DONN(small_config), policy=FixedWindowPolicy(max_batch=16))
             async with server:
                 await asyncio.gather(
                     server.submit_many("windowed", images),
@@ -672,7 +738,7 @@ class TestInferenceServer:
 
         stats = run_async(scenario())
         assert stats["windowed"]["largest_batch"] <= 2, "server-wide max_batch must bound the default policy"
-        assert stats["slo"]["batches"] == 1, "the per-model policy's larger window must fuse the whole burst"
+        assert stats["slo"]["batches"] == 1, "the per-model policy's larger cap must fuse the whole burst"
 
     def test_shape_validation_is_wired_from_the_session(self, small_config):
         async def scenario():

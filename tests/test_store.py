@@ -13,6 +13,7 @@ traffic, and over HTTP through the gateway).
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import json
 import os
 import pickle
@@ -280,6 +281,32 @@ class TestIntegrity:
         with pytest.raises(StoreIntegrityError, match="does not describe"):
             store.versions("m")
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda header: {key: value for key, value in header.items() if key != "dtype"},
+            lambda header: [header],
+            lambda header: {**header, "batch_size": 2.5},
+        ],
+        ids=["missing_key", "list_header", "non_integer_batch_size"],
+    )
+    def test_bad_header_behind_a_matching_hash_is_a_typed_error(self, tmp_path, corrupt):
+        """A blob whose bytes hash to its manifest's digest but whose header
+        is malformed must fail as StoreIntegrityError, not escape untyped."""
+        store = ModelStore(tmp_path, cache_entries=0)
+        store.publish("m", _model("donn"))
+        magic, header, blob = self._first_blob_path(tmp_path).read_bytes().split(b"\x00", 2)
+        bad_header = json.dumps(corrupt(json.loads(header))).encode()
+        payload = b"\x00".join((magic, bad_header, blob))
+        digest = hashlib.sha256(payload).hexdigest()
+        (tmp_path / "blobs" / f"sha256-{digest}").write_bytes(payload)
+        manifest_path = tmp_path / "manifests" / "m" / "v1.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["content_hash"] = digest
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(StoreIntegrityError, match="does not decode"):
+            store.load("m")
+
     def test_read_cache_never_serves_corrupted_bytes(self, tmp_path):
         """The cache is keyed by content hash, so a *cached* load is the
         verified bytes; corruption lands on the next cold read."""
@@ -476,7 +503,7 @@ class TestStoreBackedRegistry:
         store.publish("a", _model("donn", seed=1))
         store.publish("b", _model("donn", seed=2))
         registry = SessionRegistry(max_models=1, store=store)
-        server = InferenceServer(registry=registry, max_wait_ms=1.0)
+        server = InferenceServer(registry=registry)
         server.add_model("a", "a@latest")
         server.add_model("b", "b@latest")  # evicts "a"
         image = _batch("donn", rng, n=1)[0]
@@ -607,7 +634,7 @@ class TestZeroDowntimeSwap:
             store = self._publish_two(tmp_path)
             v1 = store.load("digits", "v1").build()
             v2 = store.load("digits", "v2").build()
-            server = InferenceServer(store=store, max_wait_ms=1.0)
+            server = InferenceServer(store=store)
             server.add_model("digits", "digits@v1", replicas=2)
             await server.start()
             batch = rng.uniform(size=(12, 12))
@@ -672,7 +699,7 @@ class TestZeroDowntimeSwap:
 
         async def scenario():
             store = self._publish_two(tmp_path)
-            server = InferenceServer(store=store, max_wait_ms=1.0)
+            server = InferenceServer(store=store)
             server.add_model("digits", "digits@v1", replicas=2)
             await server.start()
             batch = rng.uniform(size=(12, 12))

@@ -1,6 +1,6 @@
-"""Documentation checks: links and repo paths resolve, examples run, events and metrics are listed.
+"""Documentation checks: links and repo paths resolve, examples run and call the API they name, events and metrics are listed.
 
-Three passes over ``README.md`` and every ``docs/*.md``, one over
+Four passes over ``README.md`` and every ``docs/*.md``, one over
 ``src/repro`` and one over the ``GET /metrics`` renderer:
 
 1. **Links.** Every relative markdown link (``[text](path)`` or
@@ -18,13 +18,23 @@ Three passes over ``README.md`` and every ``docs/*.md``, one over
    to ``python -m doctest`` on a file holding the block).  Mark an
    example testable only when it is self-contained and cheap; plain
    ``python`` blocks are illustrative and stay unexecuted.
-4. **Events.** Every event name handed to the structured logger under
+4. **Keywords.** Every fenced ``python`` block (a ``python doctest``
+   block by its examples' source) is parsed, never run.  Each keyword it
+   passes to a public ``repro`` callable -- a name in the ``__all__`` of
+   a package in :data:`PUBLIC_MODULES`, called by that name, plus any
+   ``.add_model(...)`` -- must be a parameter of that callable
+   (:func:`inspect.signature`), so an illustrative snippet cannot keep a
+   removed option.  Callables that
+   take ``**kwargs`` are skipped, except ``add_model``, whose extra
+   keywords are checked against :func:`repro.engine.compile`, where
+   they go.
+5. **Events.** Every event name handed to the structured logger under
    ``src/repro`` -- the first argument of ``get_logger()`` /
    ``_obs_logger()`` ``.info``/``.warning`` (or ``.debug``/``.error``),
    or an ``event=`` keyword to a helper that forwards it there -- is
    listed in the "Structured logs" table of ``docs/observability.md``,
    and every event that table lists is emitted somewhere.
-5. **Metrics.** :func:`repro.obs.render_server_metrics` renders a
+6. **Metrics.** :func:`repro.obs.render_server_metrics` renders a
    synthetic ``GET /v1/stats`` body with every block present (a model
    with a replica, an autoscaler and a store ref; the gateway; the
    tracer).  Every family it renders (``# TYPE`` line) is listed in the
@@ -37,17 +47,20 @@ Run from the repo root (CI job ``docs``)::
 
 Exit code 0 on success; failures are listed one per line.  Importable
 (``check_links`` / ``check_paths`` / ``check_doctests`` /
-``check_events`` / ``check_metrics``) so the test suite runs the same checks as CI (see
-``tests/test_docs.py``).
+``check_keywords`` / ``check_events`` / ``check_metrics``) so the test
+suite runs the same checks as CI (see ``tests/test_docs.py``).
 """
 
 from __future__ import annotations
 
+import ast
 import doctest
+import importlib
+import inspect
 import re
 import sys
 from pathlib import Path
-from typing import List, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 #: The doc whose "Structured logs" and "Metric families" tables list every
@@ -148,6 +161,95 @@ def check_doctests(files: List[Path] = None) -> List[str]:
         result = runner.run(test, clear_globs=True)
         if result.failed:
             errors.append(f"{label}: {result.failed} of {result.attempted} doctest example(s) failed")
+    return errors
+
+
+#: Packages whose ``__all__`` names the public callables the keyword pass checks.
+PUBLIC_MODULES = ("repro", "repro.serve", "repro.cluster", "repro.engine", "repro.gateway", "repro.store", "repro.obs")
+
+
+def python_blocks(files: List[Path] = None) -> List[Tuple[str, str]]:
+    """(label, source) for every fenced ``python`` block; a doctest block yields its examples' source."""
+    blocks = []
+    parser = doctest.DocTestParser()
+    for path in files or doc_files():
+        text = path.read_text(encoding="utf-8")
+        for index, match in enumerate(_FENCE.finditer(text)):
+            info = match.group(1).strip().lower().split()
+            if info[:1] != ["python"]:
+                continue
+            source = match.group(2)
+            if info[1:2] == ["doctest"]:
+                source = "".join(example.source for example in parser.get_examples(source))
+            blocks.append((f"{path.relative_to(REPO_ROOT)}[block {index}]", source))
+    return blocks
+
+
+def _keywords(obj) -> Optional[FrozenSet[str]]:
+    """Keyword names ``obj`` takes; ``None`` (unchecked) when it takes ``**kwargs``."""
+    try:
+        params = inspect.signature(obj).parameters.values()
+    except (TypeError, ValueError):  # no introspectable signature
+        return None
+    if any(param.kind is param.VAR_KEYWORD for param in params):
+        return None
+    return frozenset(param.name for param in params if param.kind in (param.POSITIONAL_OR_KEYWORD, param.KEYWORD_ONLY))
+
+
+def public_keywords() -> Dict[str, Optional[FrozenSet[str]]]:
+    """``{name: keywords it takes}`` for every public callable (``None``: takes ``**kwargs``, unchecked)."""
+    table: Dict[str, Optional[FrozenSet[str]]] = {}
+    for module_name in PUBLIC_MODULES:
+        module = importlib.import_module(module_name)
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if callable(obj) and name not in table:
+                table[name] = _keywords(obj)
+    from repro.serve import InferenceServer
+
+    # add_model hands its **session_kwargs to compile(), so it takes compile's keywords too.
+    params = inspect.signature(InferenceServer.add_model).parameters.values()
+    table["add_model"] = table["compile"] | {param.name for param in params if param.kind is not param.VAR_KEYWORD}
+    return table
+
+
+def keyword_uses(source: str, public: Dict[str, Optional[FrozenSet[str]]]) -> List[Tuple[str, str, int]]:
+    """``(callable, keyword, line)`` for each keyword ``source`` passes to a checked public callable.
+
+    Raises ``SyntaxError`` when ``source`` does not parse (top-level
+    ``await`` and ``async with`` are allowed, as in a notebook).
+    """
+    tree = compile(source, "<block>", "exec", flags=ast.PyCF_ONLY_AST | ast.PyCF_ALLOW_TOP_LEVEL_AWAIT)
+    uses = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func, name = node.func, None
+        if isinstance(func, ast.Name):
+            name = func.id
+        elif isinstance(func, ast.Attribute) and func.attr == "add_model":
+            name = func.attr
+        if public.get(name) is not None:
+            uses.extend((name, keyword.arg, node.lineno) for keyword in node.keywords if keyword.arg is not None)
+    return uses
+
+
+def check_keywords(files: List[Path] = None) -> List[str]:
+    """Return keywords the docs' python blocks pass to a public callable that does not take them."""
+    public = public_keywords()
+    errors, checked = [], 0
+    for label, source in python_blocks(files):
+        try:
+            uses = keyword_uses(source, public)
+        except SyntaxError as exc:
+            errors.append(f"{label}: python block does not parse (line {exc.lineno}: {exc.msg})")
+            continue
+        checked += len(uses)
+        for name, keyword, line in uses:
+            if keyword not in public[name]:
+                errors.append(f"{label}: `{name}` takes no keyword `{keyword}` (line {line} of the block)")
+    if not checked:
+        errors.append("no keyword passed to a public repro callable in any python block -- the keyword pass saw nothing")
     return errors
 
 
@@ -260,7 +362,14 @@ def main() -> int:
     if src not in sys.path:
         sys.path.insert(0, src)
     files = doc_files()
-    errors = check_links(files) + check_paths(files) + check_doctests(files) + check_events() + check_metrics()
+    errors = (
+        check_links(files)
+        + check_paths(files)
+        + check_doctests(files)
+        + check_keywords(files)
+        + check_events()
+        + check_metrics()
+    )
     for error in errors:
         print(f"FAIL: {error}")
     print(
