@@ -28,7 +28,7 @@ from repro.codesign import DeviceProfile, slm_profile, ideal_profile, thz_mask_p
 from repro.train import Trainer, SegmentationTrainer, evaluate_classifier
 from repro.data import load_digits, load_fashion, load_scenes, load_segmentation_scenes
 from repro.engine import InferenceSession
-from repro.serve import InferenceServer, SessionRegistry
+from repro.serve import InferenceServer
 from repro.dse import AnalyticalDSEModel, DesignSpace, run_analytical_dse
 from repro.dsl import build_donn, DesignFlow
 from repro.hardware import HardwareTestbench, to_system, energy_efficiency_table
@@ -59,7 +59,6 @@ __all__ = [
     "thz_mask_profile",
     "InferenceSession",
     "InferenceServer",
-    "SessionRegistry",
     "Trainer",
     "SegmentationTrainer",
     "evaluate_classifier",

@@ -33,9 +33,10 @@ execution tier below it:
   (:mod:`repro.cluster.autoscale`) -- the elastic control loop: reads
   the serving layer's p99 windows and the fleet's in-flight depth and
   drives ``ReplicaGroup.scale_to`` (drain-before-terminate) to hold a
-  latency budget at minimum process count, with hysteresis, cooldowns
-  and a max-fleet cap.  ``InferenceServer(autoscale=...)`` wires it up;
-  see ``docs/autoscaling.md``.
+  latency budget at minimum process count, with hysteresis, cooldowns,
+  a max-fleet cap and an idle timeout that shrinks a quiet fleet to its
+  floor.  ``InferenceServer(autoscale=...)`` wires it up; see
+  ``docs/autoscaling.md``.
 
 ``repro.serve.InferenceServer(replicas=N, router=...)`` wires all of
 this under its dynamic batchers; see ``docs/sharding.md`` for the guide.

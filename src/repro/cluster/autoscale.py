@@ -33,10 +33,7 @@ Plain threshold hysteresis, deliberately boring:
   still dominated by pre-action traffic would re-trigger on stale
   evidence).
 * **Idle**: with ``idle_timeout_s`` set, a model with no traffic at all
-  shrinks straight to ``min_replicas`` and is demoted to the front of
-  the LRU line in a capacity-bounded
-  :class:`~repro.serve.SessionRegistry` (the next capacity eviction
-  takes the idle model first, not a hot one).
+  shrinks straight to ``min_replicas``, once per idle spell.
 
 Every decision -- including the reason for holding -- is observable via
 :meth:`Autoscaler.snapshot`, which ``InferenceServer.stats()`` and
@@ -127,9 +124,7 @@ class AutoscaleConfig:
         absorb the current depth under this bound.
     idle_timeout_s:
         With no completed traffic for this long, shrink to
-        ``min_replicas`` and demote the model in a capacity-bounded
-        registry (LRU idle eviction).  ``None`` (default) disables the
-        idle path.
+        ``min_replicas``.  ``None`` (default) disables the idle path.
     stats_window:
         Percentile-window capacity the server configures the model's
         batcher with (smaller than the monitoring default so post-action
@@ -200,10 +195,9 @@ class Autoscaler:
         (one call per evaluation, the row ``GET /v1/stats`` serves).
     config:
         An :class:`AutoscaleConfig`.
-    registry / model:
-        Optional :class:`~repro.serve.SessionRegistry` + model name for
-        the idle-demotion path; ignored unless the registry is
-        capacity-bounded and ``idle_timeout_s`` is set.
+    model:
+        The model name its events and snapshot carry (default: the
+        group's name).
     clock:
         Monotonic time source for cooldown/idle bookkeeping when
         :meth:`evaluate`/:meth:`step` are called without an explicit
@@ -218,7 +212,6 @@ class Autoscaler:
         stats,
         config: AutoscaleConfig,
         *,
-        registry=None,
         model: Optional[str] = None,
         clock=None,
     ):
@@ -226,7 +219,6 @@ class Autoscaler:
         self.stats = stats
         self.config = config
         self.model = model or getattr(group, "name", "model")
-        self._registry = registry
         self._clock = clock if clock is not None else time.monotonic
         self._lock = threading.Lock()
         self._last_up_at: Optional[float] = None
@@ -239,7 +231,6 @@ class Autoscaler:
         self.scale_downs = 0
         self.holds = 0
         self.nan_holds = 0
-        self.idle_demotions = 0
         self.errors = 0
         self._decisions: "deque[dict]" = deque(maxlen=config.history)
         self._last_decision: Optional[Decision] = None
@@ -321,7 +312,7 @@ class Autoscaler:
     # Acting
     # ------------------------------------------------------------------ #
     def step(self, now: Optional[float] = None) -> Decision:
-        """Evaluate and *apply*: resize the fleet / demote idle models.
+        """Evaluate and *apply*: resize the fleet.
 
         Membership changes run synchronously (spawn/drain time), so call
         this off the event loop -- ``InferenceServer`` drives it from an
@@ -340,9 +331,8 @@ class Autoscaler:
                 self.holds += 1
                 if verdict.reason == "cold-window":
                     self.nan_holds += 1
-        if verdict.reason == "idle" and not self._idle_handled:
-            self._idle_handled = True
-            self._demote_idle()
+        if verdict.reason == "idle":
+            self._idle_handled = True  # once per idle spell
         self._record(verdict, now)
         return verdict
 
@@ -383,27 +373,6 @@ class Autoscaler:
             self._last_down_at = now
         self._completed_at_action = int(self.stats.as_dict()["completed"])
 
-    def _demote_idle(self) -> None:
-        registry = self._registry
-        if (
-            registry is None
-            or getattr(registry, "max_models", None) is None
-            or self.model not in registry
-        ):
-            return
-        try:
-            registry.demote(self.model)
-        except Exception as exc:  # noqa: BLE001 - demotion is advisory
-            _obs_logger().warning("autoscale.demote_failed", model=self.model, error=str(exc))
-        else:
-            with self._lock:
-                self.idle_demotions += 1
-            _obs_logger().info(
-                "autoscale.idle_demoted",
-                model=self.model,
-                idle_timeout_s=self.config.idle_timeout_s,
-            )
-
     def _record(self, verdict: Decision, now: float) -> None:
         with self._lock:
             previous = self._last_decision
@@ -436,7 +405,6 @@ class Autoscaler:
                 "scale_downs": self.scale_downs,
                 "holds": self.holds,
                 "nan_holds": self.nan_holds,
-                "idle_demotions": self.idle_demotions,
                 "errors": self.errors,
                 "last_decision": last.as_dict() if last is not None else None,
                 "decisions": list(self._decisions),

@@ -26,7 +26,7 @@ The group is the *dispatch seam* the serving layer plugs into: a
 :meth:`infer` instead of calling the in-process session, which moves the
 FFT work out of the GIL-bound server process entirely.  The group also
 quacks enough like a session (``input_shape``, ``kind``, empty-batch
-``run``) for the server's validation and registry plumbing to treat it
+``run``) for the server's validation and its model table to treat it
 uniformly.
 
 Every spawned local worker gets an explicit BLAS/OpenMP thread budget,

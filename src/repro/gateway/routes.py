@@ -334,7 +334,8 @@ async def _swap(
             400, "invalid_request", f"unknown field(s) {unknown}; the swap body takes only 'version'"
         )
     version = payload.get("version")
-    if version is not None and not isinstance(version, (str, int)):
+    # JSON true/false decode to bool, which passes an int check; a flag is not a version number.
+    if version is not None and (isinstance(version, bool) or not isinstance(version, (str, int))):
         raise ApiError(400, "invalid_request", "'version' must be a string tag or an integer")
     try:
         summary = await gateway.server.swap_model(name, version)

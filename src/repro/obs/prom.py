@@ -171,7 +171,6 @@ _AUTOSCALER_COUNTERS = (
     ("scale_downs", "Autoscaler scale-down actions."),
     ("holds", "Autoscaler hold decisions."),
     ("nan_holds", "Holds forced by a cold percentile window."),
-    ("idle_demotions", "Idle models demoted to the registry's LRU front."),
     ("errors", "Autoscaler steps that failed."),
 )
 

@@ -8,7 +8,9 @@ batched engine calls, under a pluggable batching policy.
 Public surface:
 
 * :class:`InferenceServer` -- multi-tenant façade: register models by
-  name, ``async with server:``, ``await server.submit(name, image)``;
+  name (``add_model`` takes a model, a compiled session, a replica group
+  or a store ref; the server's one name table holds a record per model),
+  ``async with server:``, ``await server.submit(name, image)``;
   ``stats()`` exposes per-model latency percentiles and counters.
 * :class:`DynamicBatcher` -- per-model request queue + coalescing worker
   (bounded ``max_queue``; a batch leaves as soon as an engine slot is
@@ -21,7 +23,6 @@ Public surface:
 * :class:`BatcherStats` / :class:`PercentileWindow` -- telemetry, one
   recorder per quantity: sliding-window p50/p95/p99 plus lifetime
   histograms (latency, queue-wait vs compute breakdown).
-* :class:`SessionRegistry` -- name -> session catalogue.
 * :class:`ServeError` hierarchy -- explicit overload / closed / unknown
   model / deadline-exceeded errors.
 
@@ -46,7 +47,6 @@ from repro.serve.policy import (
     SLOAwarePolicy,
     make_policy,
 )
-from repro.serve.registry import SessionRegistry
 from repro.serve.server import InferenceServer
 
 __all__ = [
@@ -54,7 +54,6 @@ __all__ = [
     "DynamicBatcher",
     "BatcherStats",
     "PercentileWindow",
-    "SessionRegistry",
     "BatchingPolicy",
     "FixedWindowPolicy",
     "SLOAwarePolicy",

@@ -1,4 +1,4 @@
-"""The asyncio serving front-end: registry + one dynamic batcher per model.
+"""The asyncio serving front-end: one name table, one dynamic batcher per model.
 
 :class:`InferenceServer` is the piece user code talks to::
 
@@ -36,43 +36,30 @@ import numpy as np
 from repro.serve.batcher import BatcherStats, DynamicBatcher
 from repro.serve.errors import ServerClosedError, UnknownModelError
 from repro.serve.policy import BatchingPolicy
-from repro.serve.registry import SessionRegistry, _as_store_ref
 from repro.obs.log import get_logger as _obs_logger
 
 logger = logging.getLogger(__name__)
 
 
+def _as_store_ref(obj):
+    """``obj`` when it quacks like a :class:`~repro.store.StoreRef`, else ``None``."""
+    if callable(getattr(obj, "load_spec", None)) and hasattr(obj, "content_hash"):
+        return obj
+    return None
+
+
 def _as_replica_group(obj):
     """The object itself when it is a :class:`~repro.cluster.ReplicaGroup`.
 
-    Imported lazily: the serving layer must stay importable (and fully
-    functional in-process) without ever touching ``repro.cluster``.
+    Imported lazily, and only for an object with ``infer_sync``: the
+    serving layer must stay importable (and fully functional in-process)
+    without ever touching ``repro.cluster``.
     """
+    if not hasattr(obj, "infer_sync"):
+        return None
     from repro.cluster import ReplicaGroup
 
     return obj if isinstance(obj, ReplicaGroup) else None
-
-
-def _build_group(model_or_session, replicas: int, router, cluster_options: dict, name: str):
-    """Spec out ``model_or_session`` and wrap it in an (unstarted) group."""
-    from repro.cluster import ReplicaGroup
-    from repro.engine.spec import SessionSpec
-
-    session_kwargs = dict(cluster_options.pop("session_kwargs", {}))
-    if _as_store_ref(model_or_session) is not None:
-        # A pinned store version: the ref itself is the "spec" -- each
-        # worker cold-starts by pulling the hash-verified bytes from the
-        # store, so no model object (or multi-MB pickle) ever crosses
-        # the parent's pipes.
-        if session_kwargs:
-            raise ValueError(
-                f"session options {sorted(session_kwargs)} cannot apply to a store "
-                "reference; they were fixed when the spec was published"
-            )
-        spec = model_or_session
-    else:
-        spec = SessionSpec.of(model_or_session, **session_kwargs)
-    return ReplicaGroup(spec, replicas=replicas, router=router, name=name, **cluster_options)
 
 
 @dataclass
@@ -121,24 +108,19 @@ class InferenceServer:
 
     Parameters
     ----------
-    registry:
-        An existing :class:`SessionRegistry` to serve from; by default the
-        server owns a fresh one (populate it via :meth:`add_model`).
-        Names registered directly on it are served from :meth:`start`
-        with the batcher defaults below and no server-wide policy.
     policy:
         Default batching policy for every model: a zero-arg factory (each
         model gets a fresh instance) or, for a single-model server, a
         ready :class:`~repro.serve.policy.BatchingPolicy`.  ``None``
         falls back to a :class:`~repro.serve.policy.FixedWindowPolicy`
         of ``max_batch``.
-    max_batch / max_queue / run_in_executor:
+    max_batch / max_queue:
         Default :class:`DynamicBatcher` tuning for every model; override
-        ``max_batch`` and ``max_queue`` per model through ``add_model``.
-        ``max_batch`` only applies to models without an explicit policy.
-        Every model's batch leaves as soon as its engine is free: an
-        in-process model runs one batch at a time, a cluster model one
-        per replica.
+        them per model through ``add_model``.  ``max_batch`` only applies
+        to models without an explicit policy.  Every model's batch leaves
+        as soon as its engine is free: an in-process model runs one batch
+        at a time (on the thread-pool executor, so the event loop keeps
+        accepting requests), a cluster model one per replica.
     replicas:
         Default worker-process count per model.  ``1`` (default) serves
         in-process; ``>= 2`` runs each model on a
@@ -179,12 +161,7 @@ class InferenceServer:
         objects -- replicas then cold-start from the store with no live
         model in this process -- and enables
         :meth:`swap_model(name, version) <swap_model>`, the
-        zero-downtime rolling version swap.  A server-owned registry is
-        store-attached too.  A started server serves only the names it
-        holds: a store-backed model the LRU registry evicted before
-        :meth:`start` is unknown to it (the registry's own ``get()``
-        still rebuilds it from disk) and comes back through
-        :meth:`add_model`.
+        zero-downtime rolling version swap.
 
     Thread/async-safety: the server is bound to the event loop that runs
     :meth:`start`; all coroutines must be awaited on that loop.
@@ -195,12 +172,10 @@ class InferenceServer:
 
     def __init__(
         self,
-        registry: Optional[SessionRegistry] = None,
         *,
         policy=None,
         max_batch: int = 32,
         max_queue: int = 256,
-        run_in_executor: bool = True,
         replicas: int = 1,
         router="round_robin",
         cluster_options: Optional[dict] = None,
@@ -217,16 +192,15 @@ class InferenceServer:
             from repro.store import ModelStore
 
             store = ModelStore(store)
+        # The store that resolves "name@version" strings and version swaps.
         self.store = store
-        self.registry = registry if registry is not None else SessionRegistry(store=store)
         self._default_policy = _policy_spec(policy)
-        self._defaults = {"max_batch": max_batch, "max_queue": max_queue, "run_in_executor": run_in_executor}
+        self._defaults = {"max_batch": max_batch, "max_queue": max_queue}
         self._default_replicas = int(replicas)
         self._default_router = router
         self._cluster_options = dict(cluster_options or {})
         self._default_autoscale = autoscale
-        # The store that resolves "name@version" strings and version swaps.
-        self._resolver = store if store is not None else getattr(self.registry, "store", None)
+        #: The one name table: a record per served model.
         self._models: Dict[str, _ServedModel] = {}
         self._started = False
         self._closed = False
@@ -248,13 +222,23 @@ class InferenceServer:
         autoscale=None,
         **session_kwargs,
     ):
-        """Register a model (compiled on the spot), a session, or a group.
+        """Register a model (compiled on the spot), a session, a group or a store ref.
+
+        ``model_or_session`` becomes what the model's batcher runs in one
+        place, after every check below has passed:
+
+        * a :class:`~repro.store.StoreRef`, or a ``"name@version"``
+          string resolved in the server's store: built from the store
+          (``ref.build()``);
+        * a session-like object (a ``run`` method) or a
+          :class:`~repro.cluster.ReplicaGroup`: used as it is;
+        * a model: compiled with ``repro.engine.compile(model,
+          **session_kwargs)`` (``dtype``, ``backend``, ...).
 
         ``policy`` (an instance or zero-arg factory) and the batcher
         tuning arguments override the server-wide defaults for this model
-        only; remaining ``session_kwargs`` (``dtype``, ``backend``, ...)
-        go to ``repro.engine.compile`` when a model is given.  Returns
-        the registered session.
+        only.  Returns the session the batcher runs (the group of a
+        cluster model).
 
         ``autoscale`` (an :class:`~repro.cluster.AutoscaleConfig` or
         kwargs dict) overrides the server-wide elastic-fleet policy for
@@ -262,43 +246,52 @@ class InferenceServer:
         ``replicas=1`` (the initial fleet size).
 
         ``replicas``/``router`` override the server-wide sharding
-        defaults: with an effective ``replicas >= 2`` the model is
-        wrapped in a :class:`~repro.cluster.ReplicaGroup` (its workers
-        spawn on :meth:`start`), and ``session_kwargs`` configure the
-        sessions the *workers* build.  A ready ``ReplicaGroup`` may also
-        be passed directly as ``model_or_session`` (the server takes
-        ownership and closes it on :meth:`stop`).  On an already-started
-        server, adding a cluster model spawns its workers *synchronously
-        on the event loop* -- every model's traffic stalls for the
-        spawn+compile time, so on a latency-sensitive server register
-        cluster models before :meth:`start` (or on a fresh server and
-        swap traffic over).
+        defaults: with an effective ``replicas >= 2`` the model (or the
+        store ref) is wrapped in a :class:`~repro.cluster.ReplicaGroup`
+        (its workers spawn on :meth:`start`), and ``session_kwargs``
+        configure the sessions the *workers* build.  The server takes
+        ownership of a ready ``ReplicaGroup`` and closes it on
+        :meth:`stop`.  On an already-started server, adding a cluster
+        model spawns its workers *synchronously on the event loop* --
+        every model's traffic stalls for the spawn+compile time, so on a
+        latency-sensitive server register cluster models before
+        :meth:`start` (or on a fresh server and swap traffic over).
 
-        Raises :class:`ServerClosedError` after :meth:`stop`,
-        ``ValueError`` for duplicate names without ``replace=True``, and
-        ``RuntimeError`` when asked to replace a model that is live on a
-        started server (stop first -- a half-applied swap would desync
-        batcher and registry).
+        Raises :class:`ServerClosedError` after :meth:`stop`;
+        ``ValueError`` for an empty or non-string name, a duplicate name
+        without ``replace=True``, or session options given with an
+        already-compiled object (a session, a group or a store ref);
+        ``TypeError`` for an object that is none of the above, or a
+        string on a server without a store; and ``RuntimeError`` when
+        asked to replace a model that is live on a started server (stop
+        first -- a half-applied swap would leave the live batcher serving
+        a session its record no longer holds).  A refused call leaves
+        the server's models as they were.
         """
         if self._closed:
             raise ServerClosedError("server is stopped")
+        if not name or not isinstance(name, str):
+            raise ValueError("model name must be a non-empty string")
         held = self._models.get(name)
-        if held is not None and held.batcher is not None and (replace or name not in self.registry):
-            # Guard before touching the registry: a half-applied swap would
-            # leave the live batcher serving a session the registry no
-            # longer reports.  The second clause catches re-registering a
-            # name the LRU registry evicted while its batcher stayed live:
-            # silently installing a second batcher would leak the first
-            # (worker task + pinned session) -- exactly the unbounded
-            # growth ``max_models`` exists to prevent.
+        if held is not None and not replace:
+            raise ValueError(f"model {name!r} is already registered (pass replace=True to swap it)")
+        if held is not None and held.batcher is not None:
             raise RuntimeError("stop the server before replacing a live model")
         if isinstance(model_or_session, str):
-            if self._resolver is None:
+            if self.store is None:
                 raise TypeError(
                     f"cannot register the string {model_or_session!r}: string model "
                     "references need InferenceServer(store=...)"
                 )
-            model_or_session = self._resolver.ref(model_or_session)
+            model_or_session = self.store.ref(model_or_session)
+        ref = _as_store_ref(model_or_session)
+        group = _as_replica_group(model_or_session)
+        ready = ref is not None or callable(getattr(model_or_session, "run", None))
+        if session_kwargs and ready:
+            raise ValueError(
+                f"session options {sorted(session_kwargs)} need a model; a "
+                f"{type(model_or_session).__name__} was compiled with its options already"
+            )
         spec = _policy_spec(policy if policy is not None else self._default_policy)
         if isinstance(spec, BatchingPolicy):
             # Policies are stateful (EWMA latency model, AIMD target): one
@@ -306,7 +299,7 @@ class InferenceServer:
             # behavior.  An instance may serve exactly one model;
             # server-wide defaults must be factories.  The owner is whichever
             # other name holds this very instance, so a refused or failed add
-            # claims nothing and a replace or eviction releases it.
+            # claims nothing and a replace releases it.
             owner = self._holder(spec, name)
             if owner is not None:
                 raise TypeError(
@@ -319,23 +312,17 @@ class InferenceServer:
             from repro.cluster import AutoscaleConfig
 
             explicit_autoscale = AutoscaleConfig.from_options(autoscale)
-        group = None
-        if hasattr(model_or_session, "infer_sync"):  # quacks like a ReplicaGroup
-            group = _as_replica_group(model_or_session)
-            if group is not None and session_kwargs:
-                raise ValueError(
-                    f"session options {sorted(session_kwargs)} cannot apply to a ready ReplicaGroup"
-                )
         n_replicas = int(replicas) if replicas is not None else self._default_replicas
         remote_workers = bool(self._cluster_options.get("workers"))
         if n_replicas < 1 and not remote_workers:
             raise ValueError("replicas must be >= 1 (or name remote workers in cluster_options)")
-        router_instance = None
         # An autoscaled model must be cluster-backed even at replicas=1:
         # explicit autoscale= makes that a hard requirement, while the
         # server-wide default merely *tries* (an unshardable in-process
         # session falls back to serving without autoscaling).
         must_cluster = n_replicas >= 2 or remote_workers or explicit_autoscale is not None
+        router_instance = None
+        # The one place the object becomes what the batcher runs.
         if group is None and (must_cluster or self._default_autoscale is not None):
             effective_router = router if router is not None else self._default_router
             if not isinstance(effective_router, str):
@@ -350,20 +337,31 @@ class InferenceServer:
                         "routers are stateful -- pass a name (e.g. router=\"power_of_two_choices\") "
                         "or a fresh instance per model"
                     )
-            options = dict(self._cluster_options)
-            if session_kwargs:
-                options["session_kwargs"] = session_kwargs
+            from repro.cluster import ReplicaGroup
+            from repro.engine.spec import SessionSpec
+
             try:
-                group = _build_group(model_or_session, n_replicas, effective_router, options, name)
+                # A pinned store version is the spec itself: each worker
+                # cold-starts by pulling the hash-verified bytes from the
+                # store, so no model object crosses the parent's pipes.
+                spec_or_ref = ref if ref is not None else SessionSpec.of(model_or_session, **session_kwargs)
+                group = ReplicaGroup(
+                    spec_or_ref, replicas=n_replicas, router=effective_router, name=name, **self._cluster_options
+                )
             except TypeError:
                 if must_cluster:
                     raise
-                group = None  # in-process model; the autoscale default doesn't apply
-                router_instance = None
+                router_instance = None  # in-process model; the autoscale default doesn't apply
         if group is not None:
-            session = self.registry.register(name, group, replace=replace)
+            session = group
+        elif ref is not None:
+            session = ref.build()
+        elif ready:
+            session = model_or_session
         else:
-            session = self.registry.register(name, model_or_session, replace=replace, **session_kwargs)
+            from repro.engine import compile as engine_compile
+
+            session = engine_compile(model_or_session, **session_kwargs)
         overrides = {
             key: value for key, value in (("max_batch", max_batch), ("max_queue", max_queue)) if value is not None
         }
@@ -376,28 +374,20 @@ class InferenceServer:
             overrides=overrides,
             group=group,
             router=router_instance,
-            ref=_as_store_ref(model_or_session),
+            ref=ref,
             autoscale=effective_autoscale,
         )
-        # A replace displaces the name's old record, and the names this
-        # registration evicted from the LRU registry are gone for good
-        # unless a live batcher keeps serving them.  Their groups close:
-        # the workers must not keep running, nor answer under the old model.
-        released = [self._models.pop(name, None)]
-        for evicted in self.registry.last_evicted:
-            if evicted in self._models and self._models[evicted].batcher is None:
-                released.append(self._models.pop(evicted))
+        # A replace displaces the name's old record; its group closes, so
+        # the workers neither keep running nor answer under the old model.
         self._models[name] = record
-        for old in released:
-            if old is not None and old.group is not None and old.group is not group:
-                old.group.close()
+        if held is not None and held.group is not None and held.group is not group:
+            held.group.close()
         if self._started:
             try:
                 self._wire(name, record)
             except Exception:
                 # Half-registered, the name would answer 503 forever.
                 del self._models[name]
-                self.registry.unregister(name)
                 if group is not None:
                     group.close()
                 raise
@@ -428,10 +418,10 @@ class InferenceServer:
         """
         if self._closed:
             raise ServerClosedError("server is stopped")
-        if self._resolver is None:
+        if self.store is None:
             raise ValueError("swap_model needs a model store (InferenceServer(store=...))")
         model = self._lookup(name)
-        if model is None or model.group is None:
+        if model.group is None:
             raise ValueError(
                 f"model {name!r} serves in-process; rolling swaps need a replica group "
                 "(add it with replicas >= 2, autoscale=..., or remote workers)"
@@ -439,7 +429,7 @@ class InferenceServer:
         group = model.group
         previous = model.ref
         store_name = previous.name if previous is not None else name
-        ref = self._resolver.ref(store_name, version)
+        ref = self.store.ref(store_name, version)
         if previous is not None and ref.content_hash == previous.content_hash:
             return {"model": name, **ref.describe(), "replicas": len(group), "changed": False}
         if self._started:
@@ -473,9 +463,9 @@ class InferenceServer:
         policy = _resolve_policy(model.policy)
         options = {**self._defaults, **model.overrides}
         if policy is not None:
-            # The policy owns the fusion cap; only queue/executor tuning
-            # still applies at the batcher level.
-            options = {key: options[key] for key in ("max_queue", "run_in_executor")}
+            # The policy owns the fusion cap; only the queue bound still
+            # applies at the batcher level.
+            options = {"max_queue": options["max_queue"]}
         group = model.group
         if group is not None:
             if not group.started:
@@ -508,9 +498,7 @@ class InferenceServer:
         if model.autoscale is not None:
             from repro.cluster import Autoscaler
 
-            model.autoscaler = Autoscaler(
-                group, model.batcher.stats(), model.autoscale, registry=self.registry, model=name
-            )
+            model.autoscaler = Autoscaler(group, model.batcher.stats(), model.autoscale, model=name)
             model.task = asyncio.get_running_loop().create_task(
                 self._autoscale_loop(model.autoscaler), name=f"repro-autoscale-{name}"
             )
@@ -558,9 +546,6 @@ class InferenceServer:
                     if isinstance(outcome, BaseException):
                         raise outcome
             self._started = True
-            for name, session in self.registry.items():
-                if name not in self._models:
-                    self._models[name] = _ServedModel(session)
             for name, model in self._models.items():
                 self._wire(name, model)
         except BaseException:
@@ -638,16 +623,14 @@ class InferenceServer:
         policies stamp their default when omitted).
 
         Raises :class:`UnknownModelError` for a name the server does not
-        serve (a started server serves exactly the names it holds, so a
-        name the LRU registry evicted before :meth:`start` is unknown
-        too), :class:`ServerClosedError` before :meth:`start`/after
+        serve, :class:`ServerClosedError` before :meth:`start`/after
         :meth:`stop`, :class:`ServerOverloadedError` on a full queue, and
         :class:`DeadlineExceededError` when the budget expires in queue.
         """
         if self._closed:
             raise ServerClosedError("server is stopped")
         model = self._lookup(name)
-        if model is None or model.batcher is None:
+        if model.batcher is None:
             raise ServerClosedError("server is not started (use `async with server:` or await start())")
         return await model.batcher.submit(payload, slo_ms=slo_ms)
 
@@ -661,26 +644,16 @@ class InferenceServer:
             return np.stack(results, axis=0)
         # Preserve the engine's empty-batch output shape ((0, C) / (0, N, N))
         # when the session can tell us what an empty request batch looks
-        # like.  A model the LRU registry evicted keeps serving through
-        # its record, and an empty burst must not be the one call that
-        # raises.
-        session = model.session if model is not None else self.registry.get(name)
-        shape = getattr(session, "input_shape", None)
+        # like.
+        shape = getattr(model.session, "input_shape", None)
         if shape is not None:
-            return session.run(np.empty((0, *shape)))
+            return model.session.run(np.empty((0, *shape)))
         return np.empty((0,))
 
-    def _lookup(self, name: str) -> Optional[_ServedModel]:
-        """The record of ``name``; raises :class:`UnknownModelError` when there is none.
-
-        Before :meth:`start`, a name registered directly on the registry
-        is known too and looks up as ``None`` (it gets its record at
-        start).  A started server knows only the names it holds records
-        for, so a request never reaches into the registry, where a lookup
-        could rebuild an evicted model and evict a serving one.
-        """
+    def _lookup(self, name: str) -> _ServedModel:
+        """The record of ``name``; raises :class:`UnknownModelError` when there is none."""
         model = self._models.get(name)
-        if model is None and (self._started or name not in self.registry):
+        if model is None:
             served = ", ".join(sorted(self._models)) or "<none>"
             raise UnknownModelError(f"no model served under {name!r} (serving: {served})")
         return model

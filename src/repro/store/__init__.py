@@ -18,9 +18,9 @@ What the rest of the stack does with it:
 * ``InferenceServer(store=...)`` / ``add_model(name, "name@v1")`` --
   store-backed serving, and ``swap_model(name, version)`` performs a
   zero-downtime rolling version swap over the elastic replica-group
-  machinery (``POST /v1/models/{name}/swap`` at the gateway).
-* ``SessionRegistry(store=...)`` -- LRU-evicted store-backed models
-  rebuild from disk on the next use instead of being gone for good.
+  machinery (``POST /v1/models/{name}/swap`` at the gateway).  A
+  restarted server re-adds each name from the store, with no
+  training-side code on the serving path.
 
 See ``docs/model_store.md`` for the backend contract, the manifest
 schema, and a swap walkthrough.

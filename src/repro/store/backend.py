@@ -88,8 +88,10 @@ class LocalDirBackend(StoreBackend):
     def _path(self, key: str) -> Path:
         path = (self.root / key).resolve()
         # Keys are store-internal, but refuse traversal anyway: a backend
-        # must never write outside its root.
-        if not str(path).startswith(str(self.root.resolve())):
+        # must never touch a file outside its root.  The test compares
+        # path components: a sibling such as ``<root>-other`` shares the
+        # root's string prefix.
+        if not path.is_relative_to(self.root.resolve()):
             raise ValueError(f"key {key!r} escapes the store root")
         return path
 

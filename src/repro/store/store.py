@@ -53,6 +53,8 @@ _MANIFEST_FORMAT = 1
 _MANIFEST_REQUIRED = ("name", "version", "content_hash", "model_type", "optimize", "dtype", "created_at")
 _VERSION_KEY = re.compile(r"^v(\d+)\.json$")
 _HEX = re.compile(r"^[0-9a-f]{8,64}$")
+#: A full SHA-256 digest: the only content hash a manifest may carry (it becomes a blob key).
+_SHA256 = re.compile(r"[0-9a-f]{64}")
 
 
 @dataclass(frozen=True)
@@ -227,6 +229,11 @@ class ModelStore:
             raise StoreIntegrityError(
                 f"manifest {key} is malformed (missing/invalid fields: {missing or ['version']})"
             )
+        if not isinstance(data["content_hash"], str) or not _SHA256.fullmatch(data["content_hash"]):
+            raise StoreIntegrityError(
+                f"manifest {key} is malformed (content_hash {data['content_hash']!r} "
+                "is not 64 lowercase hex digits)"
+            )
         if data["name"] != name or data["version"] != version:
             raise StoreIntegrityError(
                 f"manifest {key} does not describe {name}@v{version} "
@@ -247,8 +254,8 @@ class ModelStore:
         """``name`` (+ optional version selector) -> one manifest.
 
         ``version`` may be ``None``/``"latest"`` (newest version), an
-        ``int`` or ``"vN"`` tag, or a content-hash hex prefix (>= 8
-        chars, must match exactly one version).  The combined
+        ``int`` (not a ``bool``) or ``"vN"`` tag, or a content-hash hex
+        prefix (>= 8 chars, must match exactly one version).  The combined
         ``"name@selector"`` form is accepted in ``name`` when ``version``
         is omitted.
         """
@@ -257,7 +264,9 @@ class ModelStore:
         manifests = self.versions(name)
         if version is None or version == "latest":
             return manifests[-1]
-        if isinstance(version, int) or (isinstance(version, str) and version.isdigit()):
+        if (isinstance(version, int) and not isinstance(version, bool)) or (
+            isinstance(version, str) and version.isdigit()
+        ):
             number = int(version)
         elif isinstance(version, str) and version.startswith("v") and version[1:].isdigit():
             number = int(version[1:])

@@ -25,7 +25,7 @@ from repro.engine import compile as engine_compile
 from repro.models.config import DONNConfig
 from repro.models.donn import DONN
 from repro.obs.log import get_logger
-from repro.serve import InferenceServer, SessionRegistry
+from repro.serve import InferenceServer
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
@@ -107,7 +107,7 @@ class FakeStats:
         return {"completed": self.completed, "p99_latency_ms": self.p99_latency_ms}
 
 
-def _scaler(size=1, *, registry=None, model=None, **cfg):
+def _scaler(size=1, **cfg):
     defaults = dict(
         slo_p99_ms=100.0,
         min_replicas=1,
@@ -118,7 +118,7 @@ def _scaler(size=1, *, registry=None, model=None, **cfg):
     )
     defaults.update(cfg)
     group, stats = FakeGroup(size), FakeStats()
-    return Autoscaler(group, stats, AutoscaleConfig(**defaults), registry=registry, model=model), group, stats
+    return Autoscaler(group, stats, AutoscaleConfig(**defaults)), group, stats
 
 
 class TestAutoscaleConfig:
@@ -243,28 +243,16 @@ class TestControlLaw:
         stats.completed += 20
         assert scaler.step(now=0.2).reason == "up-cooldown"
 
-    def test_idle_shrinks_to_floor_and_demotes_in_lru_registry(self):
-        registry = SessionRegistry(max_models=2)
-        hot = type("S", (), {"run": lambda self, b, batch_size=None: b})()
-        idle = type("S", (), {"run": lambda self, b, batch_size=None: b})()
-        registry.register("idle-model", idle)
-        registry.register("hot-model", hot)
-        registry.get("idle-model")  # most recently used -> last in LRU line
-        scaler, group, stats = _scaler(
-            size=3, idle_timeout_s=0.5, registry=registry, model="idle-model"
-        )
+    def test_idle_shrinks_to_floor_once_per_idle_spell(self):
+        scaler, group, stats = _scaler(size=3, idle_timeout_s=0.5)
         assert scaler.step(now=0.0).action == "hold"  # arms the idle clock
         verdict = scaler.step(now=1.0)
         assert verdict.action == "down" and verdict.reason == "idle"
-        assert group.size == 1
-        # The same tick performs the LRU demotion -- and only once per
-        # idle spell, not on every subsequent tick.
-        assert scaler.idle_demotions == 1
-        registry.register("third", hot)  # capacity eviction takes the idle model
-        assert registry.last_evicted == ("idle-model",)
-        assert "hot-model" in registry
-        assert scaler.step(now=3.0).action == "hold"
-        assert scaler.idle_demotions == 1
+        assert group.size == 1 and scaler.scale_downs == 1
+        # Once per idle spell: later ticks fall back to the control law.
+        later = scaler.step(now=3.0)
+        assert later.action == "hold" and later.reason == "cold-window"
+        assert group.size == 1 and scaler.scale_downs == 1
 
     def test_idle_scale_down_logs_strict_json_on_a_cold_window(self, caplog):
         """The idle path scales down while p99 is still NaN; the logged

@@ -634,7 +634,7 @@ class TestReplicaGroup:
         server = InferenceServer()
         with pytest.raises(TypeError, match="zero-arg factory"):
             server.add_model("b", tiny_session, policy=42)
-        assert "b" not in server.registry and "b" not in server.describe()
+        assert "b" not in server._models and "b" not in server.describe()
 
     def test_failed_late_add_leaves_no_half_registered_name(self, tiny_session, rng):
         """A model added to a started server whose workers cannot start is
@@ -645,7 +645,7 @@ class TestReplicaGroup:
             async with InferenceServer() as server:
                 with pytest.raises(WorkerStartupError):
                     server.add_model("bad", ReplicaGroup(SessionSpec.from_model("not a model"), replicas=1))
-                assert "bad" not in server.describe() and "bad" not in server.registry.names()
+                assert "bad" not in server.describe() and "bad" not in server._models
                 with pytest.raises(UnknownModelError):
                     await server.submit("bad", image)
                 server.add_model("bad", tiny_session)

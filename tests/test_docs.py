@@ -1,5 +1,6 @@
 """The docs stay honest: links and repo paths resolve, tested examples run,
-python snippets pass only keywords the public API takes, the
+python snippets pass only keywords the public API takes and import only
+names the package has, the
 structured-log event table matches the events the code emits, and the
 metric families table matches what ``GET /metrics`` renders.
 
@@ -73,6 +74,30 @@ def test_keyword_pass_reads_public_names_and_add_model_and_skips_kwargs_callable
         ("Gateway", "port", 7),
     ]
     assert [use for use in uses if use[1] not in public[use[0]]] == [("InferenceServer", "max_wait_ms", 2)]
+
+
+def test_python_blocks_import_only_names_the_package_has():
+    assert check_docs.check_imports() == []
+
+
+def test_import_pass_names_a_removed_public_name():
+    source = (
+        "from repro.serve import InferenceServer, SessionRegistry\n"
+        "from repro import DONN\n"
+        "from repro.cluster import autoscale\n"
+        "from repro.gone import anything\n"
+        "from numpy import not_checked\n"
+    )
+    imports = check_docs.repro_imports(source)
+    assert imports == [
+        ("repro.serve", "InferenceServer", 1),
+        ("repro.serve", "SessionRegistry", 1),
+        ("repro", "DONN", 2),
+        ("repro.cluster", "autoscale", 3),
+        ("repro.gone", "anything", 4),
+    ]
+    missing = [use for use in imports if not check_docs.importable(use[0], use[1])]
+    assert missing == [("repro.serve", "SessionRegistry", 1), ("repro.gone", "anything", 4)]
 
 
 def test_structured_log_events_match_the_docs_table():

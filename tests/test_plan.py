@@ -338,7 +338,7 @@ class TestDeprecatedEntryPoints:
 
     def test_every_front_door_refuses_the_same_non_compilable_object(self, tmp_path):
         from repro.autograd import Sequential
-        from repro.serve import InferenceServer, SessionRegistry
+        from repro.serve import InferenceServer
         from repro.store import ModelStore
 
         stranger = Sequential()  # a Module, but not one of the compilable families
@@ -346,8 +346,6 @@ class TestDeprecatedEntryPoints:
             engine_compile(stranger)
         with pytest.raises(TypeError, match="cannot compile"):
             ModelStore(tmp_path).publish("m", stranger)
-        with pytest.raises(TypeError, match="cannot compile"):
-            SessionRegistry().register("m", stranger)
         with pytest.raises(TypeError, match="cannot compile"):
             InferenceServer().add_model("m", stranger, replicas=2)
 

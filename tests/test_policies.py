@@ -349,7 +349,7 @@ class TestSLOSemanticsThroughTheBatcher:
     def test_server_refuses_one_policy_instance_across_models(self, small_config):
         """Policies are stateful; a shared instance would average two
         models' latency behavior.  Instances serve one model, defaults
-        must be factories -- enforced before the registry mutates."""
+        must be factories -- enforced before the model table changes."""
         from repro import DONN
 
         shared = SLOAwarePolicy(slo_ms=50.0)
@@ -357,7 +357,7 @@ class TestSLOSemanticsThroughTheBatcher:
         server.add_model("first", DONN(small_config))
         with pytest.raises(TypeError, match="already serving 'first'"):
             server.add_model("second", DONN(small_config))
-        assert "second" not in server.registry, "refused add must leave no trace"
+        assert "second" not in server._models, "refused add must leave no trace"
         # A fresh instance (or a factory default) is the supported path.
         server.add_model("second", DONN(small_config), policy=SLOAwarePolicy(slo_ms=50.0))
 

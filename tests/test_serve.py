@@ -17,10 +17,10 @@ from repro.serve import (
     InferenceServer,
     ServerClosedError,
     ServerOverloadedError,
-    SessionRegistry,
     SLOAwarePolicy,
     UnknownModelError,
 )
+from repro.store import ModelStore
 
 
 class FakeSession:
@@ -384,146 +384,6 @@ class TestDispatchBatching:
         assert stats.deadline_missed == 1
 
 
-class TestSessionRegistry:
-    def test_register_model_compiles_session(self, small_config):
-        registry = SessionRegistry()
-        session = registry.register("digits", DONN(small_config), dtype="complex64")
-        assert isinstance(session, InferenceSession)
-        assert session.dtype == np.complex64
-        assert registry.get("digits") is session
-        assert "digits" in registry and len(registry) == 1
-
-    def test_register_existing_session_as_is(self, small_config):
-        registry = SessionRegistry()
-        session = engine_compile(DONN(small_config))
-        assert registry.register("digits", session) is session
-
-    def test_duplicate_name_rejected_unless_replace(self, small_config):
-        registry = SessionRegistry()
-        registry.register("digits", DONN(small_config))
-        with pytest.raises(ValueError, match="already registered"):
-            registry.register("digits", DONN(small_config))
-        registry.register("digits", DONN(small_config), replace=True)
-
-    def test_unknown_name_raises(self):
-        registry = SessionRegistry()
-        with pytest.raises(UnknownModelError):
-            registry.get("missing")
-        with pytest.raises(UnknownModelError):
-            registry.unregister("missing")
-
-    def test_session_kwargs_rejected_for_ready_sessions(self, small_config):
-        registry = SessionRegistry()
-        session = engine_compile(DONN(small_config))
-        with pytest.raises(ValueError, match="already a session"):
-            registry.register("digits", session, dtype="complex64")
-
-    def test_non_session_rejected(self):
-        registry = SessionRegistry()
-        with pytest.raises(TypeError):
-            registry.register("digits", object())
-
-
-class TestRegistryLRUEviction:
-    def test_capacity_validated(self):
-        with pytest.raises(ValueError, match="max_models"):
-            SessionRegistry(max_models=0)
-
-    def test_least_recently_used_is_evicted_first(self):
-        registry = SessionRegistry(max_models=2)
-        registry.register("a", FakeSession())
-        registry.register("b", FakeSession())
-        registry.get("a")  # refresh: "b" is now the LRU entry
-        registry.register("c", FakeSession())
-        assert registry.last_evicted == ("b",)
-        assert set(registry.names()) == {"a", "c"}
-        with pytest.raises(UnknownModelError):
-            registry.get("b")
-
-    def test_registration_counts_as_use(self):
-        registry = SessionRegistry(max_models=2)
-        registry.register("a", FakeSession())
-        registry.register("b", FakeSession())
-        registry.register("c", FakeSession())  # evicts "a" (oldest untouched)
-        assert registry.last_evicted == ("a",)
-        registry.register("d", FakeSession())  # evicts "b"
-        assert registry.last_evicted == ("b",)
-        assert set(registry.names()) == {"c", "d"}
-
-    def test_replace_never_evicts(self):
-        registry = SessionRegistry(max_models=2)
-        registry.register("a", FakeSession())
-        registry.register("b", FakeSession())
-        registry.register("a", FakeSession(), replace=True)
-        assert registry.last_evicted == ()
-        assert set(registry.names()) == {"a", "b"}
-
-    def test_in_flight_requests_on_evicted_model_complete(self, small_config, rng):
-        """Eviction drops the registry reference only: a live batcher keeps
-        serving (and finishing) traffic for the evicted model."""
-        registry = SessionRegistry(max_models=1)
-        server = InferenceServer(registry=registry)
-        first = server.add_model("first", DONN(small_config))
-        image = rng.uniform(size=small_config.grid.shape)
-        expected = first.run(image[None])[0]
-
-        async def scenario():
-            async with server:
-                pending = asyncio.ensure_future(server.submit("first", image))
-                await asyncio.sleep(0)  # in flight before the eviction lands
-                server.add_model("second", DONN(small_config))  # evicts "first"
-                assert registry.last_evicted == ("first",)
-                result = await pending
-                # Even brand-new requests still serve: the batcher holds its
-                # own session reference.
-                again = await server.submit("first", image)
-                return result, again
-
-        result, again = asyncio.run(scenario())
-        np.testing.assert_allclose(result, expected, atol=1e-10)
-        np.testing.assert_allclose(again, expected, atol=1e-10)
-
-    def test_empty_burst_on_evicted_model_uses_live_batcher(self, small_config):
-        """submit_many(name, []) must not fail just because the LRU
-        registry dropped its reference while the batcher stays live."""
-        registry = SessionRegistry(max_models=1)
-        server = InferenceServer(registry=registry)
-        server.add_model("first", DONN(small_config))
-
-        async def scenario():
-            async with server:
-                server.add_model("second", DONN(small_config))  # evicts "first"
-                return await server.submit_many("first", [])
-
-        empty = asyncio.run(scenario())
-        assert empty.shape == (0, small_config.num_classes)
-
-    def test_eviction_prunes_server_bookkeeping_for_idle_names(self, small_config):
-        """On a not-started server, an evicted name must not keep growing
-        the server's per-model record table."""
-        registry = SessionRegistry(max_models=1)
-        server = InferenceServer(registry=registry)
-        for index in range(4):
-            server.add_model(f"model-{index}", DONN(small_config), max_batch=4)
-        assert set(server._models) == {"model-3"}
-
-    def test_reregistering_evicted_live_name_is_refused(self, small_config):
-        """A name evicted from the registry but still live on a started
-        server must not silently get a second batcher (the first would
-        leak); re-registration is refused like any live replace."""
-        registry = SessionRegistry(max_models=1)
-        server = InferenceServer(registry=registry)
-        server.add_model("first", DONN(small_config))
-
-        async def scenario():
-            async with server:
-                server.add_model("second", DONN(small_config))  # evicts "first"
-                with pytest.raises(RuntimeError, match="live model"):
-                    server.add_model("first", DONN(small_config))
-
-        asyncio.run(scenario())
-
-
 class TestInferenceServer:
     def test_multi_tenant_serving_matches_direct_engine_calls(self, small_config, rng):
         """All three model families serve concurrently with correct routing."""
@@ -577,6 +437,8 @@ class TestInferenceServer:
             async with server:
                 with pytest.raises(UnknownModelError):
                     await server.submit("nope", np.zeros((32, 32)))
+                with pytest.raises(UnknownModelError):
+                    await server.submit_many("nope", [])
 
         run_async(scenario())
 
@@ -595,26 +457,57 @@ class TestInferenceServer:
 
         run_async(scenario())
 
-    def test_names_registered_on_the_registry_serve_with_window_defaults(self, small_config, rng):
-        """A name registered directly on a caller-supplied registry is served
-        from start() with the server's window defaults, not its policy."""
-        registry = SessionRegistry()
-        session = registry.register("direct", DONN(small_config))
-        server = InferenceServer(registry=registry, policy=lambda: SLOAwarePolicy(slo_ms=500.0), max_batch=3)
-        server.add_model("added", DONN(small_config))
+    @pytest.mark.parametrize(
+        "name, given, options, error, match",
+        [
+            pytest.param("", "model", {}, ValueError, "non-empty string", id="empty-name"),
+            pytest.param(7, "model", {}, ValueError, "non-empty string", id="non-string-name"),
+            pytest.param("first", "model", {}, ValueError, "already registered", id="duplicate"),
+            pytest.param(
+                "second", "session", {"dtype": "complex64"}, ValueError, "need a model", id="options-with-session"
+            ),
+            pytest.param(
+                "second", "store-ref", {"dtype": "complex64"}, ValueError, "need a model", id="options-with-ref"
+            ),
+            pytest.param("second", "object", {}, TypeError, "cannot compile", id="non-model"),
+            pytest.param("second", "m@latest", {}, TypeError, "store", id="string-without-store"),
+        ],
+    )
+    def test_refused_add_model_changes_nothing(
+        self, small_config, rng, tmp_path, monkeypatch, name, given, options, error, match
+    ):
+        """Every refusal happens before anything compiles or registers, and
+        the model already served keeps serving."""
+        model = DONN(small_config)
+        store = None
+        if given == "store-ref":
+            store = ModelStore(tmp_path)
+            store.publish("m", model)
+        server = InferenceServer(store=store)
+        first = engine_compile(model)
+        assert server.add_model("first", first) is first, "a session is used as it is"
+        objects = {"model": model, "session": first, "object": object(), "m@latest": "m@latest"}
+        given = store.ref("m") if store is not None else objects[given]
+        before = dict(server._models)
+        built = []
+        compile_session = InferenceSession.__init__
+
+        def counting_init(session, *args, **kwargs):
+            compile_session(session, *args, **kwargs)
+            built.append(session)
+
+        monkeypatch.setattr(InferenceSession, "__init__", counting_init)
+        with pytest.raises(error, match=match):
+            server.add_model(name, given, **options)
+        assert built == [], "a refused add compiled a session"
+        assert server._models == before and server._models["first"] is before["first"]
         image = rng.uniform(0.0, 1.0, size=(32, 32))
 
         async def scenario():
-            with pytest.raises(ServerClosedError, match="not started"):
-                await server.submit("direct", image)
             async with server:
-                policies = {name: server._models[name].batcher.policy for name in ("direct", "added")}
-                return await server.submit("direct", image), policies
+                return await server.submit("first", image)
 
-        served, policies = run_async(scenario())
-        np.testing.assert_allclose(served, session.run(image[None])[0], atol=1e-10)
-        assert isinstance(policies["direct"], FixedWindowPolicy) and policies["direct"].max_batch == 3
-        assert isinstance(policies["added"], SLOAwarePolicy)
+        np.testing.assert_allclose(run_async(scenario()), first.run(image[None])[0], atol=1e-12)
 
     def test_add_model_while_running(self, small_config, rng):
         images = rng.uniform(0.0, 1.0, size=(3, 32, 32))
@@ -637,7 +530,8 @@ class TestInferenceServer:
 
         async def scenario():
             server = InferenceServer()
-            server.add_model("digits64", model, dtype="complex64")
+            session = server.add_model("digits64", model, dtype="complex64")
+            assert isinstance(session, InferenceSession) and session.dtype == np.complex64
             async with server:
                 return await server.submit_many("digits64", images)
 
@@ -645,8 +539,8 @@ class TestInferenceServer:
         np.testing.assert_allclose(out, engine_compile(model).run(images), atol=COMPLEX64_LOGIT_ATOL)
 
     def test_replace_on_live_model_rejected_without_touching_registry(self, small_config, rng):
-        """A refused live swap must leave both registry and batcher serving
-        the original session."""
+        """A refused live swap must leave the model's record and batcher
+        serving the original session."""
         old = DONN(small_config)
         new = DONN(small_config.with_updates(seed=99))
         image = rng.uniform(0.0, 1.0, size=(32, 32))
@@ -657,7 +551,7 @@ class TestInferenceServer:
             async with server:
                 with pytest.raises(RuntimeError, match="stop the server"):
                     server.add_model("digits", new, replace=True)
-                assert server.registry.get("digits") is original_session
+                assert server._models["digits"].session is original_session
                 served = await server.submit("digits", image)
             return served, original_session
 

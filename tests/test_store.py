@@ -2,9 +2,8 @@
 
 Four tiers, cheapest first: pure-store properties (publish/resolve/load
 round-trips, content-addressed dedup, corruption detection -- Hypothesis
-searches families x optimize levels x dtypes), registry/server
-integration (the LRU-eviction-of-a-store-backed-model regression, string
-refs), process-crossing tests (replica groups cold-starting every family
+searches families x optimize levels x dtypes), server integration (typed
+swap refusals), process-crossing tests (replica groups cold-starting every family
 from a store with no live model in the parent, crash-restart rebuilding
 from disk), and the zero-downtime swap path (in-process, under in-flight
 traffic, and over HTTP through the gateway).
@@ -30,7 +29,7 @@ from repro import DONN, DONNConfig, MultiChannelDONN, SegmentationDONN
 from repro.cluster import ReplicaGroup, WorkerServer
 from repro.engine import COMPLEX64_LOGIT_ATOL, SessionSpec, compile as engine_compile
 from repro.gateway import Gateway, GatewayClient
-from repro.serve import InferenceServer, SessionRegistry, UnknownModelError
+from repro.serve import InferenceServer, UnknownModelError
 from repro.store import (
     LocalDirBackend,
     ModelNotFoundError,
@@ -200,6 +199,9 @@ class TestResolution:
             store.resolve("digits", "deadbeefdeadbeef")
         with pytest.raises(VersionNotFoundError):
             store.resolve("digits", "not a selector")
+        for flag in (True, False):  # a bool is an int, but not a version number
+            with pytest.raises(VersionNotFoundError, match="unrecognized"):
+                store.resolve("digits", flag)
         # Both are KeyError subclasses, so dict-style callers also work.
         with pytest.raises(KeyError):
             store.resolve("digits", "v9")
@@ -272,6 +274,23 @@ class TestIntegrity:
         manifest_path.write_text(json.dumps(data))
         with pytest.raises(StoreIntegrityError, match="malformed"):
             store.versions("m")
+
+    def test_tampered_content_hash_cannot_reach_outside_the_store(self, tmp_path):
+        """A manifest's content_hash becomes a blob key: one that is not a
+        SHA-256 hex digest is refused before any file is read or deleted."""
+        store = ModelStore(tmp_path / "store", cache_entries=0)
+        store.publish("m", _model("donn"))
+        victim = tmp_path / "store-other" / "victim"
+        victim.parent.mkdir()
+        victim.write_bytes(b"keep")
+        manifest_path = tmp_path / "store" / "manifests" / "m" / "v1.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["content_hash"] = "x/../../../store-other/victim"
+        manifest_path.write_text(json.dumps(manifest))
+        for call in (store.resolve, store.load, lambda name: store.delete_version(name, "v1")):
+            with pytest.raises(StoreIntegrityError, match="64 lowercase hex"):
+                call("m")
+        assert victim.read_bytes() == b"keep"
 
     def test_manifest_name_version_mismatch_is_a_typed_error(self, tmp_path):
         store = ModelStore(tmp_path, cache_entries=0)
@@ -409,6 +428,17 @@ class TestBackendContract:
         with pytest.raises(ValueError):
             backend.put("../outside", b"x")
 
+    def test_sibling_prefix_key_is_refused(self, tmp_path):
+        """``<root>-other`` shares the root's string prefix but lies outside it."""
+        backend = LocalDirBackend(tmp_path / "store")
+        victim = tmp_path / "store-other" / "victim"
+        victim.parent.mkdir()
+        victim.write_bytes(b"keep")
+        for call in (backend.get, backend.exists, backend.delete, lambda key: backend.put(key, b"x")):
+            with pytest.raises(ValueError, match="escapes the store root"):
+                call("../store-other/victim")
+        assert victim.read_bytes() == b"keep"
+
     def test_no_temp_litter_after_puts(self, tmp_path):
         backend = LocalDirBackend(tmp_path)
         for i in range(5):
@@ -418,64 +448,9 @@ class TestBackendContract:
 
 
 # --------------------------------------------------------------------- #
-# Registry + server integration (the LRU regression)
+# Server integration: the server's one model table, store-backed
 # --------------------------------------------------------------------- #
 class TestStoreBackedRegistry:
-    def test_lru_eviction_of_store_backed_model_is_reversible(self, tmp_path, rng):
-        """Regression: evicting a store-backed model drops only the
-        in-memory session -- the on-disk version survives and get()
-        quietly rebuilds from the pinned ref."""
-        store = ModelStore(tmp_path)
-        store.publish("a", _model("donn", seed=1))
-        store.publish("b", _model("donn", seed=2))
-        registry = SessionRegistry(max_models=1, store=store)
-        session_a = registry.register("a", "a@latest")
-        registry.register("b", "b@latest")
-        assert registry.last_evicted == ("a",)
-        assert "a" not in registry  # in-memory session is gone...
-        assert [m.version for m in store.versions("a")] == [1]  # ...the version is not
-        rebuilt = registry.get("a")  # quiet rebuild from the kept ref
-        assert rebuilt is not session_a  # a fresh session, same bytes
-        batch = _batch("donn", rng)
-        np.testing.assert_allclose(rebuilt.run(batch), session_a.run(batch), atol=PARITY_ATOL)
-        assert registry.last_evicted == ("b",)  # the rebuild evicted in turn
-        assert registry.store_ref("a").name == "a"
-
-    def test_evicted_plain_session_stays_gone(self, tmp_path):
-        registry = SessionRegistry(max_models=1)
-        registry.register("a", engine_compile(_model("donn", seed=1)))
-        registry.register("b", engine_compile(_model("donn", seed=2)))
-        with pytest.raises(UnknownModelError):
-            registry.get("a")
-
-    def test_unregister_reaches_evicted_store_backed_names(self, tmp_path):
-        store = ModelStore(tmp_path)
-        store.publish("a", _model("donn", seed=1))
-        store.publish("b", _model("donn", seed=2))
-        registry = SessionRegistry(max_models=1, store=store)
-        registry.register("a", "a@latest")
-        registry.register("b", "b@latest")
-        registry.unregister("a")  # evicted, but still unregisterable
-        with pytest.raises(UnknownModelError):
-            registry.get("a")
-        with pytest.raises(UnknownModelError):
-            registry.unregister("a")
-
-    def test_string_refs_need_a_store(self):
-        with pytest.raises(TypeError, match="store"):
-            SessionRegistry().register("m", "m@latest")
-
-    def test_ref_with_session_options_is_refused(self, tmp_path):
-        store = ModelStore(tmp_path)
-        store.publish("m", _model("donn"))
-        with pytest.raises(ValueError, match="fixed when the spec was published"):
-            SessionRegistry(store=store).register("m", store.ref("m"), dtype="complex64")
-
-    def test_server_add_model_by_string_needs_a_store(self):
-        server = InferenceServer()
-        with pytest.raises(TypeError, match="store"):
-            server.add_model("m", "m@latest")
-
     def test_server_swap_refusals_are_typed(self, tmp_path):
         async def scenario():
             store = ModelStore(tmp_path)
@@ -494,46 +469,6 @@ class TestStoreBackedRegistry:
             await storeless.close()
 
         asyncio.run(scenario())
-
-    def test_started_server_does_not_serve_a_name_evicted_before_start(self, tmp_path, rng):
-        """A started server serves exactly the names it holds: a request for
-        a store-backed name the LRU registry evicted before start() is
-        unknown, and it neither rebuilds that name nor evicts a live one."""
-        store = ModelStore(tmp_path)
-        store.publish("a", _model("donn", seed=1))
-        store.publish("b", _model("donn", seed=2))
-        registry = SessionRegistry(max_models=1, store=store)
-        server = InferenceServer(registry=registry)
-        server.add_model("a", "a@latest")
-        server.add_model("b", "b@latest")  # evicts "a"
-        image = _batch("donn", rng, n=1)[0]
-
-        async def scenario():
-            async with server:
-                with pytest.raises(UnknownModelError):
-                    await server.submit("a", image)
-                assert registry.names() == ("b",), "a request rebuilt or evicted a model"
-                assert sorted(server.describe()) == ["b"]
-                answer = await server.submit("b", image)
-                with pytest.raises(UnknownModelError):
-                    await server.swap_model("a")
-                with pytest.raises(UnknownModelError):
-                    await server.submit_many("a", [])
-                assert registry.names() == ("b",)
-                async with Gateway(server, port=0) as gateway:
-                    async with GatewayClient(port=gateway.port) as client:
-                        status, _, body = await client._request(
-                            "POST", "/v1/models/a/infer", {"input": image.tolist()}
-                        )
-                        with pytest.raises(UnknownModelError):
-                            await client.infer("a", image)
-                assert registry.names() == ("b",)
-            return answer, status, body
-
-        answer, status, body = asyncio.run(scenario())
-        expected = engine_compile(_model("donn", seed=2)).run(image[None])[0]
-        np.testing.assert_allclose(answer, expected, atol=PARITY_ATOL)
-        assert status == 404 and body["error"]["type"] == "unknown_model"
 
 
 # --------------------------------------------------------------------- #
@@ -711,6 +646,9 @@ class TestZeroDowntimeSwap:
                     assert summary["changed"] and summary["version"] == "v2"
                     again = await client.swap_model("digits")  # latest == v2: no-op
                     assert again["changed"] is False
+                    for flag in (True, False):  # JSON booleans are not version numbers
+                        status, _, body = await client._request("POST", "/v1/models/digits/swap", {"version": flag})
+                        assert status == 400 and body["error"]["type"] == "invalid_request"
                     after = await client.stats()
                     assert after["models"]["digits"]["store"]["version"] == "v2"
                     output = await client.infer("digits", batch)

@@ -1,6 +1,6 @@
 """Documentation checks: links and repo paths resolve, examples run and call the API they name, events and metrics are listed.
 
-Four passes over ``README.md`` and every ``docs/*.md``, one over
+Five passes over ``README.md`` and every ``docs/*.md``, one over
 ``src/repro`` and one over the ``GET /metrics`` renderer:
 
 1. **Links.** Every relative markdown link (``[text](path)`` or
@@ -28,13 +28,17 @@ Four passes over ``README.md`` and every ``docs/*.md``, one over
    take ``**kwargs`` are skipped, except ``add_model``, whose extra
    keywords are checked against :func:`repro.engine.compile`, where
    they go.
-5. **Events.** Every event name handed to the structured logger under
+5. **Imports.** Every ``from repro... import name`` in a fenced
+   ``python`` block must name something the module has (an attribute
+   or a submodule, as the import statement itself resolves it), so a
+   deleted public name cannot survive in a snippet.
+6. **Events.** Every event name handed to the structured logger under
    ``src/repro`` -- the first argument of ``get_logger()`` /
    ``_obs_logger()`` ``.info``/``.warning`` (or ``.debug``/``.error``),
    or an ``event=`` keyword to a helper that forwards it there -- is
    listed in the "Structured logs" table of ``docs/observability.md``,
    and every event that table lists is emitted somewhere.
-6. **Metrics.** :func:`repro.obs.render_server_metrics` renders a
+7. **Metrics.** :func:`repro.obs.render_server_metrics` renders a
    synthetic ``GET /v1/stats`` body with every block present (a model
    with a replica, an autoscaler and a store ref; the gateway; the
    tracer).  Every family it renders (``# TYPE`` line) is listed in the
@@ -47,8 +51,9 @@ Run from the repo root (CI job ``docs``)::
 
 Exit code 0 on success; failures are listed one per line.  Importable
 (``check_links`` / ``check_paths`` / ``check_doctests`` /
-``check_keywords`` / ``check_events`` / ``check_metrics``) so the test
-suite runs the same checks as CI (see ``tests/test_docs.py``).
+``check_keywords`` / ``check_imports`` / ``check_events`` /
+``check_metrics``) so the test suite runs the same checks as CI (see
+``tests/test_docs.py``).
 """
 
 from __future__ import annotations
@@ -213,13 +218,18 @@ def public_keywords() -> Dict[str, Optional[FrozenSet[str]]]:
     return table
 
 
+def _parse_block(source: str) -> ast.AST:
+    """The block's syntax tree; ``SyntaxError`` when it does not parse (top-level ``await`` is allowed)."""
+    return compile(source, "<block>", "exec", flags=ast.PyCF_ONLY_AST | ast.PyCF_ALLOW_TOP_LEVEL_AWAIT)
+
+
 def keyword_uses(source: str, public: Dict[str, Optional[FrozenSet[str]]]) -> List[Tuple[str, str, int]]:
     """``(callable, keyword, line)`` for each keyword ``source`` passes to a checked public callable.
 
     Raises ``SyntaxError`` when ``source`` does not parse (top-level
     ``await`` and ``async with`` are allowed, as in a notebook).
     """
-    tree = compile(source, "<block>", "exec", flags=ast.PyCF_ONLY_AST | ast.PyCF_ALLOW_TOP_LEVEL_AWAIT)
+    tree = _parse_block(source)
     uses = []
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
@@ -250,6 +260,46 @@ def check_keywords(files: List[Path] = None) -> List[str]:
                 errors.append(f"{label}: `{name}` takes no keyword `{keyword}` (line {line} of the block)")
     if not checked:
         errors.append("no keyword passed to a public repro callable in any python block -- the keyword pass saw nothing")
+    return errors
+
+
+def repro_imports(source: str) -> List[Tuple[str, str, int]]:
+    """``(module, name, line)`` for each name a ``from repro... import`` statement in ``source`` imports.
+
+    Raises ``SyntaxError`` when ``source`` does not parse.
+    """
+    imports = []
+    for node in ast.walk(_parse_block(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and (node.module or "").split(".")[0] == "repro":
+            imports.extend((node.module, alias.name, node.lineno) for alias in node.names if alias.name != "*")
+    return imports
+
+
+def importable(module_name: str, name: str) -> bool:
+    """Whether ``from module_name import name`` succeeds: an attribute, else a submodule."""
+    try:
+        module = importlib.import_module(module_name)
+        if not hasattr(module, name):
+            importlib.import_module(f"{module_name}.{name}")
+    except ImportError:
+        return False
+    return True
+
+
+def check_imports(files: List[Path] = None) -> List[str]:
+    """Return ``from repro... import name`` lines in the docs' python blocks whose module has no such name."""
+    errors, checked = [], 0
+    for label, source in python_blocks(files):
+        try:
+            imports = repro_imports(source)
+        except SyntaxError:
+            continue  # the keyword pass reports a block that does not parse
+        checked += len(imports)
+        for module, name, line in imports:
+            if not importable(module, name):
+                errors.append(f"{label}: `from {module} import {name}`: no such name (line {line} of the block)")
+    if not checked:
+        errors.append("no `from repro... import` in any python block -- the import pass saw nothing")
     return errors
 
 
@@ -327,7 +377,7 @@ def synthetic_stats_body() -> dict:
          "dispatched": 1, "failures": 0, "restarts": 0, "draining": False}
     ]
     stats.autoscaler = {"fleet": 1, "alive": 1, "scale_ups": 0, "scale_downs": 0, "holds": 1,
-                        "nan_holds": 0, "idle_demotions": 0, "errors": 0}
+                        "nan_holds": 0, "errors": 0}
     stats.store = StoreRef("local", "store", "digits", 1, "0" * 64).describe()
     return {"models": {"digits": stats.as_dict()}, "gateway": GatewayLimits().snapshot(), "obs": Tracer().snapshot()}
 
@@ -367,6 +417,7 @@ def main() -> int:
         + check_paths(files)
         + check_doctests(files)
         + check_keywords(files)
+        + check_imports(files)
         + check_events()
         + check_metrics()
     )
