@@ -384,6 +384,19 @@ class TestDispatchBatching:
         assert stats.deadline_missed == 1
 
 
+class TestSessionRegistry:
+    """The server's model table: ``add_model`` turns what it is given into
+    the session its batcher runs, one record per name."""
+
+    def test_register_model_compiles_session(self, small_config):
+        server = InferenceServer()
+        session = server.add_model("digits", DONN(small_config), dtype="complex64")
+        assert isinstance(session, InferenceSession)
+        assert session.dtype == np.complex64
+        assert server._models["digits"].session is session
+        assert list(server._models) == ["digits"]
+
+
 class TestInferenceServer:
     def test_multi_tenant_serving_matches_direct_engine_calls(self, small_config, rng):
         """All three model families serve concurrently with correct routing."""
@@ -530,8 +543,7 @@ class TestInferenceServer:
 
         async def scenario():
             server = InferenceServer()
-            session = server.add_model("digits64", model, dtype="complex64")
-            assert isinstance(session, InferenceSession) and session.dtype == np.complex64
+            server.add_model("digits64", model, dtype="complex64")
             async with server:
                 return await server.submit_many("digits64", images)
 

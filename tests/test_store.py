@@ -451,6 +451,21 @@ class TestBackendContract:
 # Server integration: the server's one model table, store-backed
 # --------------------------------------------------------------------- #
 class TestStoreBackedRegistry:
+    def test_string_refs_need_a_store(self):
+        """A string names a store entry, so a storeless server refuses it
+        before anything is registered or spawned, in-process or fleet."""
+        server = InferenceServer()
+        for reference in ("m@latest", "m@v1", "m"):
+            for replicas in (None, 2):
+                with pytest.raises(TypeError, match="store"):
+                    server.add_model("m", reference, replicas=replicas)
+        assert server._models == {}
+
+    def test_server_add_model_by_string_needs_a_store(self):
+        server = InferenceServer()
+        with pytest.raises(TypeError, match="store"):
+            server.add_model("m", "m@latest")
+
     def test_server_swap_refusals_are_typed(self, tmp_path):
         async def scenario():
             store = ModelStore(tmp_path)
