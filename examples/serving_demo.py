@@ -23,7 +23,8 @@ import time
 import numpy as np
 
 from repro import DONN, DONNConfig, MultiChannelDONN, SegmentationDONN
-from repro.engine import compile as engine_compile
+from repro.cluster import ReplicaGroup
+from repro.engine import SessionSpec, compile as engine_compile
 from repro.serve import (
     DeadlineExceededError,
     InferenceServer,
@@ -123,14 +124,16 @@ async def main() -> None:
 async def sharded() -> None:
     """Replica groups: the same model served by 2 worker processes.
 
-    Each fused batch is routed (here by power-of-two-choices) to one of
-    two spawned workers, which rebuilt their own compiled sessions from
-    the model's picklable SessionSpec; batch arrays travel over shared
-    memory.  See docs/sharding.md.
+    The group is built here and handed to the server.  Each fused batch
+    is routed (here by power-of-two-choices) to one of two spawned
+    workers, which rebuilt their own compiled sessions from the model's
+    picklable SessionSpec; batch arrays travel over shared memory.  See
+    docs/sharding.md.
     """
     digits, _, _ = build_models()
-    server = InferenceServer(replicas=2, router="power_of_two_choices")
-    server.add_model("digits", digits)
+    group = ReplicaGroup(SessionSpec.from_model(digits), replicas=2, router="power_of_two_choices", name="digits")
+    server = InferenceServer()
+    server.add_model("digits", group)
     rng = np.random.default_rng(7)
     images = rng.uniform(size=(24, SYS, SYS))
     async with server:  # start() spawns the workers; exit drains + stops them

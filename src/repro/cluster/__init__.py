@@ -35,11 +35,17 @@ execution tier below it:
   drives ``ReplicaGroup.scale_to`` (drain-before-terminate) to hold a
   latency budget at minimum process count, with hysteresis, cooldowns,
   a max-fleet cap and an idle timeout that shrinks a quiet fleet to its
-  floor.  ``InferenceServer(autoscale=...)`` wires it up; see
-  ``docs/autoscaling.md``.
+  floor.  ``InferenceServer.add_model(name, group, autoscale=...)``
+  wires it up; see ``docs/autoscaling.md``.
 
-``repro.serve.InferenceServer(replicas=N, router=...)`` wires all of
-this under its dynamic batchers; see ``docs/sharding.md`` for the guide.
+A group reaches the serving layer one way: build it, then hand it to
+``repro.serve.InferenceServer.add_model(name, group)``, which puts it
+under that model's dynamic batcher::
+
+    group = ReplicaGroup(store.ref("digits"), replicas=2, router="least_loaded")
+    server.add_model("digits", group)
+
+See ``docs/sharding.md`` for the guide.
 """
 
 from repro.cluster.autoscale import AutoscaleConfig, Autoscaler, Decision

@@ -169,7 +169,7 @@ class AutoscaleConfig:
 
     @classmethod
     def from_options(cls, options) -> "AutoscaleConfig":
-        """Coerce ``InferenceServer(autoscale=...)`` input: config or kwargs dict."""
+        """Coerce ``InferenceServer.add_model(name, group, autoscale=...)`` input: config or kwargs dict."""
         if isinstance(options, cls):
             return options
         if isinstance(options, dict):

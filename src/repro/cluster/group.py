@@ -81,7 +81,11 @@ class ReplicaGroup:
     spec:
         The :class:`~repro.engine.SessionSpec` every worker builds its
         session from (``repro.engine.compile(model).to_spec()`` or
-        ``SessionSpec.from_model(model, ...)``).
+        ``SessionSpec.from_model(model, ...)``), or a
+        :class:`~repro.store.StoreRef` (``store.ref("digits")``): each
+        worker then cold-starts from the store, and an
+        :class:`~repro.serve.InferenceServer` serving the group reports
+        that version and can swap it.
     replicas:
         Local worker-process count (may be 0 when ``workers`` names at
         least one remote worker).  The *initial* fleet size:
@@ -95,9 +99,9 @@ class ReplicaGroup:
         the same routing/retry/restart machinery -- a restart is simply
         a reconnect.
     router:
-        ``"round_robin"`` / ``"least_loaded"`` / ``"power_of_two_choices"``
-        or a ready :class:`~repro.cluster.Router` instance (routers hold
-        per-group state: one instance per group).
+        ``"round_robin"`` / ``"least_loaded"`` / ``"power_of_two_choices"``:
+        the name of the routing policy the group builds its own
+        :class:`~repro.cluster.Router` from.
     max_retries:
         How many *other* replicas a batch may be retried on after a
         crash/timeout before the error propagates to callers.
@@ -138,7 +142,7 @@ class ReplicaGroup:
         self,
         spec: SessionSpec,
         replicas: int = 2,
-        router="round_robin",
+        router: str = "round_robin",
         *,
         workers: Optional[List[str]] = None,
         max_retries: int = 2,

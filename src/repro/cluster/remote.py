@@ -7,9 +7,10 @@ Launch it on any host that has the ``repro`` package::
     repro-worker --host 0.0.0.0 --port 7070
     PYTHONPATH=src python -m repro.cluster.remote --host 0.0.0.0 --port 7070
 
-and point a :class:`~repro.cluster.ReplicaGroup` (or
-``InferenceServer(..., cluster_options={"workers": [...]})``) at
-``host:7070``.  The worker carries **no model state of its own**: each
+and point a :class:`~repro.cluster.ReplicaGroup` at ``host:7070``
+(``ReplicaGroup(spec, replicas=0, workers=["host:7070"])``), then serve
+that group with ``InferenceServer.add_model``.  The worker carries **no
+model state of its own**: each
 connection opens with an ``("init", spec, options)`` frame, the worker
 builds its :class:`~repro.engine.InferenceSession` from that
 :class:`~repro.engine.SessionSpec`, runs the same call loop as a spawned
@@ -20,7 +21,10 @@ malformed frame ends at most its own conversation, never the listener.
 
 One conversation at a time: a replica serializes its calls anyway, and a
 worker process is one core's worth of FFT compute -- parents needing more
-parallelism run more workers.  ``--port 0`` binds an ephemeral port and
+parallelism run more workers.  A worker therefore serves one group at a
+time: two groups (two models) naming the same address would have the
+second wait out its ``start_timeout_s`` handshake and fail, so give each
+group its own workers.  ``--port 0`` binds an ephemeral port and
 prints the bound address (``repro-worker listening on host:port``) so
 launchers can scrape it.
 

@@ -31,7 +31,8 @@ Three policies:
 
 All selections ignore dead replicas and an ``exclude`` set (the group's
 retry path excludes replicas that already failed this batch).  Routers
-hold per-group state (cursor, RNG): give each group its own instance.
+hold per-group state (cursor, RNG), so a group is given a router *name*
+and builds its own instance (:func:`make_router`).
 """
 
 from __future__ import annotations
@@ -146,8 +147,8 @@ _ROUTERS = {
 }
 
 
-def make_router(spec, **kwargs) -> Router:
-    """Resolve a router: an instance (passed through), or a name.
+def make_router(name: str, **kwargs) -> Router:
+    """A fresh router by name; ``kwargs`` go to its constructor.
 
     >>> from repro.cluster import make_router
     >>> make_router("round_robin").name
@@ -155,13 +156,9 @@ def make_router(spec, **kwargs) -> Router:
     >>> make_router("power_of_two_choices", seed=7).name
     'power_of_two_choices'
     """
-    if isinstance(spec, Router):
-        if kwargs:
-            raise ValueError("router options need a router *name*, not an instance")
-        return spec
     try:
-        cls = _ROUTERS[spec]
+        cls = _ROUTERS[name]
     except (KeyError, TypeError):
         known = ", ".join(sorted(_ROUTERS))
-        raise ValueError(f"unknown router {spec!r} (known: {known})") from None
+        raise ValueError(f"unknown router {name!r} (known: {known})") from None
     return cls(**kwargs)

@@ -50,9 +50,9 @@ Quick start (see ``docs/gateway.md`` for the full reference)::
 
 or ``python -m repro.gateway`` for a demo model behind a flag-tunable
 gateway.  Multi-host serving -- replica workers on other machines over
-:class:`~repro.cluster.SocketTransport` -- is one ``cluster_options=
-{"workers": [...]}`` away; the deployment walkthrough in the docs covers
-it end to end.
+:class:`~repro.cluster.SocketTransport` -- is one
+``ReplicaGroup(spec, workers=[...])`` handed to ``add_model`` away; the
+deployment walkthrough in the docs covers it end to end.
 """
 
 from repro.gateway.client import GatewayClient, GatewayError

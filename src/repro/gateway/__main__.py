@@ -19,9 +19,11 @@ application/octet-stream``; curl ``--data-binary @frame.bin``) and
 answers with one when ``Accept`` asks for it -- the format and a
 frame-writing snippet are in ``docs/gateway.md``.
 
-``--replicas N`` runs the model on a process-sharded replica group;
-``--workers host:port,...`` additionally attaches remote ``repro-worker``
-processes (see ``docs/gateway.md`` for the multi-host walkthrough).
+``--replicas N`` (N >= 2) runs the model on a process-sharded
+:class:`~repro.cluster.ReplicaGroup` built here; ``--workers
+host:port,...`` attaches remote ``repro-worker`` processes to that group
+(``--replicas 0`` for a purely remote fleet; see ``docs/gateway.md`` for
+the multi-host walkthrough).
 """
 
 from __future__ import annotations
@@ -48,15 +50,17 @@ def build_server(args) -> InferenceServer:
         det_size=max(2, args.sys_size // 8),
         seed=0,
     )
-    cluster_options = {}
-    if args.workers:
-        cluster_options["workers"] = [w.strip() for w in args.workers.split(",") if w.strip()]
-    server = InferenceServer(
-        max_batch=args.max_batch,
-        replicas=max(args.replicas, 0 if cluster_options else 1),
-        cluster_options=cluster_options or None,
-    )
-    server.add_model(args.model_name, DONN(config))
+    model = DONN(config)
+    workers = [address.strip() for address in args.workers.split(",") if address.strip()]
+    if args.replicas >= 2 or workers:
+        from repro.cluster import ReplicaGroup
+        from repro.engine import SessionSpec
+
+        model = ReplicaGroup(
+            SessionSpec.from_model(model), replicas=args.replicas, workers=workers, name=args.model_name
+        )
+    server = InferenceServer(max_batch=args.max_batch)
+    server.add_model(args.model_name, model)
     return server
 
 
@@ -80,7 +84,7 @@ async def run(args) -> None:
         await gateway.serve_forever()
 
 
-def main(argv: Optional[list] = None) -> int:
+def parse_args(argv: Optional[list] = None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(
         prog="python -m repro.gateway",
         description="Serve a demo DONN classifier over HTTP (JSON, or raw float64 tensor frames on /infer).",
@@ -92,13 +96,18 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument("--max-batch", type=int, default=16, help="batcher fusion bound (default %(default)s)")
     parser.add_argument(
         "--replicas", type=int, default=1,
-        help="local worker processes; >= 2 shards the model across a replica group (default %(default)s)",
+        help="local worker processes; >= 2 (or any --workers) serves the model from a replica group "
+        "(default %(default)s)",
     )
     parser.add_argument(
         "--workers", default="",
         help="comma-separated host:port list of running repro-worker processes to attach",
     )
-    args = parser.parse_args(argv)
+    return parser.parse_args(argv)
+
+
+def main(argv: Optional[list] = None) -> int:
+    args = parse_args(argv)
     try:
         asyncio.run(run(args))
     except KeyboardInterrupt:

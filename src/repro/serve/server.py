@@ -15,13 +15,12 @@ block the digit classifier.  Requests to unknown names raise
 :class:`ServerOverloadedError`; a stopped server raises
 :class:`ServerClosedError`.
 
-With ``replicas=N`` (server-wide or per model) the fused batches leave
-the process entirely: each such model runs on a
-:class:`~repro.cluster.ReplicaGroup` of N spawned worker processes behind
-a routing policy (``router="round_robin" | "least_loaded" |
-"power_of_two_choices"``), sidestepping the GIL that otherwise
-serializes every model's FFT work through one interpreter.  See
-``docs/sharding.md``.
+A model added as a :class:`~repro.cluster.ReplicaGroup` the caller built
+(``server.add_model("digits", ReplicaGroup(spec, replicas=4))``) sends
+its fused batches out of the process entirely: the group's worker
+processes compute them behind its routing policy, sidestepping the GIL
+that otherwise serializes every model's FFT work through one
+interpreter.  See ``docs/sharding.md``.
 """
 
 from __future__ import annotations
@@ -70,8 +69,7 @@ class _ServedModel:
     policy: object = None  # policy spec: None, a BatchingPolicy or a zero-arg factory
     overrides: dict = field(default_factory=dict)  # per-model batcher tuning
     group: object = None  # ReplicaGroup of a cluster model
-    router: object = None  # the Router instance its group was built with
-    ref: object = None  # StoreRef of a store-backed model
+    ref: object = None  # StoreRef of a store-backed model (or its group's spec)
     autoscale: object = None  # AutoscaleConfig of an elastic fleet
     # Set by the wiring path while the server runs:
     batcher: Optional[DynamicBatcher] = None
@@ -121,47 +119,18 @@ class InferenceServer:
         as soon as its engine is free: an in-process model runs one batch
         at a time (on the thread-pool executor, so the event loop keeps
         accepting requests), a cluster model one per replica.
-    replicas:
-        Default worker-process count per model.  ``1`` (default) serves
-        in-process; ``>= 2`` runs each model on a
-        :class:`~repro.cluster.ReplicaGroup` of spawned workers, fed by
-        its batcher through the cluster dispatch seam.  Override per
-        model through ``add_model``.
-    router:
-        Default replica routing policy: a name (each cluster model gets
-        a fresh router) or, for a single cluster model, a
-        :class:`~repro.cluster.Router` instance -- routers hold state,
-        so an instance shared by a second cluster model is refused with
-        ``TypeError``.
-    cluster_options:
-        Extra :class:`~repro.cluster.ReplicaGroup` keyword defaults
-        (``max_retries``, ``call_timeout_s``, ``handicaps``, ...).
-        ``workers=["host:port", ...]`` attaches already-running
-        ``repro-worker`` processes over
-        :class:`~repro.cluster.SocketTransport` to every cluster model
-        (and permits ``replicas=0`` for a purely remote fleet).
-    autoscale:
-        Default elastic-fleet policy for cluster models: an
-        :class:`~repro.cluster.AutoscaleConfig` or a kwargs dict
-        (``{"slo_p99_ms": 50, "max_replicas": 4}``).  Each such model
-        gets its own :class:`~repro.cluster.Autoscaler` driven by a
-        periodic server task between :meth:`start` and :meth:`stop`,
-        growing/shrinking its replica group (drain-before-terminate) to
-        hold the p99 budget at minimum process count; decisions appear
-        in :meth:`stats` (``.autoscaler``) and ``GET /v1/stats``.
-        ``replicas`` is the *initial* fleet size -- an explicit
-        ``add_model(..., autoscale=...)`` wraps even a single-replica
-        model in a group (a model that cannot be sharded then fails with
-        ``TypeError``); in-process models simply ignore the server-wide
-        default.
     store:
         Optional :class:`~repro.store.ModelStore` (or a directory path,
         wrapped on the spot).  Lets :meth:`add_model` take
         ``"name@version"`` strings and :class:`~repro.store.StoreRef`
-        objects -- replicas then cold-start from the store with no live
-        model in this process -- and enables
-        :meth:`swap_model(name, version) <swap_model>`, the
-        zero-downtime rolling version swap.
+        objects, and enables :meth:`swap_model(name, version)
+        <swap_model>`, the zero-downtime rolling version swap of a
+        replica group built on a store ref.
+
+    A replica fleet reaches the server one way: as a
+    :class:`~repro.cluster.ReplicaGroup` the caller built and passed to
+    :meth:`add_model`, optionally with ``autoscale=``.  The group's own
+    constructor takes its size, router and worker addresses.
 
     Thread/async-safety: the server is bound to the event loop that runs
     :meth:`start`; all coroutines must be awaited on that loop.
@@ -170,24 +139,7 @@ class InferenceServer:
     models serve is fine (each model has an independent batcher).
     """
 
-    def __init__(
-        self,
-        *,
-        policy=None,
-        max_batch: int = 32,
-        max_queue: int = 256,
-        replicas: int = 1,
-        router="round_robin",
-        cluster_options: Optional[dict] = None,
-        autoscale=None,
-        store=None,
-    ):
-        if replicas < 1 and not (cluster_options or {}).get("workers"):
-            raise ValueError("replicas must be >= 1 (or name remote workers in cluster_options)")
-        if autoscale is not None:
-            from repro.cluster import AutoscaleConfig
-
-            autoscale = AutoscaleConfig.from_options(autoscale)
+    def __init__(self, *, policy=None, max_batch: int = 32, max_queue: int = 256, store=None):
         if store is not None and not hasattr(store, "ref"):
             from repro.store import ModelStore
 
@@ -196,10 +148,6 @@ class InferenceServer:
         self.store = store
         self._default_policy = _policy_spec(policy)
         self._defaults = {"max_batch": max_batch, "max_queue": max_queue}
-        self._default_replicas = int(replicas)
-        self._default_router = router
-        self._cluster_options = dict(cluster_options or {})
-        self._default_autoscale = autoscale
         #: The one name table: a record per served model.
         self._models: Dict[str, _ServedModel] = {}
         self._started = False
@@ -217,8 +165,6 @@ class InferenceServer:
         policy=None,
         max_batch: Optional[int] = None,
         max_queue: Optional[int] = None,
-        replicas: Optional[int] = None,
-        router=None,
         autoscale=None,
         **session_kwargs,
     ):
@@ -229,7 +175,7 @@ class InferenceServer:
 
         * a :class:`~repro.store.StoreRef`, or a ``"name@version"``
           string resolved in the server's store: built from the store
-          (``ref.build()``);
+          (``ref.build()``) and served in-process;
         * a session-like object (a ``run`` method) or a
           :class:`~repro.cluster.ReplicaGroup`: used as it is;
         * a model: compiled with ``repro.engine.compile(model,
@@ -240,33 +186,32 @@ class InferenceServer:
         only.  Returns the session the batcher runs (the group of a
         cluster model).
 
-        ``autoscale`` (an :class:`~repro.cluster.AutoscaleConfig` or
-        kwargs dict) overrides the server-wide elastic-fleet policy for
-        this model and forces it onto a replica group even at
-        ``replicas=1`` (the initial fleet size).
-
-        ``replicas``/``router`` override the server-wide sharding
-        defaults: with an effective ``replicas >= 2`` the model (or the
-        store ref) is wrapped in a :class:`~repro.cluster.ReplicaGroup`
-        (its workers spawn on :meth:`start`), and ``session_kwargs``
-        configure the sessions the *workers* build.  The server takes
-        ownership of a ready ``ReplicaGroup`` and closes it on
-        :meth:`stop`.  On an already-started server, adding a cluster
-        model spawns its workers *synchronously on the event loop* --
-        every model's traffic stalls for the spawn+compile time, so on a
-        latency-sensitive server register cluster models before
-        :meth:`start` (or on a fresh server and swap traffic over).
+        A ``ReplicaGroup`` is the one way a model runs on worker
+        processes; its constructor sets the fleet's size, router and
+        remote workers.  The server takes ownership of it and closes it
+        on :meth:`stop` (or when a replace displaces it), so a group
+        serves one name.  A group built on a store ref reports that
+        version in :meth:`describe` and :meth:`stats` and rolls to
+        another through :meth:`swap_model`.  ``autoscale`` (an
+        :class:`~repro.cluster.AutoscaleConfig` or kwargs dict) resizes
+        the group to hold a latency budget; the group's size is the
+        initial fleet.  On an already-started server, adding a group
+        spawns its workers *synchronously on the event loop* -- every
+        model's traffic stalls for the spawn+compile time, so on a
+        latency-sensitive server add groups before :meth:`start` (or
+        on a fresh server and swap traffic over).
 
         Raises :class:`ServerClosedError` after :meth:`stop`;
         ``ValueError`` for an empty or non-string name, a duplicate name
         without ``replace=True``, or session options given with an
         already-compiled object (a session, a group or a store ref);
-        ``TypeError`` for an object that is none of the above, or a
-        string on a server without a store; and ``RuntimeError`` when
-        asked to replace a model that is live on a started server (stop
-        first -- a half-applied swap would leave the live batcher serving
-        a session its record no longer holds).  A refused call leaves
-        the server's models as they were.
+        ``TypeError`` for an object that is none of the above, a string
+        on a server without a store, ``autoscale`` with anything but a
+        group, or a policy instance or group that another name holds;
+        and ``RuntimeError`` when asked to replace a model that is live
+        on a started server (stop first -- a half-applied swap would
+        leave the live batcher serving a session its record no longer
+        holds).  A refused call leaves the server's models as they were.
         """
         if self._closed:
             raise ServerClosedError("server is stopped")
@@ -284,8 +229,9 @@ class InferenceServer:
                     "references need InferenceServer(store=...)"
                 )
             model_or_session = self.store.ref(model_or_session)
-        ref = _as_store_ref(model_or_session)
         group = _as_replica_group(model_or_session)
+        # A group on a pinned store version is a store-backed fleet.
+        ref = _as_store_ref(group.spec if group is not None else model_or_session)
         ready = ref is not None or callable(getattr(model_or_session, "run", None))
         if session_kwargs and ready:
             raise ValueError(
@@ -293,65 +239,32 @@ class InferenceServer:
                 f"{type(model_or_session).__name__} was compiled with its options already"
             )
         spec = _policy_spec(policy if policy is not None else self._default_policy)
-        if isinstance(spec, BatchingPolicy):
-            # Policies are stateful (EWMA latency model, AIMD target): one
-            # instance feeding two batchers would average unrelated models'
-            # behavior.  An instance may serve exactly one model;
-            # server-wide defaults must be factories.  The owner is whichever
-            # other name holds this very instance, so a refused or failed add
-            # claims nothing and a replace releases it.
-            owner = self._holder(spec, name)
+        # Policies (EWMA latency model, AIMD target) and groups (workers a
+        # replace closes) are stateful: an instance serves exactly one
+        # name, so server-wide policy defaults must be factories.  The
+        # owner is whichever other name holds this very instance, so a
+        # refused or failed add claims nothing and a replace releases it.
+        policy_instance = spec if isinstance(spec, BatchingPolicy) else None
+        for instance, advice in (
+            (policy_instance, "pass a factory (e.g. lambda: SLOAwarePolicy(...)) or a fresh instance per model"),
+            (group, "build one group per model"),
+        ):
+            owner = self._holder(instance, name) if instance is not None else None
             if owner is not None:
                 raise TypeError(
-                    f"policy instance passed for {name!r} is already serving {owner!r}; "
-                    "policies are stateful -- pass a factory (e.g. lambda: SLOAwarePolicy(...)) "
-                    "or a fresh instance per model"
+                    f"{type(instance).__name__} instance passed for {name!r} is already serving "
+                    f"{owner!r}; it is stateful -- {advice}"
                 )
-        explicit_autoscale = None
         if autoscale is not None:
+            if group is None:
+                raise TypeError(
+                    f"autoscale resizes a replica group; {name!r} is a {type(model_or_session).__name__} "
+                    "(pass a ReplicaGroup to autoscale it)"
+                )
             from repro.cluster import AutoscaleConfig
 
-            explicit_autoscale = AutoscaleConfig.from_options(autoscale)
-        n_replicas = int(replicas) if replicas is not None else self._default_replicas
-        remote_workers = bool(self._cluster_options.get("workers"))
-        if n_replicas < 1 and not remote_workers:
-            raise ValueError("replicas must be >= 1 (or name remote workers in cluster_options)")
-        # An autoscaled model must be cluster-backed even at replicas=1:
-        # explicit autoscale= makes that a hard requirement, while the
-        # server-wide default merely *tries* (an unshardable in-process
-        # session falls back to serving without autoscaling).
-        must_cluster = n_replicas >= 2 or remote_workers or explicit_autoscale is not None
-        router_instance = None
+            autoscale = AutoscaleConfig.from_options(autoscale)
         # The one place the object becomes what the batcher runs.
-        if group is None and (must_cluster or self._default_autoscale is not None):
-            effective_router = router if router is not None else self._default_router
-            if not isinstance(effective_router, str):
-                router_instance = effective_router
-                # Routers hold per-group state (cursor, RNG) mutated under
-                # each group's own lock: one instance feeding two groups
-                # would race.  Same identity contract as the policy guard.
-                owner = self._holder(effective_router, name)
-                if owner is not None:
-                    raise TypeError(
-                        f"router instance passed for {name!r} is already serving {owner!r}; "
-                        "routers are stateful -- pass a name (e.g. router=\"power_of_two_choices\") "
-                        "or a fresh instance per model"
-                    )
-            from repro.cluster import ReplicaGroup
-            from repro.engine.spec import SessionSpec
-
-            try:
-                # A pinned store version is the spec itself: each worker
-                # cold-starts by pulling the hash-verified bytes from the
-                # store, so no model object crosses the parent's pipes.
-                spec_or_ref = ref if ref is not None else SessionSpec.of(model_or_session, **session_kwargs)
-                group = ReplicaGroup(
-                    spec_or_ref, replicas=n_replicas, router=effective_router, name=name, **self._cluster_options
-                )
-            except TypeError:
-                if must_cluster:
-                    raise
-                router_instance = None  # in-process model; the autoscale default doesn't apply
         if group is not None:
             session = group
         elif ref is not None:
@@ -365,18 +278,7 @@ class InferenceServer:
         overrides = {
             key: value for key, value in (("max_batch", max_batch), ("max_queue", max_queue)) if value is not None
         }
-        effective_autoscale = explicit_autoscale
-        if effective_autoscale is None and group is not None:
-            effective_autoscale = self._default_autoscale
-        record = _ServedModel(
-            session,
-            policy=spec,
-            overrides=overrides,
-            group=group,
-            router=router_instance,
-            ref=ref,
-            autoscale=effective_autoscale,
-        )
+        record = _ServedModel(session, policy=spec, overrides=overrides, group=group, ref=ref, autoscale=autoscale)
         # A replace displaces the name's old record; its group closes, so
         # the workers neither keep running nor answer under the old model.
         self._models[name] = record
@@ -424,7 +326,7 @@ class InferenceServer:
         if model.group is None:
             raise ValueError(
                 f"model {name!r} serves in-process; rolling swaps need a replica group "
-                "(add it with replicas >= 2, autoscale=..., or remote workers)"
+                "(add it as a ReplicaGroup on a store ref)"
             )
         group = model.group
         previous = model.ref
@@ -448,9 +350,9 @@ class InferenceServer:
         return {"model": name, **ref.describe(), "replicas": len(group), "changed": True}
 
     def _holder(self, instance, name: str) -> Optional[str]:
-        """The name other than ``name`` whose record holds ``instance`` as its policy or router."""
+        """The name other than ``name`` whose record holds ``instance`` as its policy or group."""
         for key, model in self._models.items():
-            if key != name and (model.policy is instance or model.router is instance):
+            if key != name and (model.policy is instance or model.group is instance):
                 return key
         return None
 

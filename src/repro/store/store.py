@@ -359,16 +359,20 @@ class ModelStore:
         """Remove one version's manifest; its blob too once unreferenced.
 
         Content addressing makes this safe: the blob is only deleted when
-        no remaining version of *any* model references its hash.
+        no remaining version of *any* model references its hash.  That
+        scan runs before anything is deleted, so a manifest it cannot
+        read (:class:`StoreIntegrityError`) refuses the call with the
+        store unchanged.
         """
         manifest = self.resolve(name, version)
         with self._lock:
-            self.backend.delete(_manifest_key(name, manifest.version))
             still_referenced = any(
                 other.content_hash == manifest.content_hash
                 for model in self.models()
                 for other in self._versions_locked(model)
+                if (model, other.version) != (name, manifest.version)
             )
+            self.backend.delete(_manifest_key(name, manifest.version))
             if not still_referenced:
                 self.backend.delete(_blob_key(manifest.content_hash))
                 self._cache.pop(manifest.content_hash, None)

@@ -4,8 +4,8 @@ Three tiers, cheapest first: pure control-law tests drive
 ``Autoscaler.evaluate``/``step`` against fakes (no processes, no clock
 sleeps beyond a few milliseconds); elastic-membership tests spawn real
 worker processes around a tiny DONN; one integration test threads
-``InferenceServer(autoscale=...)`` end to end and one regression test
-pins the zero-traffic ``GET /v1/stats`` NaN contract.
+``InferenceServer.add_model(name, group, autoscale=...)`` end to end and
+one regression test pins the zero-traffic ``GET /v1/stats`` NaN contract.
 """
 
 from __future__ import annotations
@@ -466,11 +466,11 @@ class TestServerAutoscale:
         images = [rng.uniform(size=(16, 16)) for _ in range(400)]
 
         async def scenario():
-            server = InferenceServer(
-                max_batch=4,
-                max_queue=512,
-                replicas=1,
-                cluster_options={"handicaps": {0: 0.06}, "call_timeout_s": 30.0},
+            server = InferenceServer(max_batch=4, max_queue=512)
+            fleet = ReplicaGroup(tiny_spec, replicas=1, handicaps={0: 0.06}, call_timeout_s=30.0, name="donn")
+            server.add_model(
+                "donn",
+                fleet,
                 autoscale={
                     "slo_p99_ms": 80.0,
                     "max_replicas": 2,
@@ -480,7 +480,6 @@ class TestServerAutoscale:
                     "stats_window": 64,
                 },
             )
-            server.add_model("donn", tiny_spec.build())
             async with server:
                 assert server.describe()["donn"]["autoscale"] is True
                 deadline = asyncio.get_running_loop().time() + 60.0
@@ -510,11 +509,10 @@ class TestServerAutoscale:
         image = rng.uniform(size=(16, 16))
 
         async def scenario():
-            server = InferenceServer(cluster_options={"call_timeout_s": 30.0})
+            server = InferenceServer()
             async with server:
-                server.add_model(
-                    "late", tiny_spec.build(), autoscale={"slo_p99_ms": 50.0, "interval_s": 0.05, "max_replicas": 2}
-                )
+                fleet = ReplicaGroup(tiny_spec, replicas=1, call_timeout_s=30.0, name="late")
+                server.add_model("late", fleet, autoscale={"slo_p99_ms": 50.0, "interval_s": 0.05, "max_replicas": 2})
                 answer = await server.submit("late", image)
                 described = server.describe()["late"]
                 deadline = asyncio.get_running_loop().time() + 30.0
@@ -535,7 +533,10 @@ class TestServerAutoscale:
             with pytest.raises(ProcessLookupError):
                 os.kill(row["pid"], 0)  # the worker was joined
 
-    def test_explicit_autoscale_needs_a_shardable_model(self):
+    def test_explicit_autoscale_needs_a_shardable_model(self, tiny_spec):
+        """autoscale= resizes a replica group; anything else is refused
+        before it registers (an in-process session, a model, a spec)."""
+
         class InProcessOnly:
             input_shape = (4, 4)
 
@@ -543,14 +544,22 @@ class TestServerAutoscale:
                 return np.asarray(batch)
 
         server = InferenceServer()
-        with pytest.raises(TypeError):
-            server.add_model("echo", InProcessOnly(), autoscale={"slo_p99_ms": 50})
+        for model in (InProcessOnly(), _tiny_model(), tiny_spec):
+            with pytest.raises(TypeError, match="replica group"):
+                server.add_model("echo", model, autoscale={"slo_p99_ms": 50})
+        assert server._models == {}
 
-    def test_bad_autoscale_options_refused_at_construction(self):
+    def test_bad_autoscale_options_refused_at_construction(self, tiny_spec):
+        """The group's autoscale options are checked when it is added, and a
+        refused add registers nothing."""
+        fleet = ReplicaGroup(tiny_spec, replicas=1, name="donn")
+        server = InferenceServer()
         with pytest.raises(ValueError):
-            InferenceServer(autoscale={"slo_p99_ms": -5})
+            server.add_model("donn", fleet, autoscale={"slo_p99_ms": -5})
         with pytest.raises(TypeError):
-            InferenceServer(autoscale=42)
+            server.add_model("donn", fleet, autoscale=42)
+        assert server._models == {}
+        fleet.close()
 
 
 class TestGatewayZeroTrafficStats:
@@ -561,12 +570,9 @@ class TestGatewayZeroTrafficStats:
         from repro.gateway.codec import read_response
 
         async def scenario():
-            server = InferenceServer(
-                replicas=1,
-                cluster_options={"call_timeout_s": 30.0},
-                autoscale={"slo_p99_ms": 50.0, "interval_s": 0.05, "max_replicas": 2},
-            )
-            server.add_model("donn", tiny_spec.build())
+            server = InferenceServer()
+            fleet = ReplicaGroup(tiny_spec, replicas=1, call_timeout_s=30.0, name="donn")
+            server.add_model("donn", fleet, autoscale={"slo_p99_ms": 50.0, "interval_s": 0.05, "max_replicas": 2})
             async with server:
                 await asyncio.sleep(0.2)  # let the autoscaler tick on the cold window
                 async with Gateway(server, port=0) as gateway:

@@ -326,13 +326,15 @@ class TestRouters:
             router.select(_views((False, 0, 1.0)))
 
     def test_make_router_resolves_names_and_instances(self):
+        """A router is named, never handed over: each group builds its own
+        stateful instance, so an instance is refused like an unknown name."""
         assert make_router("least_loaded").name == "least_loaded"
-        instance = RoundRobinRouter()
-        assert make_router(instance) is instance
         with pytest.raises(ValueError, match="unknown router"):
             make_router("fastest_replica_wins")
-        with pytest.raises(ValueError, match="router options"):
-            make_router(instance, seed=1)
+        with pytest.raises(ValueError, match="unknown router"):
+            make_router(RoundRobinRouter())
+        with pytest.raises(ValueError, match="unknown router"):
+            ReplicaGroup(SessionSpec.from_model(_tiny_model()), replicas=1, router=RoundRobinRouter())
 
 
 # --------------------------------------------------------------------- #
@@ -547,32 +549,25 @@ class TestReplicaGroup:
                 assert group.check_health() == [True]
                 np.testing.assert_allclose(group.infer_sync(images), tiny_session.run(images), atol=1e-10)
 
-    def test_router_instance_shared_across_cluster_models_refused(self, tiny_session):
-        router = LeastLoadedRouter()
+    def test_a_group_serves_one_name(self, tiny_session):
+        """A replace closes the displaced group, so a group held by a second
+        name would die under the name that kept it: the second is refused."""
+        shared = ReplicaGroup(tiny_session.to_spec(), replicas=1, name="shared")
+        other = ReplicaGroup(tiny_session.to_spec(), replicas=1, name="other")
         server = InferenceServer()
-        server.add_model("one", tiny_session, replicas=2, router=router)
-        with pytest.raises(TypeError, match="already serving"):
-            server.add_model("two", tiny_session, replicas=2, router=router)
-
-    def test_replacing_a_cluster_model_releases_its_router_instance(self, tiny_session):
-        router = LeastLoadedRouter()
-        server = InferenceServer()
-        server.add_model("one", tiny_session, replicas=2, router=router)
-        server.add_model("one", tiny_session, replace=True)  # now in-process
-        server.add_model("two", tiny_session, replicas=2, router=router)
-        with pytest.raises(TypeError, match="already serving 'two'"):
-            server.add_model("three", tiny_session, replicas=2, router=router)
-
-    def test_failed_add_does_not_lock_router_instance(self, tiny_session):
-        """A router instance from an add that failed must stay usable."""
-        router = LeastLoadedRouter()
-        server = InferenceServer()
-        with pytest.raises(TypeError, match="cannot compile"):
-            server.add_model("bad", object(), replicas=2, router=router)
-        server.add_model("duplicate", tiny_session)
-        with pytest.raises(ValueError, match="already registered"):
-            server.add_model("duplicate", tiny_session, replicas=2, router=router)
-        server.add_model("good", tiny_session, replicas=2, router=router)  # no stale owner
+        server.add_model("a", shared)
+        with pytest.raises(TypeError, match="already serving 'a'"):
+            server.add_model("b", shared)
+        with pytest.raises(TypeError, match="already serving 'a'"):
+            server.add_model("b", shared, autoscale={"slo_p99_ms": 50.0})
+        assert list(server._models) == ["a"]
+        server.add_model("a", shared, replace=True)  # its own name may re-add it
+        assert shared.started is False and not shared._closed
+        server.add_model("a", other, replace=True)  # displaced: closed, and free
+        with pytest.raises(RuntimeError, match="closed"):
+            shared.start()
+        asyncio.run(server.stop())
+        assert other._closed
 
     def test_failed_server_start_closes_sibling_groups(self, tiny_session):
         """When one group's startup fails, siblings' already-spawned
@@ -608,7 +603,8 @@ class TestReplicaGroup:
         sibling's workers, batcher and autoscaler task are up: start()
         tears everything down before it raises."""
         server = InferenceServer()
-        server.add_model("a", tiny_session, replicas=2, autoscale={"slo_p99_ms": 50.0, "interval_s": 3600.0})
+        fleet = ReplicaGroup(tiny_session.to_spec(), replicas=2, name="a")
+        server.add_model("a", fleet, autoscale={"slo_p99_ms": 50.0, "interval_s": 3600.0})
         server.add_model("b", tiny_session, **bad_options)
 
         async def scenario():
@@ -744,7 +740,7 @@ def _pid_alive(pid: int) -> bool:
 
 
 # --------------------------------------------------------------------- #
-# Serving integration (InferenceServer(replicas=N))
+# Serving integration (a ReplicaGroup under InferenceServer.add_model)
 # --------------------------------------------------------------------- #
 class CountingGroup(ReplicaGroup):
     """Counts concurrent ``infer_sync`` calls; the peak is the dispatch depth."""
@@ -769,8 +765,9 @@ class TestServerIntegration:
     @pytest.fixture(scope="class")
     def served(self, tiny_session):
         """One started cluster server shared by the class (spawn is slow)."""
-        server = InferenceServer(replicas=2, router="least_loaded")
-        server.add_model("digits", tiny_session)
+        server = InferenceServer()
+        group = ReplicaGroup(tiny_session.to_spec(), replicas=2, router="least_loaded", name="digits")
+        server.add_model("digits", group)
         loop = asyncio.new_event_loop()
         loop.run_until_complete(server.start())
         yield loop, server
@@ -851,8 +848,8 @@ class TestServerIntegration:
         requests and terminates every worker before returning."""
 
         async def scenario():
-            server = InferenceServer(replicas=2)
-            server.add_model("digits", tiny_session)
+            server = InferenceServer()
+            server.add_model("digits", ReplicaGroup(tiny_session.to_spec(), replicas=2, name="digits"))
             await server.start()
             pids = [row["pid"] for row in server.stats()["digits"].replicas]
             images = rng.uniform(size=(12, 16, 16))

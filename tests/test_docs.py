@@ -1,6 +1,6 @@
 """The docs stay honest: links and repo paths resolve, tested examples run,
-python snippets pass only keywords the public API takes and import only
-names the package has, the
+python snippets and example scripts pass only keywords the public API
+takes and import only names the package has, the
 structured-log event table matches the events the code emits, and the
 metric families table matches what ``GET /metrics`` renders.
 
@@ -74,6 +74,24 @@ def test_keyword_pass_reads_public_names_and_add_model_and_skips_kwargs_callable
         ("Gateway", "port", 7),
     ]
     assert [use for use in uses if use[1] not in public[use[0]]] == [("InferenceServer", "max_wait_ms", 2)]
+
+
+def test_keyword_pass_reads_example_scripts_whole(tmp_path):
+    """An example script is one block: a removed server option in it fails the pass."""
+    script = tmp_path / "fleet_demo.py"
+    script.write_text(
+        "from repro.serve import InferenceServer\n"
+        "\n"
+        "server = InferenceServer(max_batch=8, replicas=2)\n"
+        "server.add_model('digits', model, router='power_of_two_choices')\n"
+    )
+    assert check_docs.python_blocks([script]) == [(str(script), script.read_text())]
+    assert check_docs.check_keywords([script]) == [
+        f"{script}: `InferenceServer` takes no keyword `replicas` (line 3 of the block)",
+        f"{script}: `add_model` takes no keyword `router` (line 4 of the block)",
+    ]
+    assert check_docs.check_imports([script]) == []
+    assert "examples/serving_demo.py" in {label for label, _ in check_docs.python_blocks()}
 
 
 def test_python_blocks_import_only_names_the_package_has():

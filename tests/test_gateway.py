@@ -722,3 +722,24 @@ class TestParity:
         spec = engine_compile(_tiny_model(), backend="numpy").to_spec()
         with pytest.raises(ValueError):
             ReplicaGroup(spec, replicas=0)
+
+
+# ---------------------------------------------------------------------- #
+# python -m repro.gateway: the demo builds its own fleet
+# ---------------------------------------------------------------------- #
+class TestDemoEntrypoint:
+    def test_replica_and_worker_flags_build_the_group_it_serves(self):
+        """One replica serves in-process; ``--replicas N`` and ``--workers``
+        build a ReplicaGroup and hand it to add_model.  Nothing spawns."""
+        from repro.gateway.__main__ import build_server, parse_args
+
+        servers = [
+            build_server(parse_args(["--sys-size", "16", *flags]))
+            for flags in ([], ["--replicas", "2"], ["--replicas", "0", "--workers", "host-a:7070, host-b:7071"])
+        ]
+        in_process, local, remote = (server._models["digits"] for server in servers)
+        assert in_process.group is None and in_process.session.input_shape == (16, 16)
+        assert len(local.group) == 2 and local.group.name == "digits" and not local.group.started
+        assert [row["transport"] for row in remote.group.stats()] == ["socket(host-a:7070)", "socket(host-b:7071)"]
+        for server in servers:
+            asyncio.run(server.stop())

@@ -486,7 +486,8 @@ class TestExpositionEndpoints:
 
         async def scenario():
             server = InferenceServer(store=store)
-            server.add_model("donn", "donn@latest", autoscale={"slo_p99_ms": 50.0, "interval_s": 3600.0})
+            fleet = ReplicaGroup(store.ref("donn@latest"), replicas=1, name="donn")
+            server.add_model("donn", fleet, autoscale={"slo_p99_ms": 50.0, "interval_s": 3600.0})
             async with Gateway(server, port=0) as gateway:
                 reader, writer = await asyncio.open_connection("127.0.0.1", gateway.port)
                 try:

@@ -338,6 +338,7 @@ class TestDeprecatedEntryPoints:
 
     def test_every_front_door_refuses_the_same_non_compilable_object(self, tmp_path):
         from repro.autograd import Sequential
+        from repro.engine import SessionSpec
         from repro.serve import InferenceServer
         from repro.store import ModelStore
 
@@ -347,7 +348,9 @@ class TestDeprecatedEntryPoints:
         with pytest.raises(TypeError, match="cannot compile"):
             ModelStore(tmp_path).publish("m", stranger)
         with pytest.raises(TypeError, match="cannot compile"):
-            InferenceServer().add_model("m", stranger, replicas=2)
+            InferenceServer().add_model("m", stranger)
+        with pytest.raises(TypeError, match="cannot compile"):
+            SessionSpec.of(stranger)  # the spec a ReplicaGroup is built from
 
     def test_compile_rejects_unsupported_models(self):
         with pytest.raises(TypeError, match="cannot compile"):

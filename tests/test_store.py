@@ -292,6 +292,21 @@ class TestIntegrity:
                 call("m")
         assert victim.read_bytes() == b"keep"
 
+    def test_refused_delete_leaves_the_store_unchanged(self, tmp_path):
+        """delete_version scans every model's manifests for other references
+        to the blob; a manifest that cannot be read refuses the call before
+        anything is deleted, so the version still resolves and loads."""
+        store = ModelStore(tmp_path, cache_entries=0)
+        store.publish("a", _model("donn", seed=1))
+        store.publish("b", _model("donn", seed=2))
+        (tmp_path / "manifests" / "b" / "v1.json").write_bytes(b"{not json")
+        before = sorted(path.relative_to(tmp_path) for path in tmp_path.rglob("*") if path.is_file())
+        with pytest.raises(StoreIntegrityError, match="unreadable"):
+            store.delete_version("a", "v1")
+        assert sorted(path.relative_to(tmp_path) for path in tmp_path.rglob("*") if path.is_file()) == before
+        assert store.resolve("a", "v1").version == 1
+        store.load("a", "v1").build()
+
     def test_manifest_name_version_mismatch_is_a_typed_error(self, tmp_path):
         store = ModelStore(tmp_path, cache_entries=0)
         store.publish("m", _model("donn"))
@@ -453,12 +468,12 @@ class TestBackendContract:
 class TestStoreBackedRegistry:
     def test_string_refs_need_a_store(self):
         """A string names a store entry, so a storeless server refuses it
-        before anything is registered or spawned, in-process or fleet."""
+        before anything is registered, autoscaled or not."""
         server = InferenceServer()
         for reference in ("m@latest", "m@v1", "m"):
-            for replicas in (None, 2):
+            for options in ({}, {"autoscale": {"slo_p99_ms": 50.0}}):
                 with pytest.raises(TypeError, match="store"):
-                    server.add_model("m", reference, replicas=replicas)
+                    server.add_model("m", reference, **options)
         assert server._models == {}
 
     def test_server_add_model_by_string_needs_a_store(self):
@@ -564,7 +579,7 @@ class TestZeroDowntimeSwap:
         async def scenario():
             store = self._publish_two(tmp_path)
             server = InferenceServer(store=store)
-            server.add_model("digits", "digits@v1", replicas=2)
+            server.add_model("digits", ReplicaGroup(store.ref("digits", "v1"), replicas=2, name="digits"))
             summary = await server.swap_model("digits", "v2")
             assert summary["changed"] and summary["version"] == "v2"
             await server.start()
@@ -576,6 +591,35 @@ class TestZeroDowntimeSwap:
 
         asyncio.run(scenario())
 
+    def test_group_on_a_store_ref_serves_under_another_name(self, tmp_path, rng):
+        """A group the caller built on ``store.ref("digits")`` and served as
+        "prod" reports that version and swaps within "digits", not "prod"."""
+
+        async def scenario():
+            store = ModelStore(tmp_path)
+            store.publish("digits", _model("donn", seed=1), optimize="full", backend="numpy")
+            group = ReplicaGroup(store.ref("digits"), replicas=1, name="prod")
+            store.publish("digits", _model("donn", seed=2), optimize="full", backend="numpy")
+            server = InferenceServer(store=store)
+            server.add_model("prod", group)
+            described = server.describe()["prod"]["store"]
+            await server.start()
+            before = server.stats()["prod"].store
+            summary = await server.swap_model("prod", "v2")
+            batch = _batch("donn", rng)
+            got = await server.submit_many("prod", batch)
+            after = server.stats()["prod"].store, server.describe()["prod"]["store"]
+            await server.close()
+            return store, described, before, summary, batch, got, after
+
+        store, described, before, summary, batch, got, after = asyncio.run(scenario())
+        v1, v2 = (store.ref("digits", version).describe() for version in ("v1", "v2"))
+        assert described == before == v1
+        assert summary["changed"] and summary["model"] == "prod" and summary["version"] == "v2"
+        assert after == (v2, v2)
+        expected = store.load("digits", "v2").build().run(batch)
+        np.testing.assert_allclose(np.asarray(got), expected, atol=PARITY_ATOL)
+
     def test_swap_under_inflight_traffic_drops_nothing(self, tmp_path, rng):
         """The acceptance gate: continuous traffic across a rolling swap
         sees zero errors, and stats() flips the version monotonically."""
@@ -585,7 +629,7 @@ class TestZeroDowntimeSwap:
             v1 = store.load("digits", "v1").build()
             v2 = store.load("digits", "v2").build()
             server = InferenceServer(store=store)
-            server.add_model("digits", "digits@v1", replicas=2)
+            server.add_model("digits", ReplicaGroup(store.ref("digits", "v1"), replicas=2, name="digits"))
             await server.start()
             batch = rng.uniform(size=(12, 12))
             expected = {1: v1.run(batch[None, ...])[0], 2: v2.run(batch[None, ...])[0]}
@@ -650,7 +694,7 @@ class TestZeroDowntimeSwap:
         async def scenario():
             store = self._publish_two(tmp_path)
             server = InferenceServer(store=store)
-            server.add_model("digits", "digits@v1", replicas=2)
+            server.add_model("digits", ReplicaGroup(store.ref("digits", "v1"), replicas=2, name="digits"))
             await server.start()
             batch = rng.uniform(size=(12, 12))
             async with Gateway(server, port=0) as gateway:

@@ -1,6 +1,7 @@
 """Documentation checks: links and repo paths resolve, examples run and call the API they name, events and metrics are listed.
 
-Five passes over ``README.md`` and every ``docs/*.md``, one over
+Five passes over ``README.md`` and every ``docs/*.md`` (the keyword and
+import passes also read every ``examples/*.py`` script), one over
 ``src/repro`` and one over the ``GET /metrics`` renderer:
 
 1. **Links.** Every relative markdown link (``[text](path)`` or
@@ -19,19 +20,19 @@ Five passes over ``README.md`` and every ``docs/*.md``, one over
    example testable only when it is self-contained and cheap; plain
    ``python`` blocks are illustrative and stay unexecuted.
 4. **Keywords.** Every fenced ``python`` block (a ``python doctest``
-   block by its examples' source) is parsed, never run.  Each keyword it
-   passes to a public ``repro`` callable -- a name in the ``__all__`` of
-   a package in :data:`PUBLIC_MODULES`, called by that name, plus any
-   ``.add_model(...)`` -- must be a parameter of that callable
-   (:func:`inspect.signature`), so an illustrative snippet cannot keep a
-   removed option.  Callables that
-   take ``**kwargs`` are skipped, except ``add_model``, whose extra
-   keywords are checked against :func:`repro.engine.compile`, where
-   they go.
+   block by its examples' source) and every example script is parsed,
+   never run.  Each keyword it passes to a public ``repro`` callable --
+   a name in the ``__all__`` of a package in :data:`PUBLIC_MODULES`,
+   called by that name, plus any ``.add_model(...)`` -- must be a
+   parameter of that callable (:func:`inspect.signature`), so an
+   illustrative snippet or a walkthrough cannot keep a removed option.
+   Callables that take ``**kwargs`` are skipped, except ``add_model``,
+   whose extra keywords are checked against
+   :func:`repro.engine.compile`, where they go.
 5. **Imports.** Every ``from repro... import name`` in a fenced
-   ``python`` block must name something the module has (an attribute
-   or a submodule, as the import statement itself resolves it), so a
-   deleted public name cannot survive in a snippet.
+   ``python`` block or an example script must name something the module
+   has (an attribute or a submodule, as the import statement itself
+   resolves it), so a deleted public name cannot survive in a snippet.
 6. **Events.** Every event name handed to the structured logger under
    ``src/repro`` -- the first argument of ``get_logger()`` /
    ``_obs_logger()`` ``.info``/``.warning`` (or ``.debug``/``.error``),
@@ -93,6 +94,16 @@ def doc_files() -> List[Path]:
     files = [REPO_ROOT / "README.md"]
     files.extend(sorted((REPO_ROOT / "docs").glob("*.md")))
     return [path for path in files if path.exists()]
+
+
+def example_files() -> List[Path]:
+    """The runnable walkthroughs: every ``examples/*.py`` script."""
+    return sorted((REPO_ROOT / "examples").glob("*.py"))
+
+
+def _label(path: Path) -> str:
+    """``path`` relative to the repo root (as it is when outside the repo)."""
+    return str(path.relative_to(REPO_ROOT) if path.is_relative_to(REPO_ROOT) else path)
 
 
 def _github_slug(heading: str) -> str:
@@ -174,11 +185,17 @@ PUBLIC_MODULES = ("repro", "repro.serve", "repro.cluster", "repro.engine", "repr
 
 
 def python_blocks(files: List[Path] = None) -> List[Tuple[str, str]]:
-    """(label, source) for every fenced ``python`` block; a doctest block yields its examples' source."""
+    """(label, source) for every fenced ``python`` block and ``.py`` script (default: docs and examples).
+
+    A doctest block yields its examples' source; a script is one block.
+    """
     blocks = []
     parser = doctest.DocTestParser()
-    for path in files or doc_files():
+    for path in files or doc_files() + example_files():
         text = path.read_text(encoding="utf-8")
+        if path.suffix == ".py":
+            blocks.append((_label(path), text))
+            continue
         for index, match in enumerate(_FENCE.finditer(text)):
             info = match.group(1).strip().lower().split()
             if info[:1] != ["python"]:
@@ -245,7 +262,7 @@ def keyword_uses(source: str, public: Dict[str, Optional[FrozenSet[str]]]) -> Li
 
 
 def check_keywords(files: List[Path] = None) -> List[str]:
-    """Return keywords the docs' python blocks pass to a public callable that does not take them."""
+    """Return keywords the python blocks and scripts pass to a public callable that does not take them."""
     public = public_keywords()
     errors, checked = [], 0
     for label, source in python_blocks(files):
@@ -287,7 +304,7 @@ def importable(module_name: str, name: str) -> bool:
 
 
 def check_imports(files: List[Path] = None) -> List[str]:
-    """Return ``from repro... import name`` lines in the docs' python blocks whose module has no such name."""
+    """Return ``from repro... import name`` lines in the python blocks and scripts whose module has no such name."""
     errors, checked = [], 0
     for label, source in python_blocks(files):
         try:
@@ -411,20 +428,20 @@ def main() -> int:
     src = str(REPO_ROOT / "src")
     if src not in sys.path:
         sys.path.insert(0, src)
-    files = doc_files()
+    files, examples = doc_files(), example_files()
     errors = (
         check_links(files)
         + check_paths(files)
         + check_doctests(files)
-        + check_keywords(files)
-        + check_imports(files)
+        + check_keywords(files + examples)
+        + check_imports(files + examples)
         + check_events()
         + check_metrics()
     )
     for error in errors:
         print(f"FAIL: {error}")
     print(
-        f"checked {len(files)} doc file(s), "
+        f"checked {len(files)} doc file(s), {len(examples)} example script(s), "
         f"{len(testable_blocks(files))} testable example block(s): "
         + ("FAILED" if errors else "ok")
     )
