@@ -7,7 +7,10 @@ backends are supported:
 * **scipy** -- ``scipy.fft`` (pocketfft with a C++ kernel set that is
   measurably faster than numpy's, plus a ``workers=N`` thread pool that
   parallelises over the batch axis).  Selected automatically when scipy is
-  importable.
+  importable.  Autograd passes ``workers=usable_cores()``
+  (:func:`autograd_backend`); the engine passes no ``workers`` and runs
+  each transform single-threaded, because it spreads a batch's tiles
+  over its own threads (:mod:`repro.engine.tiles`).
 * **numpy** -- ``np.fft``, always available; the fallback when scipy is
   absent so neither autograd nor the engine depends on more than numpy.
 

@@ -154,6 +154,19 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
+    def __getstate__(self):
+        """Pickle without the gradient (as torch does).
+
+        A pickled model is a snapshot of its parameters (session specs,
+        store blobs), so a pending gradient must not change its bytes or
+        its content hash.  The state is the one pickle builds by default,
+        slots in ``__slots__`` order with ``grad`` set to ``None``: a tensor
+        without a gradient pickles to the same bytes as before.
+        """
+        slots = {name: getattr(self, name) for name in Tensor.__slots__}
+        slots["grad"] = None
+        return (getattr(self, "__dict__", None) or None, slots)
+
     # ------------------------------------------------------------------ #
     # Autograd machinery
     # ------------------------------------------------------------------ #

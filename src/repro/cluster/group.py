@@ -31,8 +31,9 @@ uniformly.
 
 Every spawned local worker gets an explicit BLAS/OpenMP thread budget,
 ``max(1, usable_cores // local workers)``, fixed when it spawns (a
-restart recomputes it from the fleet size at that moment).  Remote
-workers keep their own host's environment.
+restart recomputes it from the fleet size at that moment); its engine
+session runs its tiles on that many threads.  Remote workers keep their
+own host's environment.
 
 Thread/async-safety: :meth:`infer`/:meth:`rescue` are coroutines bound
 to the caller's running loop; the blocking pipe work happens on the

@@ -3,7 +3,8 @@
 Each worker rebuilds an :class:`~repro.engine.InferenceSession` from a
 picklable :class:`~repro.engine.SessionSpec` (its *own* compiled program,
 kernel caches and FFT plans, in its own address space -- this is what
-frees a replica group from the parent's GIL), then answers a tiny
+frees a replica group from the parent's GIL), on the thread budget its
+group gave it unless the spec fixed ``workers``, then answers a tiny
 request/response protocol.  :func:`serve_calls` is that conversation;
 :func:`worker_main` runs it in a spawned child over a pipe, and
 :mod:`repro.cluster.remote` runs it over a TCP socket:
@@ -45,9 +46,29 @@ from typing import Optional
 import numpy as np
 
 from repro.cluster.shm import ShmArena, ShmReader
+from repro.engine.session import compile as engine_compile
 from repro.engine.spec import SessionSpec
 
 __all__ = ["worker_main", "serve_calls", "probe_session"]
+
+
+def _thread_budget():
+    """This process's thread budget (its ``OPENBLAS_NUM_THREADS``), ``None`` when unset."""
+    threads = os.environ.get("OPENBLAS_NUM_THREADS", "").strip()
+    return int(threads) if threads.isdigit() and int(threads) > 0 else None
+
+
+def _build_session(spec):
+    """Compile ``spec`` (or the spec a store ref pins) on this worker's threads.
+
+    A spec that fixed ``workers`` keeps it.  Otherwise the session runs
+    on the thread budget the group spawned this worker with, and with
+    none (a ``repro-worker`` on its own host) on this host's usable
+    cores, the engine's default.
+    """
+    if not isinstance(spec, SessionSpec):
+        spec = spec.load_spec()  # a StoreRef: the verified spec it pins
+    return engine_compile(spec, workers=spec.workers or _thread_budget())
 
 
 def probe_session(session) -> dict:
@@ -56,12 +77,12 @@ def probe_session(session) -> dict:
     Runs one zero-image batch so the parent learns the per-item output
     shape (needed for empty-batch semantics and stats) -- which also
     warms the worker's FFT plan and kernel caches before traffic lands.
-    ``threads`` is the BLAS thread budget this process started with
-    (its ``OPENBLAS_NUM_THREADS``), ``None`` when unset.
+    ``threads`` is the number of threads the session runs on: in a
+    replica, the thread budget it was spawned with (see
+    :func:`serve_calls`).
     """
     input_shape = tuple(session.input_shape)
     warm = session.run(np.zeros((1,) + input_shape))
-    threads = os.environ.get("OPENBLAS_NUM_THREADS", "").strip()
     return {
         "kind": session.kind,
         "backend": session.backend_name,
@@ -69,7 +90,7 @@ def probe_session(session) -> dict:
         "input_shape": input_shape,
         "output_item_shape": tuple(warm.shape[1:]),
         "output_dtype": warm.dtype.str,
-        "threads": int(threads) if threads.isdigit() else None,
+        "threads": session.workers,
     }
 
 
@@ -90,7 +111,7 @@ def serve_calls(spec, options, recv, send, load_batch, store_result) -> None:
     try:
         try:
             handicap_s = float((options or {}).get("handicap_s") or 0.0)
-            session = spec.build()
+            session = _build_session(spec)
             meta = probe_session(session)
         except Exception:
             send(("fatal", traceback.format_exc(limit=8)))

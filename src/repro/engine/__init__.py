@@ -9,7 +9,9 @@ Public surface:
   cancellation, dead-kernel elimination, cascade collapse), and emit an
   :class:`InferenceSession`.
 * :class:`InferenceSession` -- the thin executor over the emitted plan
-  (batching, streaming, ``plan_summary()`` introspection).
+  (batching, ``plan_summary()`` introspection); a batch runs as
+  cache-sized tiles on the session's ``workers`` threads
+  (:mod:`repro.engine.tiles`).
 * :func:`get_fft_backend` / :func:`available_backends` -- the FFT
   dispatch layer (scipy with thread workers when installed, numpy
   fallback otherwise), re-exported from :mod:`repro.autograd.fft`, which

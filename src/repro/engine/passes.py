@@ -35,7 +35,10 @@ arithmetic (the encoded input field has constant phase, which detector
 intensity cannot see).  ``A`` is built by the **adjoint method**: row
 ``p`` of ``A`` is the *transposed* op chain applied to the one-hot
 detector field ``e_p``, so the build costs ``P`` pushes (typically a few
-hundred) instead of ``N²``.  Transposition rules: the unnormalised DFT
+hundred) instead of ``N²``; they run in place on one batch of one-hot
+fields, in the engine's tiles (:mod:`repro.engine.tiles`) on the
+session's threads.  The pixels ``P`` are the ones the plan's read-out
+already restricts itself to.  Transposition rules: the unnormalised DFT
 matrix is symmetric (``Fᵀ = F``, ``(F⁻¹)ᵀ = F⁻¹``), pad and crop are
 mutual transposes, ``fftshift``/``ifftshift`` are mutual transposes (so
 the centred Fraunhofer FFT is self-transpose), and diagonal multiplies
@@ -70,7 +73,9 @@ from repro.engine.plan import (
     Skip,
     count_ops,
     emit_ops,
+    field_bytes,
 )
+from repro.engine.tiles import run_tiles, tile_size
 
 __all__ = [
     "OPTIMIZE_LEVELS",
@@ -246,9 +251,8 @@ def transpose_linear_ops(ops: Sequence[Op]) -> List[Op]:
 
 
 def _collapsible(plan: Plan) -> bool:
-    if plan.kind != "classifier" or plan.read_matrix is None:
-        return False
-    if len(plan.tail) != 1 or not isinstance(plan.tail[0], ReadIntensity) or not plan.tail[0].from_plane:
+    readout = plan.readout
+    if plan.kind != "classifier" or readout is None or len(plan.tail) != 1 or not readout.from_plane:
         return False
     for branch in plan.branches:
         ops = branch.ops
@@ -261,12 +265,26 @@ def _collapsible(plan: Plan) -> bool:
     return True
 
 
-def _build_detector_operator(linear_ops: Sequence[Op], plan: Plan, pixels: np.ndarray, fft) -> DetectorOperator:
+def _build_detector_operator(
+    linear_ops: Sequence[Op], plan: Plan, pixels: np.ndarray, fft, workers: int
+) -> DetectorOperator:
     size = plan.grid.size
     count = pixels.shape[0]
-    basis = np.zeros((count, size, size), dtype=plan.cdtype)
-    basis[np.arange(count), pixels // size, pixels % size] = 1.0
-    rows = emit_ops(transpose_linear_ops(linear_ops), fft, plan.cdtype)(basis)
+    transposed = transpose_linear_ops(linear_ops)
+    chain = emit_ops(transposed, fft, plan.cdtype)
+    rows = np.zeros((count, size, size), dtype=plan.cdtype)
+    rows[np.arange(count), pixels // size, pixels % size] = 1.0
+
+    def push(start: int, stop: int) -> None:
+        # In place: the chain transforms and multiplies the basis where it
+        # lies, so a helper thread allocates no rows (a padded chain ends
+        # in a cropped copy, written back).
+        tile = rows[start:stop]
+        result = chain(tile)
+        if not np.may_share_memory(result, tile):
+            tile[...] = result
+
+    run_tiles(push, count, tile_size(field_bytes(transposed, size, plan.cdtype), count), workers)
     # rows[i] = Aᵀ e_{pixels[i]}, i.e. row pixels[i] of A; the emitted
     # matmul wants amp @ Aᵀ, so lay the operator out as (N², P).
     restricted = rows.reshape(count, size * size).T
@@ -277,17 +295,22 @@ def _build_detector_operator(linear_ops: Sequence[Op], plan: Plan, pixels: np.nd
     )
 
 
-def collapse_cascade(plan: Plan, fft, max_operator_bytes: Optional[int] = None) -> Optional[Plan]:
+def collapse_cascade(
+    plan: Plan, fft, max_operator_bytes: Optional[int] = None, workers: int = 1
+) -> Optional[Plan]:
     """Fold a linear classifier plan into precomputed detector operators.
 
     Returns the collapsed plan, or ``None`` when the plan is ineligible
-    (nonlinear, segmentation, or over the operator budget).
+    (nonlinear, segmentation, or over the operator budget).  ``workers``
+    threads push the one-hot basis through the transposed chain; the
+    operator is bit-identical for any count.
     """
     if max_operator_bytes is None:
         max_operator_bytes = DEFAULT_OPERATOR_BUDGET
     if not _collapsible(plan):
         return None
-    pixels = np.flatnonzero(plan.read_matrix.any(axis=1))
+    readout = plan.readout
+    pixels = readout.pixels
     if pixels.size == 0:
         return None
     cells = plan.grid.size * plan.grid.size
@@ -298,7 +321,7 @@ def collapse_cascade(plan: Plan, fft, max_operator_bytes: Optional[int] = None) 
     branches: List[Branch] = []
     for branch in plan.branches:
         encode = branch.ops[0]
-        operator = _build_detector_operator(branch.ops[1:-1], plan, pixels, fft)
+        operator = _build_detector_operator(branch.ops[1:-1], plan, pixels, fft, workers)
         branches.append(
             Branch(
                 ops=[
@@ -308,16 +331,14 @@ def collapse_cascade(plan: Plan, fft, max_operator_bytes: Optional[int] = None) 
                 channel=branch.channel,
             )
         )
-    read_sub = np.ascontiguousarray(plan.read_matrix[pixels, :])
     return Plan(
         kind=plan.kind,
         grid=plan.grid,
         cdtype=plan.cdtype,
         branches=branches,
-        tail=[ReadIntensity(matrix=read_sub, from_plane=False)],
+        tail=[ReadIntensity(matrix=readout.matrix, pixels=pixels, from_plane=False)],
         num_outputs=plan.num_outputs,
         num_channels=plan.num_channels,
-        read_matrix=plan.read_matrix,
     )
 
 
@@ -333,14 +354,15 @@ def optimize_plan(
     optimize: str = "full",
     fft=None,
     max_operator_bytes: Optional[int] = None,
+    workers: int = 1,
 ) -> Tuple[Plan, dict]:
     """Run the pass pipeline at the requested level.
 
     ``optimize`` is ``"none"`` (pass-through), ``"fuse"`` (local rewrites
     only) or ``"full"`` (local rewrites plus cascade collapse).  Returns
     ``(optimized_plan, report)``; the input plan is never mutated.  The
-    FFT backend is only needed for ``"full"`` (the collapse executes the
-    transposed chain to build the operator).
+    FFT backend and ``workers`` (threads) are only used by ``"full"``
+    (the collapse executes the transposed chain to build the operator).
     """
     if optimize not in OPTIMIZE_LEVELS:
         raise ValueError(f"optimize must be one of {OPTIMIZE_LEVELS}, got {optimize!r}")
@@ -368,13 +390,12 @@ def optimize_plan(
             tail=list(plan.tail),
             num_outputs=plan.num_outputs,
             num_channels=plan.num_channels,
-            read_matrix=plan.read_matrix,
         )
         report["passes"] = applied
         if optimize == "full":
             if fft is None:
                 raise ValueError("optimize='full' needs the FFT backend to build the collapsed operator")
-            collapsed = collapse_cascade(result, fft, max_operator_bytes)
+            collapsed = collapse_cascade(result, fft, max_operator_bytes, workers)
             if collapsed is not None:
                 result = collapsed
                 report["passes"] = applied + ["collapse_cascade"]

@@ -39,7 +39,8 @@ Op vocabulary
 ``DetectorOperator``fused linear cascade: real amplitude -> per-pixel
                     intensity at the detector read-out pixels (see
                     ``passes.collapse_cascade``)
-``ReadIntensity``   intensity -> per-class logits via the read-out matrix
+``ReadIntensity``   intensity -> per-class logits: the detector pixels,
+                    times their rows of the read-out matrix
 
 All arrays an op carries are plain ndarrays snapshotted in eval mode, so
 a ``Plan`` is inert data: it can be printed (``format_plan``), counted
@@ -79,6 +80,7 @@ __all__ = [
     "lower",
     "emit",
     "emit_ops",
+    "field_bytes",
     "count_ops",
     "format_plan",
 ]
@@ -242,12 +244,16 @@ class DetectorOperator(Op):
 class ReadIntensity(Op):
     """Intensity -> per-class logits via the detector read-out matrix.
 
-    ``from_plane`` distinguishes a full ``(..., N, N)`` intensity image
-    (flattened before the matmul) from the already-flat per-pixel vector
-    a :class:`DetectorOperator` produces.
+    Only the ``pixels`` some detector region covers are read: ``matrix``
+    holds their rows of the dense ``(N*N, num_classes)`` read-out, in
+    ``pixels`` order.  ``from_plane`` distinguishes a full ``(..., N, N)``
+    intensity image (flattened, then those pixels gathered before the
+    matmul) from the already-gathered per-pixel vector a
+    :class:`DetectorOperator` produces.
     """
 
     matrix: np.ndarray = None  # (pixels, num_classes)
+    pixels: np.ndarray = None  # (pixels,) flat detector-plane indices
     from_plane: bool = True
 
     def describe(self) -> str:
@@ -288,11 +294,15 @@ class Plan:
     tail: List[Op]
     num_outputs: Optional[int] = None
     num_channels: Optional[int] = None
-    read_matrix: Optional[np.ndarray] = None  # full-plane (N*N, C), rdtype
 
     @property
     def rdtype(self) -> np.dtype:
         return _real_dtype(self.cdtype)
+
+    @property
+    def readout(self) -> Optional[ReadIntensity]:
+        """The classifier's detector read-out (``None`` for segmentation)."""
+        return self.tail[0] if self.tail and isinstance(self.tail[0], ReadIntensity) else None
 
     @property
     def collapsed(self) -> bool:
@@ -387,8 +397,11 @@ def _lower_stack(layers, cdtype: np.dtype, nonlinearity=None) -> List[Op]:
     return ops
 
 
-def _read_matrix(model, rdtype: np.dtype) -> np.ndarray:
-    return np.ascontiguousarray(model.detector.read_matrix()).astype(rdtype, copy=False)
+def _lower_readout(model, rdtype: np.dtype) -> ReadIntensity:
+    """The detector read-out restricted to the pixels some region covers."""
+    dense = model.detector.read_matrix()
+    pixels = np.flatnonzero(dense.any(axis=1))
+    return ReadIntensity(matrix=dense[pixels].astype(rdtype, copy=False), pixels=pixels)
 
 
 def _lower_donn(model: DONN, cdtype: np.dtype) -> Plan:
@@ -397,15 +410,13 @@ def _lower_donn(model: DONN, cdtype: np.dtype) -> Plan:
     ops.extend(_lower_stack(model.diffractive_layers, cdtype, model.nonlinearity))
     ops.extend(_lower_propagator(model.final_propagator, cdtype))
     ops.append(Intensity())
-    read = _read_matrix(model, _real_dtype(cdtype))
     return Plan(
         kind="classifier",
         grid=config.grid,
         cdtype=cdtype,
         branches=[Branch(ops=ops)],
-        tail=[ReadIntensity(matrix=read, from_plane=True)],
+        tail=[_lower_readout(model, _real_dtype(cdtype))],
         num_outputs=model.detector.num_classes,
-        read_matrix=read,
     )
 
 
@@ -418,16 +429,14 @@ def _lower_multichannel(model: MultiChannelDONN, cdtype: np.dtype) -> Plan:
         ops.extend(_lower_propagator(model.final_propagator, cdtype))
         ops.append(Intensity())
         branches.append(Branch(ops=ops, channel=index))
-    read = _read_matrix(model, _real_dtype(cdtype))
     return Plan(
         kind="classifier",
         grid=config.grid,
         cdtype=cdtype,
         branches=branches,
-        tail=[ReadIntensity(matrix=read, from_plane=True)],
+        tail=[_lower_readout(model, _real_dtype(cdtype))],
         num_outputs=model.detector.num_classes,
         num_channels=model.num_channels,
-        read_matrix=read,
     )
 
 
@@ -603,18 +612,43 @@ def _emit_op(op: Op, fft, cdtype: np.dtype) -> FieldFn:
         return fused
 
     if isinstance(op, ReadIntensity):
-        matrix = op.matrix
+        matrix, pixels = op.matrix, op.pixels
         if op.from_plane:
-
-            def read_plane(intensity: np.ndarray) -> np.ndarray:
-                pixels = intensity.shape[-2] * intensity.shape[-1]
-                flat = intensity.reshape(intensity.shape[:-2] + (pixels,))
-                return flat @ matrix
-
-            return read_plane
+            return lambda intensity: _gather(intensity, pixels) @ matrix
         return lambda intensity: intensity @ matrix
 
     raise TypeError(f"cannot emit op {type(op).__name__}")  # pragma: no cover - guarded by lowering
+
+
+def _gather(plane: np.ndarray, pixels: np.ndarray) -> np.ndarray:
+    """The flat ``pixels`` of ``(..., N, N)`` intensity images, as ``(..., P)``."""
+    flat = plane.reshape(plane.shape[:-2] + (plane.shape[-2] * plane.shape[-1],))
+    return flat[..., pixels]
+
+
+def _widest_border(ops: Sequence[Op]) -> int:
+    widths = [0]
+    for op in ops:
+        if isinstance(op, FFT):
+            widths.append(op.pad)
+        elif isinstance(op, IFFT):
+            widths.append(op.crop)
+        elif isinstance(op, (Pad, Crop)):
+            widths.append(op.width)
+        elif isinstance(op, Skip):
+            widths.append(_widest_border(op.body))
+    return max(widths)
+
+
+def field_bytes(ops: Sequence[Op], size: int, dtype) -> int:
+    """Bytes of one image's largest field in an op chain on a ``size`` grid.
+
+    The widest zero-pad border in ``ops`` sets the side; ``dtype`` is the
+    chain's element type.  This is the tile executor's unit (see
+    :mod:`repro.engine.tiles`).
+    """
+    side = size + 2 * _widest_border(ops)
+    return side * side * np.dtype(dtype).itemsize
 
 
 def _emit_chain(ops: Sequence[Op], fft, cdtype: np.dtype) -> FieldFn:
@@ -660,7 +694,12 @@ class CompiledProgram:
         self.num_channels = plan.num_channels
         self.expects_channels = plan.num_channels is not None
         self.collapsed = plan.collapsed
-        self.read_matrix = plan.read_matrix
+        self.readout = plan.readout
+        # A collapsed branch carries real amplitudes, the others complex fields.
+        self.field_bytes = max(
+            field_bytes(branch.ops, plan.grid.size, self.rdtype if self.collapsed else self.cdtype)
+            for branch in plan.branches
+        )
         self._branches: List[Tuple[Optional[int], FieldFn]] = []
         for branch in plan.branches:
             encode_op = branch.ops[0]
@@ -726,9 +765,7 @@ class CompiledProgram:
 
     def read(self, intensity: np.ndarray) -> np.ndarray:
         """Integrate a full-plane intensity over the per-class regions."""
-        pixels = intensity.shape[-2] * intensity.shape[-1]
-        flat = intensity.reshape(intensity.shape[:-2] + (pixels,))
-        return flat @ self.read_matrix
+        return _gather(intensity, self.readout.pixels) @ self.readout.matrix
 
 
 def emit(plan: Plan, fft) -> CompiledProgram:

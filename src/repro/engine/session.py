@@ -13,11 +13,12 @@ door — runs a trained model through an explicit three-stage pipeline:
    nonlinearity-free classifiers — collapse the whole cascade into one
    precomputed input→detector operator pair;
 3. **emit**: close the optimized ops over the FFT backend into the flat
-   numpy program an :class:`InferenceSession` streams batches through.
+   numpy program an :class:`InferenceSession` runs batches through.
 
-The session itself is a thin executor: batching, chunk streaming, and
-introspection (:meth:`InferenceSession.plan_summary` reports op counts
-before/after the passes).  At the default ``dtype="complex128"`` outputs
+The session itself is a thin executor: batching, tiles on threads
+(:mod:`repro.engine.tiles`), and introspection
+(:meth:`InferenceSession.plan_summary` reports op counts before/after
+the passes).  At the default ``dtype="complex128"`` outputs
 match the autograd eval path to ``atol=1e-10``; the opt-in
 ``dtype="complex64"`` mode halves the memory footprint of every cached
 kernel and intermediate, trading exactness for a documented accuracy
@@ -32,9 +33,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.autograd.fft import get_fft_backend
-from repro.engine.plan import Plan, emit, lower
+from repro.autograd.fft import get_fft_backend, usable_cores
+from repro.engine.plan import CompiledProgram, Plan, emit, lower
 from repro.engine.passes import OPTIMIZE_LEVELS, optimize_plan
+from repro.engine.tiles import run_tiles, tile_size
 
 #: Accuracy budget of the reduced-precision engine: with
 #: ``dtype="complex64"`` the detector logits (and segmentation intensity
@@ -66,13 +68,18 @@ class InferenceSession:
         later parameter updates do **not** propagate into the session
         (rebuild or call :meth:`refresh` to pick them up).
     batch_size:
-        Default chunk size used by :meth:`run`/:meth:`predict` when
-        streaming large inputs.
+        Default chunk size used by :meth:`run`/:meth:`predict`: no tile
+        holds more images than this.
     backend:
         FFT backend: ``"auto"`` (scipy when installed, numpy otherwise),
         ``"scipy"`` or ``"numpy"``.
     workers:
-        Thread count for the scipy backend's batched FFTs.
+        The number of threads the session runs on: a batch's tiles (and
+        the collapse pass's operator build) spread over this many
+        threads, each transform inside a tile single-threaded.  ``None``
+        means :func:`~repro.autograd.fft.usable_cores`, resolved here;
+        a replica worker passes its thread budget instead.  Outputs are
+        bit-identical for any count.
     dtype:
         ``"complex128"`` (default, matches autograd to ``1e-10``) or
         ``"complex64"``: reduced-precision mode that halves cached-kernel
@@ -89,8 +96,8 @@ class InferenceSession:
     Raises
     ------
     ValueError
-        For ``batch_size < 1``, an unknown ``dtype``, an unknown
-        ``backend`` name, or an unknown ``optimize`` level.
+        For ``batch_size < 1``, ``workers < 1``, an unknown ``dtype``, an
+        unknown ``backend`` name, or an unknown ``optimize`` level.
     TypeError
         When ``model`` is not one of the three compilable families, or a
         configured nonlinearity does not expose ``apply_numpy``.
@@ -104,8 +111,8 @@ class InferenceSession:
     (this is what lets ``repro.serve`` run engine calls in a thread-pool
     executor).  :meth:`refresh` swaps the compiled program in a single
     attribute assignment; in-flight calls finish on the snapshot they
-    started with.  The scipy FFT backend additionally parallelizes
-    *within* one call via ``workers``.
+    started with.  One call additionally runs its tiles on ``workers``
+    threads, started for the call and joined before it returns.
     """
 
     def __init__(
@@ -121,12 +128,16 @@ class InferenceSession:
     ) -> None:
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if workers is not None and workers < 1:
+            raise ValueError("workers must be >= 1")
         if optimize not in OPTIMIZE_LEVELS:
             raise ValueError(f"optimize must be one of {OPTIMIZE_LEVELS}, got {optimize!r}")
         self.batch_size = int(batch_size)
         self.dtype = _resolve_complex_dtype(dtype)
         self.optimize = optimize
-        self.fft = get_fft_backend(backend, workers=workers)
+        self.fft = get_fft_backend(backend)
+        self._requested_workers = workers  # what to_spec() records: None stays None
+        self.workers = usable_cores() if workers is None else int(workers)
         self._max_operator_bytes = max_operator_bytes
         self._model = model
         self._recompile()
@@ -155,7 +166,7 @@ class InferenceSession:
         finally:
             model.train(was_training)
         plan, report = optimize_plan(
-            raw_plan, self.optimize, fft=self.fft, max_operator_bytes=self._max_operator_bytes
+            raw_plan, self.optimize, fft=self.fft, max_operator_bytes=self._max_operator_bytes, workers=self.workers
         )
         self._raw_plan = raw_plan
         self._plan = plan
@@ -235,7 +246,9 @@ class InferenceSession:
         do **not** leak in, so replicas built from the spec match *this*
         session's outputs even when the live model has moved on.  The
         *resolved* backend name is recorded (not ``"auto"``), so the
-        rebuilt session uses the same FFT implementation as this one.
+        rebuilt session uses the same FFT implementation as this one;
+        ``workers`` is recorded as the caller gave it, so ``None`` stays
+        ``None`` and each host that builds the spec resolves its own.
 
         Raises ``TypeError`` when the snapshotted model could not be
         pickled.
@@ -251,7 +264,7 @@ class InferenceSession:
             model_type=type(self._model).__name__,
             batch_size=self.batch_size,
             backend=self.backend_name,
-            workers=self.fft.workers,
+            workers=self._requested_workers,
             dtype=self.dtype.name,
             optimize=self.optimize,
         )
@@ -265,34 +278,41 @@ class InferenceSession:
     # ------------------------------------------------------------------ #
     # Batched execution
     # ------------------------------------------------------------------ #
-    def _batched(self, images, compute: Callable[[np.ndarray], np.ndarray], batch_size: Optional[int]):
+    def _batched(
+        self,
+        images,
+        program: CompiledProgram,
+        compute: Callable[[np.ndarray], np.ndarray],
+        batch_size: Optional[int],
+    ):
         array = np.asarray(images, dtype=float)
         # Single-sample semantics mirror the models': MultiChannelDONN
         # promotes (C, H, W) to a batch of one, DONN/SegmentationDONN run
         # an (H, W) sample unbatched.
-        if self._program.expects_channels:
+        if program.expects_channels:
             if array.ndim == 3:
                 array = array[None]
         elif array.ndim == 2:
             return compute(array)
-        size = int(batch_size or self.batch_size)
+        tile = tile_size(program.field_bytes, batch_size or self.batch_size)
         total = len(array)
-        if total <= size:
-            # One chunk covers everything (chunk_size >= batch, a batch of
-            # one, or an empty query batch): hand the whole array to the
-            # program and return its output as-is -- no scratch buffer.
+        if total <= tile:
+            # One tile (every serving call at 64x64, a batch of one, an
+            # empty query batch): one compute() on this thread, its output
+            # returned as-is -- no scratch buffer, no helper thread.
             return compute(array)
-        # Stream into a preallocated output so peak extra memory is one
-        # chunk, not a list of every chunk plus a concatenate copy.
-        first = compute(array[:size])
-        out = np.empty((total,) + first.shape[1:], dtype=first.dtype)
-        out[:size] = first
-        for start in range(size, total, size):
-            out[start : start + size] = compute(array[start : start + size])
+        # This thread allocates the output, shaped by an empty batch.
+        empty = compute(array[:0])
+        out = np.empty((total,) + empty.shape[1:], dtype=empty.dtype)
+
+        def fill(start: int, stop: int) -> None:
+            out[start:stop] = compute(array[start:stop])
+
+        run_tiles(fill, total, tile, self.workers)
         return out
 
     def run(self, images, batch_size: Optional[int] = None) -> np.ndarray:
-        """Forward a dataset in chunks.
+        """Forward a dataset in tiles of at most ``batch_size`` images.
 
         Returns per-class collected intensities ``(B, C)`` for classifiers
         or output intensity maps ``(B, N, N)`` for segmentation models.
@@ -300,7 +320,8 @@ class InferenceSession:
         multi-channel models) is forwarded unbatched / as a batch of one,
         mirroring the autograd models' semantics.
         """
-        return self._batched(images, self._program.run, batch_size)
+        program = self._program
+        return self._batched(images, program, program.run, batch_size)
 
     def predict(self, images, batch_size: Optional[int] = None) -> np.ndarray:
         """Arg-max class predictions (classifier sessions only)."""
@@ -318,22 +339,23 @@ class InferenceSession:
         medians = np.median(pattern, axis=(-2, -1), keepdims=True)
         return (pattern >= medians).astype(float)
 
-    def _full_plane_intensity(self) -> Callable[[np.ndarray], np.ndarray]:
-        """Intensity fn over the whole detector plane.
+    def _full_plane_program(self) -> CompiledProgram:
+        """A program whose ``intensity`` covers the whole detector plane.
 
         A collapsed program computes only the read-out pixels, so camera
         views come from a reference program emitted (lazily, once) from
         the unoptimized plan — same arrays, full plane.
         """
         if self._program.intensity is not None:
-            return self._program.intensity
+            return self._program
         if self._reference_program is None:
             self._reference_program = emit(self._raw_plan, self.fft)
-        return self._reference_program.intensity
+        return self._reference_program
 
     def intensity_patterns(self, images, batch_size: Optional[int] = None) -> np.ndarray:
         """Detector-plane intensity images (what the CMOS camera records)."""
-        return self._batched(images, self._full_plane_intensity(), batch_size)
+        program = self._full_plane_program()
+        return self._batched(images, program, program.intensity, batch_size)
 
     def read_detector(self, intensity: np.ndarray) -> np.ndarray:
         """Integrate intensity patterns over the per-class detector regions."""
@@ -371,7 +393,9 @@ def compile(
     batch_size, backend, workers, dtype:
         As on :class:`InferenceSession`; ``None`` means "the spec's
         recorded value" when compiling a spec, the usual default
-        otherwise.
+        otherwise.  ``workers`` is the number of threads the session
+        runs on; left ``None`` (here and in the spec) it is this host's
+        :func:`~repro.autograd.fft.usable_cores`.
     max_operator_bytes:
         As on :class:`InferenceSession`.
     """

@@ -216,7 +216,7 @@ def render_server_metrics(body: dict) -> str:
                          replica.get("in_flight"), rlabels)
             writer.gauge("repro_replica_ewma_latency_ms", "EWMA call latency (ms).",
                          replica.get("ewma_latency_ms"), rlabels)
-            writer.gauge("repro_replica_threads", "BLAS/OpenMP thread budget the worker started with.",
+            writer.gauge("repro_replica_threads", "Threads the worker's session runs on (its thread budget).",
                          replica.get("threads"), rlabels)
             for key, help_text in _REPLICA_COUNTERS:
                 writer.counter(f"repro_replica_{key}_total", help_text, replica.get(key), rlabels)

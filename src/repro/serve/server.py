@@ -313,8 +313,9 @@ class InferenceServer:
         Returns a summary dict (``model``, ``version``,
         ``content_hash``, ``replicas``).  Raises
         :class:`UnknownModelError` for unknown names, ``ValueError`` for
-        in-process models (nothing to roll -- re-register instead) or a
-        store-less server, and the store's typed errors for unknown
+        in-process models (nothing to roll -- re-register instead), a
+        store-less server or a group whose store ref names another store
+        than the server's, and the store's typed errors for unknown
         versions.  Safe to call before :meth:`start` (the idle fleet is
         retargeted and compiles the new version on start).
         """
@@ -330,6 +331,13 @@ class InferenceServer:
             )
         group = model.group
         previous = model.ref
+        if previous is not None and f"{previous.scheme}:{previous.location}" != self.store.backend.describe():
+            # The server's store would resolve the name to an unrelated model.
+            raise ValueError(
+                f"model {name!r} serves {previous.name}@{previous.version_tag} from store "
+                f"{previous.scheme}:{previous.location}, not from this server's store "
+                f"{self.store.backend.describe()}; swap it through a server on that store"
+            )
         store_name = previous.name if previous is not None else name
         ref = self.store.ref(store_name, version)
         if previous is not None and ref.content_hash == previous.content_hash:

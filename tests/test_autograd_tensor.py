@@ -251,6 +251,35 @@ class TestGradOwnership:
         np.testing.assert_array_equal(_adjoint(cplx), np.conj(cplx.T))
 
 
+class TestPickle:
+    """A pickled tensor is its data: the gradient stays behind, as in torch."""
+
+    def test_pickle_drops_the_gradient_and_keeps_the_rest(self):
+        import pickle
+
+        param = Parameter(np.arange(3.0) + 1j, name="phase")
+        (param * param).abs2().sum().backward()
+        assert param.grad is not None
+        restored = pickle.loads(pickle.dumps(param))
+        assert type(restored) is Parameter and restored.grad is None
+        assert restored.requires_grad and restored.name == "phase"
+        np.testing.assert_array_equal(restored.data, param.data)
+        assert param.grad is not None  # pickling leaves the live tensor alone
+
+    @pytest.mark.parametrize(
+        "make", [lambda: Tensor(np.arange(4.0), name="t"), lambda: Parameter(np.ones((2, 2)) + 1j)]
+    )
+    def test_a_tensor_without_gradient_pickles_to_the_default_bytes(self, make, monkeypatch):
+        """Same bytes as pickle's own slot state, so store hashes of
+        gradient-free models do not change."""
+        import pickle
+
+        tensor = make()
+        ours = pickle.dumps(tensor, protocol=pickle.HIGHEST_PROTOCOL)
+        monkeypatch.delattr(Tensor, "__getstate__")
+        assert pickle.dumps(tensor, protocol=pickle.HIGHEST_PROTOCOL) == ours
+
+
 class TestShapes:
     def test_reshape_and_flatten(self):
         t = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)

@@ -244,6 +244,24 @@ class TestPlanOptimization:
                 np.sum(row * x), out.reshape(-1)[flat_index], atol=1e-12
             )
 
+    @pytest.mark.parametrize("family", ["donn", "multichannel"])
+    def test_readout_keeps_only_the_detector_pixels(self, family):
+        """Lowering keeps the pixels some region covers and their rows of
+        the dense read-out; the collapse reads the same pixels."""
+        model = _model(family, 16, 3, None)
+        readout = lower(model, "complex128").readout
+        dense = model.detector.read_matrix()
+        np.testing.assert_array_equal(readout.pixels, np.flatnonzero(dense.any(axis=1)))
+        np.testing.assert_array_equal(readout.matrix, dense[readout.pixels])
+        assert readout.matrix.shape == (len(readout.pixels), model.detector.num_classes)
+        assert len(readout.pixels) < 16 * 16
+        collapsed = _session(family, 16, 3, None, "full", "complex128").plan
+        for branch in collapsed.branches:
+            np.testing.assert_array_equal(branch.ops[1].pixels, readout.pixels)
+        np.testing.assert_array_equal(collapsed.readout.pixels, readout.pixels)
+        assert not collapsed.readout.from_plane
+        assert lower(_model("segmentation", 12, 3, None), "complex128").readout is None
+
     def test_optimize_levels_are_validated(self):
         model = _model("donn", 12, 3, None)
         with pytest.raises(ValueError, match="optimize"):

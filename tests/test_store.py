@@ -125,6 +125,20 @@ class TestPublishLoadRoundTrip:
         assert _blob_keys(store) == blobs_after_first  # no second blob
         assert [m.version for m in store.versions("m")] == [1]
 
+    def test_pending_gradients_do_not_change_the_published_blob(self, tmp_path, rng):
+        """backward() without an optimizer step leaves the weights alone, so
+        a second publish is the same content: one version, one blob."""
+        store = ModelStore(tmp_path)
+        model = DONN(_config(seed=5))
+        first = store.publish("m", model)
+        logits = model(rng.uniform(size=(2, 12, 12)))
+        (logits * logits).sum().backward()
+        assert any(parameter.grad is not None for parameter in model.parameters())
+        again = store.publish("m", model)
+        assert again.content_hash == first.content_hash
+        assert [m.version for m in store.versions("m")] == [1]
+        assert len(_blob_keys(store)) == 1
+
     def test_canonical_bytes_hash_is_stable_across_spec_objects(self):
         session = engine_compile(_model("donn"), optimize="fuse")
         one, two = session.to_spec(), session.to_spec()
@@ -499,6 +513,29 @@ class TestStoreBackedRegistry:
             await storeless.close()
 
         asyncio.run(scenario())
+
+    def test_swap_refuses_a_group_on_another_store(self, tmp_path):
+        """A fleet on store A's ``digits@v1`` under a server on store B must
+        not roll to B's unrelated ``digits@v2``."""
+
+        async def scenario():
+            store_a, store_b = ModelStore(tmp_path / "a"), ModelStore(tmp_path / "b")
+            store_a.publish("digits", _model("donn", seed=1), backend="numpy")
+            store_b.publish("digits", _model("donn", seed=2), backend="numpy")
+            store_b.publish("digits", _model("donn", seed=3), backend="numpy")
+            group = ReplicaGroup(store_a.ref("digits"), replicas=1, name="digits")
+            server = InferenceServer(store=store_b)
+            server.add_model("digits", group)
+            try:
+                with pytest.raises(ValueError) as refused:
+                    await server.swap_model("digits", "v2")
+            finally:
+                await server.close()
+            return group, refused.value
+
+        group, error = asyncio.run(scenario())
+        assert str(tmp_path / "a") in str(error) and str(tmp_path / "b") in str(error)
+        assert group.spec.location == str(tmp_path / "a") and group.spec.version == 1
 
 
 # --------------------------------------------------------------------- #
