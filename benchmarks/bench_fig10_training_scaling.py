@@ -4,13 +4,17 @@ The paper trains DONNs of up to 30 layers at up to 500^2 on one GPU and
 observes (a) runtime growing almost linearly with depth and (b) a jump
 when the system size exceeds the hardware's comfortable working set.
 Here per-epoch training time is measured for depths {1, 3, 6, 10} at 48^2
-and for 96^2 at depth 3 (scaled down, CPU).
+and for 96^2 at depth 3 (scaled down, CPU): the median of ``EPOCHS``
+timed epochs after a warm-up one, since a single epoch of 15-130 ms
+moves with the host's load.  A step runs as tiles of images on every
+usable core (``repro.autograd.tiles``): a 10-image batch is one tile at
+48^2 and two at 96^2.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
-
 
 from _bench_helpers import report, save_results
 from repro import DONN, DONNConfig, Trainer, load_digits
@@ -20,6 +24,8 @@ SMALL_SIZE = 48
 LARGE_SIZE = 96
 SAMPLES = 40
 BATCH = 10
+#: Timed epochs per configuration; the row is their median.
+EPOCHS = 5
 
 
 def _epoch_seconds(size: int, depth: int, dataset) -> float:
@@ -32,9 +38,12 @@ def _epoch_seconds(size: int, depth: int, dataset) -> float:
     # Warm-up epoch: one-off costs (the FFT backend's import and thread
     # pool, per-shape plans) land on whichever configuration runs first.
     trainer.train_epoch(train_x, train_y)
-    start = time.perf_counter()
-    trainer.train_epoch(train_x, train_y)
-    return time.perf_counter() - start
+    epochs = []
+    for _ in range(EPOCHS):
+        start = time.perf_counter()
+        trainer.train_epoch(train_x, train_y)
+        epochs.append(time.perf_counter() - start)
+    return statistics.median(epochs)
 
 
 def test_fig10_training_scaling(benchmark):

@@ -12,6 +12,10 @@ reproduction.  It provides:
   used by the optical physics kernels.
 * :mod:`~repro.autograd.fft` -- the scipy/numpy FFT dispatcher that
   ``propagate`` and the inference engine share.
+* :mod:`~repro.autograd.tiles` -- the tile executor that runs a batch as
+  cache-sized tiles on every usable core, for training steps and engine
+  calls alike; a :class:`~repro.autograd.tensor.GradSink` keeps each
+  tile's leaf gradients apart until they are added in tile order.
 * :mod:`~repro.autograd.functional` -- neural-network style operators
   (softmax, relu, layer norm, conv2d, losses) used by the digital
   baselines and by DONN training.
@@ -31,7 +35,7 @@ For a real scalar loss ``L``:
   direction, so ``x -= lr * x.grad`` always descends.
 """
 
-from repro.autograd.tensor import Tensor, no_grad, is_grad_enabled, tensor
+from repro.autograd.tensor import GradSink, Tensor, no_grad, is_grad_enabled, tensor
 from repro.autograd import ops
 from repro.autograd import functional
 from repro.autograd.module import Module, Parameter, Sequential, ModuleList
@@ -39,6 +43,7 @@ from repro.autograd.optim import SGD, Adam, Optimizer
 from repro.autograd.gradcheck import numerical_gradient, check_gradients
 
 __all__ = [
+    "GradSink",
     "Tensor",
     "tensor",
     "no_grad",

@@ -8,9 +8,11 @@ backends are supported:
   measurably faster than numpy's, plus a ``workers=N`` thread pool that
   parallelises over the batch axis).  Selected automatically when scipy is
   importable.  Autograd passes ``workers=usable_cores()``
-  (:func:`autograd_backend`); the engine passes no ``workers`` and runs
-  each transform single-threaded, because it spreads a batch's tiles
-  over its own threads (:mod:`repro.engine.tiles`).
+  (:func:`autograd_backend`) on a thread that is not running a tile, and
+  no ``workers`` on one that is; the engine passes no ``workers``.  A
+  transform inside a tile runs single-threaded, because the tiles of a
+  batch already spread over every usable core
+  (:mod:`repro.autograd.tiles`).
 * **numpy** -- ``np.fft``, always available; the fallback when scipy is
   absent so neither autograd nor the engine depends on more than numpy.
 
@@ -23,8 +25,9 @@ reduced-precision mode: ``scipy.fft`` computes single-precision
 transforms natively, while ``np.fft`` always promotes to ``complex128``,
 so the numpy backend casts its results back to the input dtype.
 
-This module is a leaf (numpy, ``os`` and, lazily, scipy) so that
-autograd and the engine share one dispatcher without an import cycle.
+This module is a leaf (numpy, ``os``, the tile executor and, lazily,
+scipy) so that autograd and the engine share one dispatcher without an
+import cycle.
 """
 
 from __future__ import annotations
@@ -33,6 +36,8 @@ import os
 from typing import Optional
 
 import numpy as np
+
+from repro.autograd import tiles
 
 _AXES = (-2, -1)
 
@@ -139,10 +144,13 @@ def get_fft_backend(name: str = "auto", workers: Optional[int] = None):
 
 
 def autograd_backend():
-    """The backend autograd's kernels run on: scipy with a worker per usable core, else numpy.
+    """The backend autograd's kernels run on: scipy, else numpy.
 
-    Resolved on every call, so it follows the process's affinity and the
+    Outside a tile scipy runs a worker per usable core; inside one
+    (:func:`repro.autograd.tiles.in_tile`) it runs single-threaded,
+    because the tiles themselves use every core.  Resolved on every call,
+    so it follows the process's affinity, the thread and the
     ``_import_scipy_fft`` seam; resolving costs microseconds next to a
     transform.
     """
-    return get_fft_backend("auto", workers=usable_cores())
+    return get_fft_backend("auto", workers=None if tiles.in_tile() else usable_cores())

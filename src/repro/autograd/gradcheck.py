@@ -11,7 +11,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.autograd.tensor import Tensor
+from repro.autograd.tensor import GradSink, Tensor
 
 
 def numerical_gradient(
@@ -73,14 +73,19 @@ def check_gradients(
     """Compare analytic and numeric gradients for every grad-requiring input.
 
     Raises ``AssertionError`` with a diagnostic message on mismatch; returns
-    ``True`` otherwise so it can be used directly in assertions.
+    ``True`` otherwise so it can be used directly in assertions.  The
+    analytic gradients pass through a :class:`GradSink`, as a tiled
+    training step's do, and are then added into each leaf's ``grad``; so
+    the check also holds on a thread where another sink is active.
     """
     for tensor in inputs:
         tensor.zero_grad()
     output = func(*inputs)
     if output.data.size != 1:
         raise ValueError("check_gradients requires a scalar-valued function")
-    output.backward()
+    with GradSink() as sink:
+        output.backward()
+    sink.add_to_grads()
 
     for position, tensor in enumerate(inputs):
         if not tensor.requires_grad:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import threading
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -50,6 +50,61 @@ def no_grad():
         yield
     finally:
         _GRAD_MODE.enabled = previous
+
+
+class _SinkMode(threading.local):
+    """The gradient sink active on this thread, if any (see :class:`GradSink`)."""
+
+    active: Optional["GradSink"] = None
+
+
+_SINK_MODE = _SinkMode()
+
+
+class GradSink:
+    """Leaf gradients of the backward passes run on one thread, kept out of ``.grad``.
+
+    While a sink is active on a thread (``with sink:``), every gradient that
+    reaches a leaf tensor (one that no op produced: a parameter, an input)
+    is added into the sink instead of into the leaf's ``grad``;
+    :meth:`add_to_grads` later adds the sink's sums there.  A tiled
+    training step back-propagates each tile on its own thread into its own
+    sink, then adds the sinks in tile order, so the gradients do not depend
+    on which thread ran which tile.  Sinks nest: leaving one reactivates
+    the sink that was active when it was entered.
+    """
+
+    def __init__(self) -> None:
+        self._grads: Dict[int, Tuple["Tensor", np.ndarray]] = {}
+        self._outer: Optional[GradSink] = None
+
+    def __enter__(self) -> "GradSink":
+        self._outer, _SINK_MODE.active = _SINK_MODE.active, self
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        _SINK_MODE.active, self._outer = self._outer, None
+
+    def _add(self, tensor: "Tensor", grad: np.ndarray) -> None:
+        held = self._grads.get(id(tensor))
+        if held is None:
+            self._grads[id(tensor)] = (tensor, tensor._owned(grad))
+        else:
+            buffer = held[1]
+            buffer += grad
+
+    def add_to_grads(self) -> None:
+        """Add every held gradient into its leaf's ``grad`` and empty the sink.
+
+        This writes ``grad`` directly, whatever sink is active on the
+        calling thread.
+        """
+        grads, self._grads = self._grads, {}
+        for tensor, grad in grads.values():
+            if tensor.grad is None:
+                tensor.grad = grad
+            else:
+                tensor.grad += grad
 
 
 def _as_array(value: ArrayLike) -> np.ndarray:
@@ -170,20 +225,29 @@ class Tensor:
     # ------------------------------------------------------------------ #
     # Autograd machinery
     # ------------------------------------------------------------------ #
+    def _owned(self, grad: np.ndarray) -> np.ndarray:
+        """A copy of ``grad`` in a buffer of this tensor's shape and gradient dtype (C-contiguous)."""
+        owned = np.empty(self.data.shape, dtype=complex if np.iscomplexobj(self.data) else float)
+        owned[...] = grad
+        return owned
+
     def _accumulate(self, grad: np.ndarray) -> None:
         """Add ``grad`` into ``self.grad``, handling dtype/broadcast mismatch.
 
-        The first gradient is copied once into a buffer this tensor owns
-        (C-contiguous, of its shape and gradient dtype); later ones are
-        added into it in place.  ``grad`` itself is never written, so one
-        upstream array can reach several parents.
+        The first gradient is copied once into a buffer this tensor owns;
+        later ones are added into it in place.  ``grad`` itself is never
+        written, so one upstream array can reach several parents.  A leaf
+        adds into the thread's :class:`GradSink` instead, while one is
+        active.
         """
         grad = _unbroadcast(np.asarray(grad), self.data.shape)
         if not np.iscomplexobj(self.data) and np.iscomplexobj(grad):
             grad = grad.real
-        if self.grad is None:
-            self.grad = np.empty(self.data.shape, dtype=complex if np.iscomplexobj(self.data) else float)
-            self.grad[...] = grad
+        sink = _SINK_MODE.active
+        if sink is not None and self._backward is None:
+            sink._add(self, grad)
+        elif self.grad is None:
+            self.grad = self._owned(grad)
         else:
             self.grad += grad
 

@@ -11,7 +11,7 @@ Public surface:
 * :class:`InferenceSession` -- the thin executor over the emitted plan
   (batching, ``plan_summary()`` introspection); a batch runs as
   cache-sized tiles on the session's ``workers`` threads
-  (:mod:`repro.engine.tiles`).
+  (:mod:`repro.autograd.tiles`).
 * :func:`get_fft_backend` / :func:`available_backends` -- the FFT
   dispatch layer (scipy with thread workers when installed, numpy
   fallback otherwise), re-exported from :mod:`repro.autograd.fft`, which

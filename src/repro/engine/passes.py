@@ -36,7 +36,7 @@ intensity cannot see).  ``A`` is built by the **adjoint method**: row
 ``p`` of ``A`` is the *transposed* op chain applied to the one-hot
 detector field ``e_p``, so the build costs ``P`` pushes (typically a few
 hundred) instead of ``N²``; they run in place on one batch of one-hot
-fields, in the engine's tiles (:mod:`repro.engine.tiles`) on the
+fields, in the engine's tiles (:mod:`repro.autograd.tiles`) on the
 session's threads.  The pixels ``P`` are the ones the plan's read-out
 already restricts itself to.  Transposition rules: the unnormalised DFT
 matrix is symmetric (``Fᵀ = F``, ``(F⁻¹)ᵀ = F⁻¹``), pad and crop are
@@ -57,6 +57,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.autograd.tiles import run_tiles, tile_size
 from repro.engine.plan import (
     FFT,
     IFFT,
@@ -75,7 +76,6 @@ from repro.engine.plan import (
     emit_ops,
     field_bytes,
 )
-from repro.engine.tiles import run_tiles, tile_size
 
 __all__ = [
     "OPTIMIZE_LEVELS",

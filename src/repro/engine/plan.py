@@ -645,7 +645,7 @@ def field_bytes(ops: Sequence[Op], size: int, dtype) -> int:
 
     The widest zero-pad border in ``ops`` sets the side; ``dtype`` is the
     chain's element type.  This is the tile executor's unit (see
-    :mod:`repro.engine.tiles`).
+    :mod:`repro.autograd.tiles`).
     """
     side = size + 2 * _widest_border(ops)
     return side * side * np.dtype(dtype).itemsize

@@ -16,7 +16,7 @@ door — runs a trained model through an explicit three-stage pipeline:
    numpy program an :class:`InferenceSession` runs batches through.
 
 The session itself is a thin executor: batching, tiles on threads
-(:mod:`repro.engine.tiles`), and introspection
+(:mod:`repro.autograd.tiles`), and introspection
 (:meth:`InferenceSession.plan_summary` reports op counts before/after
 the passes).  At the default ``dtype="complex128"`` outputs
 match the autograd eval path to ``atol=1e-10``; the opt-in
@@ -34,9 +34,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.autograd.fft import get_fft_backend, usable_cores
+from repro.autograd.tiles import run_tiles, tile_size
 from repro.engine.plan import CompiledProgram, Plan, emit, lower
 from repro.engine.passes import OPTIMIZE_LEVELS, optimize_plan
-from repro.engine.tiles import run_tiles, tile_size
 
 #: Accuracy budget of the reduced-precision engine: with
 #: ``dtype="complex64"`` the detector logits (and segmentation intensity

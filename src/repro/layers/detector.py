@@ -108,6 +108,19 @@ class Detector(Module):
     def num_classes(self) -> int:
         return len(self.regions)
 
+    # The masks are a pure function of the grid and the regions, so they
+    # are dropped from the pickle and rebuilt on load, as a Propagator's
+    # kernels are: a model blob then carries its parameters, not a dense
+    # C x N x N copy of its read-out.
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state.pop("_masks", None)
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._masks = self._build_masks()
+
     def _build_masks(self) -> np.ndarray:
         masks = np.zeros((len(self.regions), self.grid.size, self.grid.size), dtype=float)
         for index, region in enumerate(self.regions):

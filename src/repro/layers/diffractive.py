@@ -10,11 +10,17 @@ Two variants mirror the paper's API (Table 2):
   *measured, discrete* phase levels the physical device can realise, made
   differentiable with Gumbel-Softmax (Section 3.2).  After training, each
   unit snaps to a valid hardware level with no extra quantisation loss.
+
+Both are :class:`ModulationLayer` s: a free-space hop, then the layer's
+:meth:`~ModulationLayer.modulation`.  A training step that runs as tiles
+builds each layer's modulation once (:func:`step_modulations`) and every
+tile multiplies by it.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import contextlib
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -25,7 +31,60 @@ from repro.optics.grid import SpatialGrid
 from repro.optics.propagation import Propagator, make_propagator
 
 
-class DiffractiveLayer(Module):
+class ModulationLayer(Module):
+    """A free-space hop followed by the layer's complex modulation.
+
+    ``step_modulation`` is ``None`` except inside :func:`step_modulations`,
+    which sets it to a leaf tensor holding this step's
+    :meth:`modulation`; a forward then multiplies by that leaf instead of
+    building the modulation again.
+    """
+
+    propagator: Propagator
+    step_modulation: Optional[Tensor] = None
+
+    def modulation(self) -> Tensor:
+        raise NotImplementedError  # pragma: no cover - interface
+
+    @property
+    def field_bytes(self) -> int:
+        """Bytes of one image's widest field here: complex128 on the propagator's work grid."""
+        side = self.propagator._work_grid.size
+        return side * side * np.dtype(np.complex128).itemsize
+
+    def forward(self, field: Tensor) -> Tensor:
+        diffracted = self.propagator(field)
+        shared = self.step_modulation
+        return diffracted * (self.modulation() if shared is None else shared)
+
+
+@contextlib.contextmanager
+def step_modulations(model: Module) -> Iterator[List[Tuple[Tensor, Tensor]]]:
+    """Build every modulation of ``model`` once, as a leaf its layers' forwards multiply by.
+
+    Yields ``(modulation, leaf)`` for each :class:`ModulationLayer`, in the
+    model's registration order, which is the order its forward reaches
+    them: a codesign layer draws its Gumbel noise here, once, in the same
+    order as an untiled forward does.  Back-propagating a leaf's gradient
+    through its ``modulation`` reaches the layer's parameters.  On exit,
+    normally or not, every layer builds its own modulation again.
+    """
+    layers = [module for module in model.modules() if isinstance(module, ModulationLayer)]
+    pairs: List[Tuple[Tensor, Tensor]] = []
+    try:
+        for layer in layers:
+            modulation = layer.modulation()
+            layer.step_modulation = Tensor(modulation.data, requires_grad=True)
+            pairs.append((modulation, layer.step_modulation))
+        yield pairs
+    finally:
+        for layer in layers:
+            # Deleted rather than set to None, so a model pickles the same
+            # whether or not it ever stepped in tiles.
+            vars(layer).pop("step_modulation", None)
+
+
+class DiffractiveLayer(ModulationLayer):
     """Free-space diffraction followed by trainable continuous phase modulation.
 
     Forward pass (Eq. 5-9): the incoming complex field first diffracts
@@ -72,12 +131,8 @@ class DiffractiveLayer(Module):
         """Current phase pattern wrapped to [0, 2 pi) (``lr.layers.view()``)."""
         return np.mod(self.phase.data, 2.0 * np.pi)
 
-    def forward(self, field: Tensor) -> Tensor:
-        diffracted = self.propagator(field)
-        return diffracted * self.modulation()
 
-
-class CodesignDiffractiveLayer(Module):
+class CodesignDiffractiveLayer(ModulationLayer):
     """Hardware-aware diffractive layer trained over discrete device levels.
 
     Each diffraction unit holds a logit vector over the ``L`` valid phase
@@ -150,7 +205,3 @@ class CodesignDiffractiveLayer(Module):
         """Expected (soft) phase pattern for visualisation."""
         probabilities = gumbel_softmax_probabilities(self.logits, temperature=self.temperature, rng=None)
         return probabilities.data @ self.device_profile.phases
-
-    def forward(self, field: Tensor) -> Tensor:
-        diffracted = self.propagator(field)
-        return diffracted * self.modulation()

@@ -135,9 +135,10 @@ class SegmentationDONN(Module):
         """
         was_training = self.training
         self.eval()
-        pattern = np.asarray(self.forward(images).data.real)
-        if was_training:
-            self.train()
+        try:
+            pattern = np.asarray(self.forward(images).data.real)
+        finally:
+            self.train(was_training)
         if threshold is not None:
             return (pattern >= threshold).astype(float)
         medians = np.median(pattern, axis=(-2, -1), keepdims=True)

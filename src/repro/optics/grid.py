@@ -65,6 +65,14 @@ class SpatialGrid:
         fx, fy = np.meshgrid(freq, freq, indexing="xy")
         return fx, fy
 
+    def __getstate__(self):
+        """Pickle ``size`` and ``pixel_size`` only: the cached coordinate
+        and frequency arrays are rebuilt on first use after loading."""
+        state = self.__dict__.copy()
+        state.pop("coordinates", None)
+        state.pop("frequencies", None)
+        return state
+
     def padded(self, factor: int = 2) -> "SpatialGrid":
         """Return a grid enlarged ``factor`` times (same pitch), for
         padding-based suppression of FFT wrap-around."""

@@ -4,19 +4,27 @@ The paper trains DONNs with Adam on the MSE-over-softmax loss (Section
 5.1); the same :class:`Trainer` also drives the MLP/CNN baselines of
 Table 4 (with cross-entropy) so runtime and accuracy comparisons share one
 code path.
+
+Every optimizer step of both trainers runs as cache-sized tiles of images
+on every usable core (:func:`_step`): one image per tile at sys 200,
+while a small model's batch, or a digital baseline's, is one tile,
+stepped on the calling thread.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.autograd import Adam, Module, Optimizer, Tensor, functional, no_grad
+from repro.autograd import Adam, GradSink, Module, Optimizer, Tensor, functional, no_grad
+from repro.autograd.fft import usable_cores
+from repro.autograd.tiles import run_tiles, tile_size
 from repro.codesign.noise import DetectorNoiseModel
 from repro.engine import compile as engine_compile
+from repro.layers.diffractive import ModulationLayer, step_modulations
 from repro.train.metrics import accuracy, intersection_over_union, prediction_confidence
 
 
@@ -43,6 +51,70 @@ def _iterate_batches(inputs: np.ndarray, labels: np.ndarray, batch_size: int, rn
     for start in range(0, len(inputs), batch_size):
         chosen = order[start : start + batch_size]
         yield inputs[chosen], labels[chosen]
+
+
+def _images_per_tile(model: Module, total: int) -> int:
+    """Images per tile of a step: the tile rule on the model's widest diffractive-layer field.
+
+    A model without diffractive layers (a digital baseline) is one tile.
+    """
+    widths = [module.field_bytes for module in model.modules() if isinstance(module, ModulationLayer)]
+    return tile_size(max(widths), total) if widths else total
+
+
+def _step(model: Module, optimizer: Optimizer, images: np.ndarray, loss_of: Callable[[Tensor, slice], Tensor]) -> float:
+    """One optimizer step over a batch; returns the batch loss.
+
+    ``loss_of(output, rows)`` is the batch loss (a mean over images)
+    restricted to ``images[rows]``, whose model output is ``output``.
+
+    A batch that fits one tile steps as one forward and one backward on
+    the calling thread.  A larger one runs as tiles of images on every
+    usable core (:func:`repro.autograd.tiles.run_tiles`), each tile's
+    transforms single-threaded:
+
+    * each diffractive layer's ``modulation()`` runs once, here, and the
+      tiles multiply by a leaf holding its value (:func:`step_modulations`);
+    * a tile's loss is ``loss_of`` on its rows, scaled by their share of
+      the batch, so the tiles' losses sum to the batch loss;
+    * a tile back-propagates into its own :class:`GradSink`; the sinks are
+      added into the leaves' ``grad`` in tile order, and each modulation
+      leaf's gradient is back-propagated once through its ``modulation()``.
+
+    Gradients therefore match the one-tile step's to rounding and are
+    bit-identical for any thread count.  If a tile raises, every ``grad``
+    is cleared and the optimizer does not step.
+    """
+    optimizer.zero_grad()
+    total = len(images)
+    tile = _images_per_tile(model, total)
+    if tile >= total:
+        loss = loss_of(model(images), slice(0, total))
+        loss.backward()
+        optimizer.step()
+        return float(loss.data.real)
+    sinks = [GradSink() for _ in range(0, total, tile)]
+    losses = [0.0] * len(sinks)
+
+    def run(start: int, stop: int) -> None:
+        with sinks[start // tile]:
+            loss = loss_of(model(images[start:stop]), slice(start, stop)) * ((stop - start) / total)
+            loss.backward()
+        losses[start // tile] = float(loss.data.real)
+
+    try:
+        with step_modulations(model) as modulations:
+            run_tiles(run, total, tile, usable_cores())
+        for sink in sinks:
+            sink.add_to_grads()
+        for modulation, leaf in modulations:
+            if leaf.grad is not None:
+                modulation.backward(leaf.grad)
+    except BaseException:
+        optimizer.zero_grad()
+        raise
+    optimizer.step()
+    return float(sum(losses))
 
 
 class Trainer:
@@ -90,12 +162,14 @@ class Trainer:
         self.model.train()
         losses = []
         for batch_images, batch_labels in _iterate_batches(images, labels, self.batch_size, self.rng):
-            self.optimizer.zero_grad()
-            logits = self.model(batch_images)
-            loss = self._loss(logits, batch_labels)
-            loss.backward()
-            self.optimizer.step()
-            losses.append(float(loss.data.real))
+            losses.append(
+                _step(
+                    self.model,
+                    self.optimizer,
+                    batch_images,
+                    lambda logits, rows, labels=batch_labels: self._loss(logits, labels[rows]),
+                )
+            )
         return float(np.mean(losses))
 
     def fit(
@@ -144,14 +218,16 @@ def evaluate_classifier(
     was_training = model.training
     model.eval()
     correct = 0
-    with no_grad():
-        for start in range(0, len(images), batch_size):
-            batch = images[start : start + batch_size]
-            batch_labels = labels[start : start + batch_size]
-            logits = model(batch)
-            predictions = np.asarray(logits.data.real).argmax(axis=-1)
-            correct += int((predictions == batch_labels).sum())
-    model.train(was_training)
+    try:
+        with no_grad():
+            for start in range(0, len(images), batch_size):
+                batch = images[start : start + batch_size]
+                batch_labels = labels[start : start + batch_size]
+                logits = model(batch)
+                predictions = np.asarray(logits.data.real).argmax(axis=-1)
+                correct += int((predictions == batch_labels).sum())
+    finally:
+        model.train(was_training)
     return correct / len(images)
 
 
@@ -185,14 +261,16 @@ def evaluate_with_detector_noise(
     else:
         was_training = model.training
         model.eval()
-        with no_grad():
-            for start in range(0, len(images), batch_size):
-                batch = images[start : start + batch_size]
-                pattern = model.detector_pattern(batch)
-                noisy = noise.apply(np.asarray(pattern.data.real))
-                logits = model.detector.read(Tensor(noisy))
-                all_logits.append(np.asarray(logits.data.real))
-        model.train(was_training)
+        try:
+            with no_grad():
+                for start in range(0, len(images), batch_size):
+                    batch = images[start : start + batch_size]
+                    pattern = model.detector_pattern(batch)
+                    noisy = noise.apply(np.asarray(pattern.data.real))
+                    logits = model.detector.read(Tensor(noisy))
+                    all_logits.append(np.asarray(logits.data.real))
+        finally:
+            model.train(was_training)
     stacked = np.concatenate(all_logits, axis=0)
     return {
         "accuracy": accuracy(stacked, labels),
@@ -234,12 +312,14 @@ class SegmentationTrainer:
         use_norm = getattr(self.model, "use_layer_norm", True)
         targets = self._normalise_target(masks) if use_norm else np.asarray(masks, dtype=float)
         for batch_images, batch_masks in _iterate_batches(images, targets, self.batch_size, self.rng):
-            self.optimizer.zero_grad()
-            output = self.model(batch_images)
-            loss = functional.mse_loss(output, Tensor(batch_masks))
-            loss.backward()
-            self.optimizer.step()
-            losses.append(float(loss.data.real))
+            losses.append(
+                _step(
+                    self.model,
+                    self.optimizer,
+                    batch_images,
+                    lambda output, rows, masks=batch_masks: functional.mse_loss(output, Tensor(masks[rows])),
+                )
+            )
         return float(np.mean(losses))
 
     def fit(self, images: np.ndarray, masks: np.ndarray, epochs: int = 5, verbose: bool = False) -> List[float]:

@@ -218,3 +218,61 @@ class TestSegmentationDONN:
         F.mse_loss(output, target).backward()
         assert model.entry_layer.phase.grad is not None
         assert model.exit_layer.phase.grad is not None
+
+
+class TestModelPickles:
+    """A model pickles to its parameters: the detector's masks and the grid's
+    cached coordinate arrays are rebuilt on load, as a propagator's kernels are."""
+
+    @pytest.fixture(scope="class")
+    def config(self):
+        return DONNConfig(sys_size=64, num_layers=3, num_classes=10, det_size=6, seed=5)
+
+    @staticmethod
+    def _family(name, config):
+        if name == "donn":
+            return DONN(config)
+        if name == "multichannel":
+            return MultiChannelDONN(config)
+        return SegmentationDONN(config)
+
+    @staticmethod
+    def _inputs(name, rng):
+        images = rng.uniform(0.0, 1.0, size=(3, 64, 64))
+        if name == "multichannel":
+            return np.stack([images, images[::-1], np.sqrt(images)], axis=1)
+        return images
+
+    @pytest.mark.parametrize("family", ["donn", "multichannel", "segmentation"])
+    def test_blob_is_at_most_one_point_one_times_the_parameter_bytes(self, config, family):
+        import pickle
+
+        model = self._family(family, config)
+        model.eval()
+        model(self._inputs(family, np.random.default_rng(0)))  # the grid caches its frequencies
+        blob = pickle.dumps(model, protocol=pickle.HIGHEST_PROTOCOL)
+        parameter_bytes = sum(param.data.nbytes for param in model.parameters())
+        assert len(blob) <= 1.1 * parameter_bytes
+
+    @pytest.mark.parametrize("family", ["donn", "multichannel", "segmentation"])
+    def test_a_blob_pickled_the_old_way_loads_and_runs_bit_identically(self, config, family, monkeypatch):
+        import pickle
+
+        from repro.layers.detector import Detector
+        from repro.optics.grid import SpatialGrid
+
+        model = self._family(family, config)
+        model.eval()
+        inputs = self._inputs(family, np.random.default_rng(1))
+        expected = model(inputs).data
+        new = pickle.loads(pickle.dumps(model, protocol=pickle.HIGHEST_PROTOCOL))
+        with monkeypatch.context() as patch:
+            patch.delattr(Detector, "__getstate__")
+            patch.delattr(SpatialGrid, "__getstate__")
+            old_blob = pickle.dumps(model, protocol=pickle.HIGHEST_PROTOCOL)
+        assert len(old_blob) > len(pickle.dumps(model, protocol=pickle.HIGHEST_PROTOCOL))
+        old = pickle.loads(old_blob)
+        for restored in (new, old):
+            np.testing.assert_array_equal(restored(inputs).data.view("<u8"), expected.view("<u8"))
+        if family != "segmentation":
+            np.testing.assert_array_equal(new.detector._masks, model.detector._masks)

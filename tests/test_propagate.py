@@ -14,6 +14,7 @@ import pytest
 from repro import DONN, Trainer
 from repro.autograd import Tensor, check_gradients, ops
 from repro.autograd import fft as fft_backends
+from repro.autograd import tiles
 from repro.optics import SpatialGrid, make_propagator
 
 APPROXIMATIONS = ("rayleigh_sommerfeld", "fresnel", "direct")
@@ -165,21 +166,25 @@ class CountingBackend:
 
 
 def test_train_step_runs_one_transform_pair_per_hop_and_direction(monkeypatch, small_config):
-    """An L-layer step: 2(L+1) forward transforms, 2L backward (the input hop needs no gradient)."""
-    model = DONN(small_config)
-    trainer = Trainer(model, num_classes=small_config.num_classes, batch_size=4, seed=0)
+    """An L-layer step: 2(L+1) forward transforms, 2L backward (the input hop needs no gradient),
+    per tile: a step of two 2-image tiles runs twice as many."""
     rng = np.random.default_rng(7)
     images, labels = rng.random((4,) + small_config.grid.shape), rng.integers(0, small_config.num_classes, 4)
-    counts = []
     real_backend = fft_backends.autograd_backend
-    monkeypatch.setattr(fft_backends, "autograd_backend", lambda: CountingBackend(real_backend(), counts))
 
     def unfused(*args, **kwargs):
         raise AssertionError("a propagation put an ops.fft2 / ops.ifft2 node on the tape")
 
     monkeypatch.setattr(ops, "fft2", unfused)
     monkeypatch.setattr(ops, "ifft2", unfused)
-    trainer.train_epoch(images, labels)
     layers = small_config.num_layers
-    assert len(counts) == 2 * (layers + 1) + 2 * layers
-    assert counts.count("fft2") == counts.count("ifft2")
+    field_bytes = small_config.sys_size**2 * 16
+    for budget, tile_count in ((tiles.BUDGET, 1), (2 * field_bytes, 2)):
+        monkeypatch.setattr(tiles, "BUDGET", budget)
+        model = DONN(small_config)
+        trainer = Trainer(model, num_classes=small_config.num_classes, batch_size=4, seed=0)
+        counts = []
+        monkeypatch.setattr(fft_backends, "autograd_backend", lambda: CountingBackend(real_backend(), counts))
+        trainer.train_epoch(images, labels)
+        assert len(counts) == (2 * (layers + 1) + 2 * layers) * tile_count
+        assert counts.count("fft2") == counts.count("ifft2")

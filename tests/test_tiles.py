@@ -1,10 +1,11 @@
-"""Tests for the engine's tile executor (``repro.engine.tiles``).
+"""Tests for the tile executor (``repro.autograd.tiles``).
 
 A session runs a batch as tiles of at most ``tiles.BUDGET`` bytes of
-field on its ``workers`` threads.  Most tests patch the budget small, so
-that a 12-image 32x32 batch splits into several tiles, and check that
-outputs match the autograd eval path and do not depend on the thread
-count.
+field on its ``workers`` threads, and a training step runs its images as
+tiles on every usable core.  Most tests patch the budget small, so that
+a 32x32 batch splits into several tiles, and check that outputs match
+the autograd eval path (or the one-tile step) and do not depend on the
+thread count.
 """
 
 from __future__ import annotations
@@ -15,13 +16,16 @@ import threading
 import numpy as np
 import pytest
 
-from repro import DONN, MultiChannelDONN, SegmentationDONN
+from repro import DONN, DONNConfig, MultiChannelDONN, SegmentationDONN, SegmentationTrainer, Trainer
+from repro.autograd import GradSink, Tensor, check_gradients, functional, no_grad, tiles
 from repro.autograd import fft as fft_backends
-from repro.autograd import no_grad
+from repro.autograd.tensor import _SINK_MODE
+from repro.baselines import MLPBaseline
 from repro.cluster import ReplicaGroup, usable_cores
 from repro.cluster import worker as cluster_worker
+from repro.codesign import ideal_profile
 from repro.engine import SessionSpec, compile as engine_compile
-from repro.engine import tiles
+from repro.train import loop as train_loop
 
 PARITY_ATOL = 1e-10
 #: Two 32x32 complex128 fields: an uncollapsed tile holds two images, a
@@ -45,8 +49,8 @@ def _bits(array: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(array).view("<u8")
 
 
-def _engine_threads() -> list:
-    return [thread for thread in threading.enumerate() if thread.name.startswith("repro-engine")]
+def _tile_threads() -> list:
+    return [thread for thread in threading.enumerate() if thread.name.startswith("repro-tiles")]
 
 
 @pytest.fixture
@@ -93,7 +97,7 @@ class TestRunTiles:
 
         with pytest.raises(ValueError, match="tile 6"):
             tiles.run_tiles(task, 12, 2, 3)
-        assert not _engine_threads()
+        assert not _tile_threads()
 
     def test_many_threads_lose_no_tile(self):
         """More threads than cores and a short switch interval: every tile
@@ -112,7 +116,7 @@ class TestRunTiles:
                 np.testing.assert_array_equal(out, array + 1.0)
         finally:
             sys.setswitchinterval(interval)
-        assert not _engine_threads()
+        assert not _tile_threads()
 
 
 class TestSessionTiles:
@@ -181,9 +185,9 @@ class TestSessionTiles:
 
         program.run = recording_run
         session.run(images)
-        assert any(name.startswith("repro-engine") for name in names), names
+        assert any(name.startswith("repro-tiles") for name in names), names
         assert threading.current_thread().name in names
-        assert not _engine_threads()
+        assert not _tile_threads()
 
     def test_collapsed_operator_is_bit_identical_tiled_or_not(self, small_config, monkeypatch):
         model = DONN(small_config)
@@ -235,3 +239,191 @@ class TestReplicaThreads:
             got = group.infer_sync(images)
         assert [row["threads"] for row in rows] == [max(1, usable_cores() // 2)] * 2
         np.testing.assert_array_equal(_bits(got), _bits(session.run(images)))
+
+
+# --------------------------------------------------------------------- #
+# Training steps as tiles
+# --------------------------------------------------------------------- #
+#: Rows of the training batch: three tiles of two images under SMALL_BUDGET.
+STEP_IMAGES = 6
+GRAD_ATOL = 1e-10
+
+
+def _training_model(name: str, config):
+    if name == "codesign":
+        return DONN(config, device_profile=ideal_profile(num_levels=6))
+    return _family(name, config)
+
+
+def _training_batch(name: str, images: np.ndarray, config):
+    batch = _inputs(name, images[:STEP_IMAGES])
+    if name == "segmentation":
+        return batch, (images[:STEP_IMAGES] > 0.5).astype(float)
+    return batch, np.arange(STEP_IMAGES) % config.num_classes
+
+
+def _step_once(name: str, config, images, monkeypatch, budget: int, workers: int = 2):
+    """A fresh model after one optimizer step on one batch, and that step's loss."""
+    monkeypatch.setattr(tiles, "BUDGET", budget)
+    monkeypatch.setattr(train_loop, "usable_cores", lambda: workers)
+    model = _training_model(name, config)
+    batch, targets = _training_batch(name, images, config)
+    if name == "segmentation":
+        trainer = SegmentationTrainer(model, batch_size=STEP_IMAGES, seed=0)
+    else:
+        trainer = Trainer(model, num_classes=config.num_classes, batch_size=STEP_IMAGES, seed=0)
+    loss = trainer.train_epoch(batch, targets)
+    return model, trainer, loss
+
+
+class TestTrainingTiles:
+    def test_tile_rule_uses_the_widest_diffractive_layer_field(self, small_config):
+        sys_200 = DONN(DONNConfig(sys_size=200, num_layers=2, num_classes=10))
+        assert train_loop._images_per_tile(sys_200, 8) == 1
+        padded = DONN(small_config.with_updates(pad_factor=2))
+        assert train_loop._images_per_tile(padded, 64) == tiles.BUDGET // (64 * 64 * 16)
+        assert train_loop._images_per_tile(DONN(small_config), 32) == 32
+        assert train_loop._images_per_tile(MLPBaseline(32 * 32), 10**7) == 10**7
+
+    @pytest.mark.parametrize("family", ["donn", "multichannel", "segmentation", "codesign"])
+    def test_tiled_gradients_match_the_one_tile_step(self, small_config, images, monkeypatch, family):
+        whole, _, whole_loss = _step_once(family, small_config, images, monkeypatch, 1 << 40)
+        tiled, _, tiled_loss = _step_once(family, small_config, images, monkeypatch, SMALL_BUDGET)
+        assert train_loop._images_per_tile(tiled, STEP_IMAGES) == 2
+        assert tiled_loss == pytest.approx(whole_loss, rel=1e-12)
+        for (name, expected), actual in zip(whole.named_parameters(), tiled.parameters()):
+            assert actual.grad is not None, name
+            np.testing.assert_allclose(actual.grad, expected.grad, rtol=0.0, atol=GRAD_ATOL, err_msg=name)
+
+    @pytest.mark.parametrize("family", ["donn", "codesign"])
+    def test_parameters_after_a_step_are_bit_identical_on_1_2_and_3_threads(
+        self, small_config, images, monkeypatch, family
+    ):
+        stepped = []
+        for workers in (1, 2, 3):
+            model, _, loss = _step_once(family, small_config, images, monkeypatch, SMALL_BUDGET, workers)
+            stepped.append((loss, [param.data.copy() for param in model.parameters()]))
+        for loss, params in stepped[1:]:
+            assert loss == stepped[0][0]
+            for param, first in zip(params, stepped[0][1]):
+                np.testing.assert_array_equal(_bits(param), _bits(first))
+
+    def test_codesign_step_draws_the_noise_of_the_one_tile_step(self, small_config, images, monkeypatch):
+        whole, _, _ = _step_once("codesign", small_config, images, monkeypatch, 1 << 40)
+        tiled, _, _ = _step_once("codesign", small_config, images, monkeypatch, SMALL_BUDGET)
+        for whole_layer, tiled_layer in zip(whole.diffractive_layers, tiled.diffractive_layers):
+            assert tiled_layer.rng.bit_generator.state == whole_layer.rng.bit_generator.state
+            np.testing.assert_allclose(tiled_layer.logits.data, whole_layer.logits.data, rtol=0.0, atol=1e-12)
+
+    def test_tiles_run_on_helper_threads_with_single_threaded_transforms(self, small_config, images, monkeypatch):
+        model = DONN(small_config)
+        seen = set()
+        original = model.forward
+        # The first two tiles wait for each other, so two threads run tiles
+        # at once, and at least one of them is a helper.
+        together = threading.Barrier(2)
+
+        def recording_forward(batch):
+            backend = fft_backends.autograd_backend()
+            seen.add((threading.current_thread().name, len(batch), backend.workers))
+            if len(seen) <= 2:
+                together.wait(timeout=30)
+            return original(batch)
+
+        model.forward = recording_forward
+        monkeypatch.setattr(tiles, "BUDGET", SMALL_BUDGET)
+        monkeypatch.setattr(train_loop, "usable_cores", lambda: 3)
+        Trainer(model, num_classes=small_config.num_classes, batch_size=STEP_IMAGES).train_epoch(
+            images[:STEP_IMAGES], np.zeros(STEP_IMAGES, dtype=int)
+        )
+        names = {name for name, _, _ in seen}
+        assert any(name.startswith("repro-tiles") for name in names), names
+        assert {(size, workers) for _, size, workers in seen} == {(2, None)}
+        assert not _tile_threads()
+        assert fft_backends.autograd_backend().workers == fft_backends.usable_cores()
+
+    def test_a_one_tile_step_runs_on_the_calling_thread(self, small_config, images, monkeypatch):
+        model = DONN(small_config)
+        calls = []
+        original = model.forward
+
+        def recording_forward(batch):
+            calls.append((len(batch), threading.current_thread()))
+            return original(batch)
+
+        started = []
+        thread_start = threading.Thread.start
+
+        def recording_start(thread):
+            started.append(thread.name)
+            thread_start(thread)
+
+        model.forward = recording_forward
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        Trainer(model, num_classes=small_config.num_classes, batch_size=len(images)).train_epoch(
+            images, np.zeros(len(images), dtype=int)
+        )
+        assert calls == [(len(images), threading.current_thread())]
+        assert started == []
+        assert "step_modulation" not in vars(model.diffractive_layers[0])
+
+    def test_a_tile_that_raises_leaves_nothing_behind(self, small_config, images, monkeypatch):
+        model = DONN(small_config)
+        trainer = Trainer(model, num_classes=small_config.num_classes, batch_size=STEP_IMAGES)
+        before = [param.data.copy() for param in model.parameters()]
+        original = model.forward
+        calls = []
+
+        def failing_forward(batch):
+            calls.append(len(batch))
+            out = original(batch)
+            if len(calls) == 2:
+                raise RuntimeError("tile failed")
+            return out
+
+        model.forward = failing_forward
+        monkeypatch.setattr(tiles, "BUDGET", SMALL_BUDGET)
+        monkeypatch.setattr(train_loop, "usable_cores", lambda: 2)
+        with pytest.raises(RuntimeError, match="tile failed"):
+            trainer.train_epoch(images[:STEP_IMAGES], np.zeros(STEP_IMAGES, dtype=int))
+        assert _SINK_MODE.active is None
+        assert not tiles.in_tile()
+        assert not _tile_threads()
+        for layer in model.diffractive_layers:
+            assert "step_modulation" not in vars(layer)
+            assert layer.step_modulation is None
+        assert all(param.grad is None for param in model.parameters())
+        assert trainer.optimizer._step == 0
+        for param, data in zip(model.parameters(), before):
+            np.testing.assert_array_equal(param.data, data)
+
+    def test_check_gradients_passes_through_the_sink(self, small_config, images):
+        """The checker's analytic gradients pass through a sink, so it holds
+        on a thread where a tile's sink is active, and that sink gets nothing."""
+        model = DONN(small_config.with_updates(sys_size=8, det_size=2, num_layers=1, num_classes=4))
+        phase = model.diffractive_layers[0].phase
+        batch = images[:2, ::4, ::4]
+
+        def loss(_):
+            return functional.softmax_mse_loss(model(batch), Tensor(np.eye(4)[[0, 3]]))
+
+        with GradSink() as outer:
+            assert check_gradients(loss, [phase], atol=1e-6)
+        checked = phase.grad.copy()
+        outer.add_to_grads()
+        np.testing.assert_array_equal(phase.grad, checked)
+
+    def test_sinks_added_in_tile_order_give_the_block_gradient(self, rng):
+        weights = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        rows = rng.normal(size=(6, 4))
+        (Tensor(rows) @ weights).abs2().sum().backward()
+        block = weights.grad
+        weights.zero_grad()
+        sinks = [GradSink() for _ in range(3)]
+        for index, sink in enumerate(sinks):
+            with sink:
+                (Tensor(rows[2 * index : 2 * index + 2]) @ weights).abs2().sum().backward()
+            assert weights.grad is None
+        for sink in sinks:
+            sink.add_to_grads()
+        np.testing.assert_allclose(weights.grad, block, rtol=0.0, atol=1e-12)

@@ -179,3 +179,42 @@ class TestSegmentationTrainer:
         trainer = SegmentationTrainer(model, learning_rate=0.2, batch_size=4)
         history = trainer.fit(images[:8], masks[:8], epochs=2)
         assert len(history) == 2
+
+
+class TestModeRestoredOnError:
+    """An evaluation whose forward raises leaves the model in the mode it was in."""
+
+    @staticmethod
+    def _raising(model, method: str):
+        def fail(*args, **kwargs):
+            raise RuntimeError("forward failed")
+
+        setattr(model, method, fail)
+        return model
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_evaluate_classifier(self, small_config, tiny_digits, training):
+        train_x, train_y, _, _ = tiny_digits
+        model = self._raising(DONN(small_config).train(training), "forward")
+        with pytest.raises(RuntimeError, match="forward failed"):
+            evaluate_classifier(model, train_x[:4], train_y[:4])
+        assert model.training is training
+        assert all(module.training is training for module in model.modules())
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_evaluate_with_detector_noise_graph_path(self, small_config, tiny_digits, training):
+        train_x, train_y, _, _ = tiny_digits
+        model = self._raising(DONN(small_config).train(training), "detector_pattern")
+        with pytest.raises(RuntimeError, match="forward failed"):
+            evaluate_with_detector_noise(model, train_x[:4], train_y[:4], noise_level=0.1)
+        assert model.training is training
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_predict_mask(self, tiny_segmentation, training):
+        images, _ = tiny_segmentation
+        config = DONNConfig(sys_size=32, pixel_size=36e-6, distance=0.05, num_layers=3, seed=1)
+        model = self._raising(SegmentationDONN(config).train(training), "forward")
+        with pytest.raises(RuntimeError, match="forward failed"):
+            model.predict_mask(images[:2])
+        assert model.training is training
+        assert model.plane_norm.training is training
