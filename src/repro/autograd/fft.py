@@ -116,6 +116,10 @@ def available_backends() -> tuple:
     return tuple(names)
 
 
+#: The names :func:`get_fft_backend` takes (case-insensitive).
+BACKEND_NAMES = ("auto", "scipy", "numpy")
+
+
 def get_fft_backend(name: str = "auto", workers: Optional[int] = None):
     """Resolve a backend by name.
 
@@ -128,19 +132,14 @@ def get_fft_backend(name: str = "auto", workers: Optional[int] = None):
         Thread count forwarded to ``scipy.fft``; ignored by numpy.
     """
     key = name.lower()
-    if key == "auto":
-        module = _import_scipy_fft()
-        if module is not None:
-            return ScipyFFTBackend(module, workers=workers)
-        return NumpyFFTBackend(workers=workers)
-    if key == "scipy":
-        module = _import_scipy_fft()
-        if module is None:
-            raise RuntimeError("scipy backend requested but scipy is not installed")
+    if key not in BACKEND_NAMES:
+        raise ValueError(f"unknown FFT backend {name!r}; choose from {BACKEND_NAMES}")
+    module = None if key == "numpy" else _import_scipy_fft()
+    if module is not None:
         return ScipyFFTBackend(module, workers=workers)
-    if key == "numpy":
-        return NumpyFFTBackend(workers=workers)
-    raise ValueError(f"unknown FFT backend {name!r}; choose from 'auto', 'scipy', 'numpy'")
+    if key == "scipy":
+        raise RuntimeError("scipy backend requested but scipy is not installed")
+    return NumpyFFTBackend(workers=workers)
 
 
 def autograd_backend():

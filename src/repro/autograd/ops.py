@@ -236,7 +236,11 @@ def exp_i(phase: Tensor) -> Tensor:
     exponential.
     """
     phase = Tensor._coerce(phase)
-    data = np.exp(1j * phase.data)
+    # The parts of np.exp(1j * phase), to the ulp, written straight into
+    # one complex buffer: a cos and a sin cost less than a complex exp.
+    data = np.empty(phase.data.shape, dtype=np.complex128)
+    np.cos(phase.data, out=data.real)
+    np.sin(phase.data, out=data.imag)
 
     def backward(grad: np.ndarray) -> None:
         if phase.requires_grad:

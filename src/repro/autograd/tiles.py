@@ -14,9 +14,13 @@ run single-threaded on a thread that is running a tile
 (:func:`in_tile`), so the multiplies, the intensity and the read-out run
 in parallel too, not only the transforms.
 
-Tile boundaries depend only on the batch length, the chunk and the image
-size, never on the thread count, so a caller that combines the tiles'
-results in tile order gets bit-identical output for any ``workers``.
+A batch of ``total`` images runs as ``ceil(total / tile)`` tiles whose
+sizes differ by at most one, so the threads finish together: 10 images
+in tiles of at most 7 run as two tiles of 5.  Tile boundaries depend
+only on the batch length, the chunk and the image size, never on the
+thread count, so a caller that combines the tiles' results in tile order
+(:func:`run_tiles` returns them so) gets bit-identical output for any
+``workers``.
 Callers allocate the arrays the tiles fill on the calling thread: memory
 a helper thread allocates stays resident in its allocator arena after
 the thread is gone.
@@ -28,9 +32,11 @@ engine share one executor without an import cycle.
 from __future__ import annotations
 
 import threading
-from typing import Callable, List
+from typing import Callable, List, TypeVar
 
 __all__ = ["BUDGET", "tile_size", "run_tiles", "in_tile"]
+
+T = TypeVar("T")
 
 #: Bytes of field one tile may hold (the largest per-image intermediate
 #: times the tile's images).  1 MiB is one image at sys 200 in complex128
@@ -56,19 +62,26 @@ def in_tile() -> bool:
 
 
 def tile_size(field_bytes: int, chunk: int) -> int:
-    """Images per tile: ``max(1, min(chunk, BUDGET // field_bytes))``."""
+    """Most images a tile holds: ``max(1, min(chunk, BUDGET // field_bytes))``."""
     return max(1, min(int(chunk), BUDGET // max(1, int(field_bytes))))
 
 
-def run_tiles(task: Callable[[int, int], None], total: int, tile: int, workers: int) -> None:
+def run_tiles(task: Callable[[int, int], T], total: int, tile: int, workers: int) -> List[T]:
     """``task(start, stop)`` for every tile of ``total`` rows, on up to ``workers`` threads.
 
-    Tiles are ``[0, tile)``, ``[tile, 2 * tile)``, ...; the calling thread
-    takes tiles too, and helper threads exist only while there are more
-    tiles than one thread.  The first exception any tile raises is
-    re-raised once every thread has stopped.
+    The rows split into ``ceil(total / tile)`` contiguous tiles, the
+    larger ones first, whose sizes differ by at most one.  Returns the
+    tasks' results in tile order.  The calling thread takes tiles too,
+    and helper threads exist only while there are more tiles than one
+    thread.  The first exception any tile raises is re-raised once every
+    thread has stopped.
     """
-    starts = iter(range(0, total, tile))
+    count = -(-total // tile)
+    size, extra = divmod(total, max(count, 1))
+    # Tile i is rows [starts[i], starts[i + 1]); the first ``extra`` tiles hold one row more.
+    starts = [index * size + min(index, extra) for index in range(count + 1)]
+    results: List[T] = [None] * count
+    indices = iter(range(count))
     lock = threading.Lock()
     errors: List[BaseException] = []
 
@@ -78,11 +91,11 @@ def run_tiles(task: Callable[[int, int], None], total: int, tile: int, workers: 
         try:
             while not errors:
                 with lock:
-                    start = next(starts, None)
-                if start is None:
+                    index = next(indices, None)
+                if index is None:
                     return
                 try:
-                    task(start, min(start + tile, total))
+                    results[index] = task(starts[index], starts[index + 1])
                 except BaseException as exc:  # re-raised on the calling thread below
                     errors.append(exc)
                     return
@@ -91,7 +104,7 @@ def run_tiles(task: Callable[[int, int], None], total: int, tile: int, workers: 
 
     helpers: List[threading.Thread] = []
     try:
-        for index in range(1, min(int(workers), -(-total // tile))):
+        for index in range(1, min(int(workers), count)):
             helper = threading.Thread(target=work, name=f"repro-tiles-{index}", daemon=True)
             helper.start()
             helpers.append(helper)
@@ -101,3 +114,4 @@ def run_tiles(task: Callable[[int, int], None], total: int, tile: int, workers: 
             helper.join()
     if errors:
         raise errors[0]
+    return results

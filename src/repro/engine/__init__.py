@@ -5,9 +5,8 @@ Public surface:
 * :func:`compile` -- the one front door: lower a trained ``DONN`` /
   ``MultiChannelDONN`` / ``SegmentationDONN`` (or a
   :class:`SessionSpec`) to the :mod:`~repro.engine.plan` IR, run the
-  :mod:`~repro.engine.passes` optimizations (fusion, FFT-pair
-  cancellation, dead-kernel elimination, cascade collapse), and emit an
-  :class:`InferenceSession`.
+  :mod:`~repro.engine.passes` optimization (the cascade collapse), and
+  emit an :class:`InferenceSession`.
 * :class:`InferenceSession` -- the thin executor over the emitted plan
   (batching, ``plan_summary()`` introspection); a batch runs as
   cache-sized tiles on the session's ``workers`` threads
@@ -21,7 +20,7 @@ Public surface:
   spawned worker process; ``SessionSpec.of`` specs out a model, session
   or spec for the store and the cluster.
 * :mod:`repro.engine.plan` / :mod:`repro.engine.passes` -- the plan IR
-  (``lower`` / ``emit`` / ``format_plan``) and its optimization passes
+  (``lower`` / ``emit`` / ``format_plan``) and its optimization pass
   (``optimize_plan``), for tooling such as ``tools/dump_plan.py``.
 """
 

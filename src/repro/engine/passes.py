@@ -1,32 +1,10 @@
-"""Optimization passes over the engine's :class:`~repro.engine.plan.Plan` IR.
+"""The engine's optimization pass over the :class:`~repro.engine.plan.Plan` IR.
 
-The optical cascade alternates stages that are diagonal in the spatial
-basis (phase modulations) with stages diagonal in the frequency basis
-(diffraction transfer functions).  Between nonlinearities the whole
-chain is linear, which licenses three rewrites:
-
-``eliminate_dead_kernels``
-    drop any ``PointwiseMul`` whose array is identically one (e.g. a
-    zero-initialised phase mask: ``e^{j·0} = 1``).
-
-``cancel_transform_pairs``
-    an un-padded inverse FFT immediately followed by an un-padded
-    forward FFT (or vice versa) is the identity — this is what makes
-    diffraction→modulation→diffraction chains fold once the modulation
-    between them is dead or fused away.
-
-``fuse_pointwise``
-    two adjacent element-wise multiplies are one multiply by the
-    precomputed product: ``(x·a)·b = x·(a·b)``.
-
-The passes run to a fixpoint (each one can expose work for the others),
-recursing into skip-connection bodies.
-
-``collapse_cascade`` is the big hammer for nonlinearity-free
-classifiers: the entire Encode→…→Intensity→ReadIntensity program is
-folded into **one precomputed operator pair** restricted to the pixels
-the detector actually reads.  With ``A`` the cascade's linear map from
-the input plane to those ``P`` detector pixels, the logits are::
+There is one: ``collapse_cascade``, for nonlinearity-free classifiers.
+The entire Encode→…→Intensity→ReadIntensity program is folded into
+**one precomputed operator pair** restricted to the pixels the detector
+actually reads.  With ``A`` the cascade's linear map from the input
+plane to those ``P`` detector pixels, the logits are::
 
     logits = ((amp @ Re Aᵀ)² + (amp @ Im Aᵀ)²) @ R[pixels]
 
@@ -46,9 +24,9 @@ are their own (plain, non-conjugate) transpose.
 
 The collapse is gated: classifier plans only (segmentation needs the
 full output plane, where a dense operator is a pessimization), and the
-operator pair must fit ``max_operator_bytes`` (default 64 MiB) — big
+operator pair must fit :data:`OPERATOR_BUDGET` (64 MiB) — big
 grids with many read pixels stay in FFT form, which is cheaper there
-anyway.
+anyway.  A plan the gate refuses is emitted as lowered.
 """
 
 from __future__ import annotations
@@ -71,7 +49,6 @@ from repro.engine.plan import (
     Plan,
     PointwiseMul,
     ReadIntensity,
-    Skip,
     count_ops,
     emit_ops,
     field_bytes,
@@ -79,136 +56,24 @@ from repro.engine.plan import (
 
 __all__ = [
     "OPTIMIZE_LEVELS",
-    "DEFAULT_OPERATOR_BUDGET",
-    "eliminate_dead_kernels",
-    "cancel_transform_pairs",
-    "fuse_pointwise",
+    "OPERATOR_BUDGET",
     "transpose_linear_ops",
     "collapse_cascade",
     "optimize_plan",
 ]
 
-OPTIMIZE_LEVELS = ("none", "fuse", "full")
+OPTIMIZE_LEVELS = ("none", "full")
 
-#: Per-branch cap on the collapsed operator pair (Re + Im), in bytes.
+#: Per-plan cap on the collapsed operator pairs (Re + Im), in bytes.
 #: 64 MiB admits e.g. a 64x64 grid with a few hundred read pixels but
 #: keeps 128x128-and-up grids in FFT form, where FFTs win anyway.
-DEFAULT_OPERATOR_BUDGET = 64 * 1024 * 1024
-
-
-# --------------------------------------------------------------------- #
-# Local rewrites
-# --------------------------------------------------------------------- #
-def eliminate_dead_kernels(ops: Sequence[Op]) -> List[Op]:
-    """Drop ``PointwiseMul`` ops whose array is exactly all-ones."""
-    out: List[Op] = []
-    for op in ops:
-        if isinstance(op, PointwiseMul) and np.all(op.values == 1.0):
-            continue
-        if isinstance(op, Skip):
-            op = Skip(
-                body=eliminate_dead_kernels(op.body),
-                through_amplitude=op.through_amplitude,
-                bypass_amplitude=op.bypass_amplitude,
-            )
-        out.append(op)
-    return out
-
-
-def _cancels(first: Op, second: Op) -> bool:
-    if isinstance(first, IFFT) and isinstance(second, FFT):
-        return first.crop == 0 and second.pad == 0 and not second.centered
-    if isinstance(first, FFT) and isinstance(second, IFFT):
-        return first.pad == 0 and not first.centered and second.crop == 0
-    return False
-
-
-def cancel_transform_pairs(ops: Sequence[Op]) -> List[Op]:
-    """Remove adjacent un-padded IFFT/FFT (or FFT/IFFT) identity pairs.
-
-    Padded transforms never cancel: crop-then-pad zeroes the border, so
-    it is *not* the identity.
-    """
-    out: List[Op] = []
-    for op in ops:
-        if isinstance(op, Skip):
-            op = Skip(
-                body=cancel_transform_pairs(op.body),
-                through_amplitude=op.through_amplitude,
-                bypass_amplitude=op.bypass_amplitude,
-            )
-        if out and _cancels(out[-1], op):
-            out.pop()
-            continue
-        out.append(op)
-    return out
-
-
-def fuse_pointwise(ops: Sequence[Op]) -> List[Op]:
-    """Fuse adjacent same-shape ``PointwiseMul`` ops into their product."""
-    out: List[Op] = []
-    for op in ops:
-        if isinstance(op, Skip):
-            op = Skip(
-                body=fuse_pointwise(op.body),
-                through_amplitude=op.through_amplitude,
-                bypass_amplitude=op.bypass_amplitude,
-            )
-        if (
-            out
-            and isinstance(op, PointwiseMul)
-            and isinstance(out[-1], PointwiseMul)
-            and out[-1].values.shape == op.values.shape
-        ):
-            previous = out.pop()
-            domain = previous.domain if previous.domain == op.domain else "mixed"
-            label = "*".join(part for part in (previous.label, op.label) if part)
-            out.append(PointwiseMul(values=previous.values * op.values, domain=domain, label=label))
-            continue
-        out.append(op)
-    return out
-
-
-def _simplify_branch(ops: Sequence[Op]) -> Tuple[List[Op], List[str]]:
-    """Run the local rewrites to a fixpoint; return (ops, passes that fired)."""
-    current = list(ops)
-    applied: List[str] = []
-    while True:
-        size = _total_ops(current)
-        for name, rewrite in (
-            ("eliminate_dead_kernels", eliminate_dead_kernels),
-            ("cancel_transform_pairs", cancel_transform_pairs),
-            ("fuse_pointwise", fuse_pointwise),
-        ):
-            reduced = rewrite(current)
-            if _total_ops(reduced) < _total_ops(current):
-                applied.append(name)
-                current = reduced
-        if _total_ops(current) == size:
-            return current, applied
-
-
-def _total_ops(ops: Sequence[Op]) -> int:
-    total = 0
-    for op in ops:
-        total += 1
-        if isinstance(op, Skip):
-            total += _total_ops(op.body)
-    return total
+OPERATOR_BUDGET = 64 * 1024 * 1024
 
 
 # --------------------------------------------------------------------- #
 # Cascade collapse (nonlinearity-free classifiers)
 # --------------------------------------------------------------------- #
 _LINEAR_OPS = (FFT, IFFT, Pad, Crop, PointwiseMul)
-
-
-def _is_linear(op: Op) -> bool:
-    if isinstance(op, _LINEAR_OPS):
-        return True
-    if isinstance(op, Skip):
-        return all(_is_linear(inner) for inner in op.body)
-    return False
 
 
 def transpose_linear_ops(ops: Sequence[Op]) -> List[Op]:
@@ -237,14 +102,6 @@ def transpose_linear_ops(ops: Sequence[Op]) -> List[Op]:
             transposed.append(Pad(op.width))
         elif isinstance(op, PointwiseMul):
             transposed.append(op)
-        elif isinstance(op, Skip):
-            transposed.append(
-                Skip(
-                    body=transpose_linear_ops(op.body),
-                    through_amplitude=op.through_amplitude,
-                    bypass_amplitude=op.bypass_amplitude,
-                )
-            )
         else:
             raise TypeError(f"cannot transpose non-linear op {type(op).__name__}")
     return transposed
@@ -260,7 +117,7 @@ def _collapsible(plan: Plan) -> bool:
             return False
         if not isinstance(ops[-1], Intensity):
             return False
-        if not all(_is_linear(op) for op in ops[1:-1]):
+        if not all(isinstance(op, _LINEAR_OPS) for op in ops[1:-1]):
             return False
     return True
 
@@ -295,18 +152,14 @@ def _build_detector_operator(
     )
 
 
-def collapse_cascade(
-    plan: Plan, fft, max_operator_bytes: Optional[int] = None, workers: int = 1
-) -> Optional[Plan]:
+def collapse_cascade(plan: Plan, fft, workers: int = 1) -> Optional[Plan]:
     """Fold a linear classifier plan into precomputed detector operators.
 
     Returns the collapsed plan, or ``None`` when the plan is ineligible
-    (nonlinear, segmentation, or over the operator budget).  ``workers``
-    threads push the one-hot basis through the transposed chain; the
-    operator is bit-identical for any count.
+    (nonlinear, segmentation, or over :data:`OPERATOR_BUDGET`).
+    ``workers`` threads push the one-hot basis through the transposed
+    chain; the operator is bit-identical for any count.
     """
-    if max_operator_bytes is None:
-        max_operator_bytes = DEFAULT_OPERATOR_BUDGET
     if not _collapsible(plan):
         return None
     readout = plan.readout
@@ -315,7 +168,7 @@ def collapse_cascade(
         return None
     cells = plan.grid.size * plan.grid.size
     per_branch = 2 * plan.rdtype.itemsize * cells * int(pixels.size)
-    if per_branch * len(plan.branches) > max_operator_bytes:
+    if per_branch * len(plan.branches) > OPERATOR_BUDGET:
         return None
 
     branches: List[Branch] = []
@@ -349,58 +202,32 @@ def _fft_op_count(counts: dict) -> int:
     return counts.get("FFT", 0) + counts.get("IFFT", 0)
 
 
-def optimize_plan(
-    plan: Plan,
-    optimize: str = "full",
-    fft=None,
-    max_operator_bytes: Optional[int] = None,
-    workers: int = 1,
-) -> Tuple[Plan, dict]:
-    """Run the pass pipeline at the requested level.
+def optimize_plan(plan: Plan, optimize: str = "full", fft=None, workers: int = 1) -> Tuple[Plan, dict]:
+    """The plan a session emits at the requested level, and a report.
 
-    ``optimize`` is ``"none"`` (pass-through), ``"fuse"`` (local rewrites
-    only) or ``"full"`` (local rewrites plus cascade collapse).  Returns
+    ``optimize`` is ``"none"`` (the lowered plan, the parity reference)
+    or ``"full"`` (the collapsed plan when :func:`collapse_cascade`
+    accepts it, the lowered plan otherwise).  Returns
     ``(optimized_plan, report)``; the input plan is never mutated.  The
     FFT backend and ``workers`` (threads) are only used by ``"full"``
     (the collapse executes the transposed chain to build the operator).
     """
     if optimize not in OPTIMIZE_LEVELS:
         raise ValueError(f"optimize must be one of {OPTIMIZE_LEVELS}, got {optimize!r}")
-    before = count_ops(plan)
+    result = plan
+    if optimize == "full":
+        if fft is None:
+            raise ValueError("optimize='full' needs the FFT backend to build the collapsed operator")
+        result = collapse_cascade(plan, fft, workers) or plan
+    collapsed = result is not plan
+    before, after = count_ops(plan), count_ops(result)
     report = {
         "optimize": optimize,
         "ops_before": before,
         "fft_ops_before": _fft_op_count(before),
-        "passes": [],
-        "collapsed": False,
+        "passes": ["collapse_cascade"] if collapsed else [],
+        "collapsed": collapsed,
+        "ops_after": after,
+        "fft_ops_after": _fft_op_count(after),
     }
-    result = plan
-    if optimize != "none":
-        applied: List[str] = []
-        branches = []
-        for branch in plan.branches:
-            simplified, fired = _simplify_branch(branch.ops)
-            applied.extend(name for name in fired if name not in applied)
-            branches.append(Branch(ops=simplified, channel=branch.channel))
-        result = Plan(
-            kind=plan.kind,
-            grid=plan.grid,
-            cdtype=plan.cdtype,
-            branches=branches,
-            tail=list(plan.tail),
-            num_outputs=plan.num_outputs,
-            num_channels=plan.num_channels,
-        )
-        report["passes"] = applied
-        if optimize == "full":
-            if fft is None:
-                raise ValueError("optimize='full' needs the FFT backend to build the collapsed operator")
-            collapsed = collapse_cascade(result, fft, max_operator_bytes, workers)
-            if collapsed is not None:
-                result = collapsed
-                report["passes"] = applied + ["collapse_cascade"]
-                report["collapsed"] = True
-    after = count_ops(result)
-    report["ops_after"] = after
-    report["fft_ops_after"] = _fft_op_count(after)
     return result, report

@@ -7,9 +7,9 @@ module introduces that artefact, in the spirit of tinygrad's
 schedule/compile split: a declarative model (or
 :class:`~repro.engine.SessionSpec`) is **lowered** to a :class:`Plan` —
 a small list of typed ops per optical branch — which
-:mod:`repro.engine.passes` rewrites (fusion, folding, dead-kernel
-elimination, cascade collapse) before :func:`emit` turns it into the
-numpy program the session executes.
+:mod:`repro.engine.passes` may collapse into one precomputed operator
+before :func:`emit` turns it into the numpy program the session
+executes.
 
 The pipeline is::
 
@@ -17,7 +17,7 @@ The pipeline is::
         │ lower()                (snapshot eval-mode arrays, build ops)
         ▼
     Plan: [Encode, FFT, PointwiseMul, IFFT, PointwiseMul, ..., Intensity]
-        │ passes.optimize_plan() (fuse / fold / eliminate / collapse)
+        │ passes.optimize_plan() (collapse the linear cascade)
         ▼
     Plan': e.g. [Encode, DetectorOperator]
         │ emit()                 (close ops over the FFT backend)
@@ -36,7 +36,7 @@ Op vocabulary
 ``Nonlinear``       an optical nonlinearity's point-wise ndarray map
 ``Skip``            optical skip connection around a nested op list
 ``Intensity``       complex field -> ``|field|^2``
-``DetectorOperator``fused linear cascade: real amplitude -> per-pixel
+``DetectorOperator``collapsed linear cascade: real amplitude -> per-pixel
                     intensity at the detector read-out pixels (see
                     ``passes.collapse_cascade``)
 ``ReadIntensity``   intensity -> per-class logits: the detector pixels,
@@ -44,7 +44,7 @@ Op vocabulary
 
 All arrays an op carries are plain ndarrays snapshotted in eval mode, so
 a ``Plan`` is inert data: it can be printed (``format_plan``), counted
-(``count_ops``), rewritten by passes, and emitted any number of times.
+(``count_ops``), collapsed by the pass, and emitted any number of times.
 """
 
 from __future__ import annotations
@@ -174,9 +174,8 @@ class PointwiseMul(Op):
 
     ``domain`` records which basis the multiply is diagonal in:
     ``"freq"`` for diffraction transfer functions (between FFT and IFFT)
-    and ``"space"`` for phase modulations / the Fraunhofer prefactor.
-    Fusion treats any two adjacent multiplies as one product; the domain
-    tag is for introspection and plan dumps.
+    and ``"space"`` for phase modulations / the Fraunhofer prefactor;
+    the tag is for introspection and plan dumps.
     """
 
     values: np.ndarray = None
@@ -191,7 +190,7 @@ class PointwiseMul(Op):
 
 @dataclass(eq=False)
 class Nonlinear(Op):
-    """A point-wise optical nonlinearity (compile barrier for fusion)."""
+    """A point-wise optical nonlinearity (a plan with one never collapses)."""
 
     layer: NonlinearLayer = None
     label: str = ""

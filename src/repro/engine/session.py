@@ -8,17 +8,16 @@ door — runs a trained model through an explicit three-stage pipeline:
    into a :class:`~repro.engine.plan.Plan` of typed ops — every
    diffraction transfer function, phase modulation, Fraunhofer
    prefactor and detector read-out matrix captured as plain ndarrays;
-2. **optimize** (:mod:`repro.engine.passes`): fuse adjacent multiplies,
-   cancel inverse/forward FFT pairs, drop all-ones kernels, and — for
-   nonlinearity-free classifiers — collapse the whole cascade into one
-   precomputed input→detector operator pair;
+2. **optimize** (:mod:`repro.engine.passes`): for nonlinearity-free
+   classifiers, collapse the whole cascade into one precomputed
+   input→detector operator pair;
 3. **emit**: close the optimized ops over the FFT backend into the flat
    numpy program an :class:`InferenceSession` runs batches through.
 
 The session itself is a thin executor: batching, tiles on threads
 (:mod:`repro.autograd.tiles`), and introspection
 (:meth:`InferenceSession.plan_summary` reports op counts before/after
-the passes).  At the default ``dtype="complex128"`` outputs
+the pass).  At the default ``dtype="complex128"`` outputs
 match the autograd eval path to ``atol=1e-10``; the opt-in
 ``dtype="complex64"`` mode halves the memory footprint of every cached
 kernel and intermediate, trading exactness for a documented accuracy
@@ -33,7 +32,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.autograd.fft import get_fft_backend, usable_cores
+from repro.autograd.fft import BACKEND_NAMES, get_fft_backend, usable_cores
 from repro.autograd.tiles import run_tiles, tile_size
 from repro.engine.plan import CompiledProgram, Plan, emit, lower
 from repro.engine.passes import OPTIMIZE_LEVELS, optimize_plan
@@ -46,10 +45,34 @@ COMPLEX64_LOGIT_ATOL = 1e-4
 
 
 def _resolve_complex_dtype(dtype) -> np.dtype:
-    resolved = np.dtype(dtype)
+    refused = ValueError(f"dtype must be complex64 or complex128, got {dtype!r}")
+    try:
+        resolved = np.dtype(dtype)
+    except TypeError:  # not a dtype at all, such as "bogus"
+        raise refused from None
     if resolved not in (np.dtype(np.complex64), np.dtype(np.complex128)):
-        raise ValueError(f"dtype must be complex64 or complex128, got {dtype!r}")
+        raise refused
     return resolved
+
+
+def check_options(*, batch_size: int, backend: str, workers: Optional[int], dtype, optimize: str) -> None:
+    """Refuse session options by value: the one check ``compile`` and specs share.
+
+    Raises ``ValueError`` for ``batch_size < 1``, ``workers < 1``, a
+    ``dtype`` other than complex64/complex128, a backend name outside
+    :data:`~repro.autograd.fft.BACKEND_NAMES` or an unknown ``optimize``
+    level.  Whether the named backend is installed is checked when the
+    session is built.
+    """
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
+    if workers is not None and workers < 1:
+        raise ValueError("workers must be >= 1")
+    _resolve_complex_dtype(dtype)
+    if str(backend).lower() not in BACKEND_NAMES:
+        raise ValueError(f"unknown FFT backend {backend!r}; choose from {BACKEND_NAMES}")
+    if optimize not in OPTIMIZE_LEVELS:
+        raise ValueError(f"optimize must be one of {OPTIMIZE_LEVELS}, got {optimize!r}")
 
 
 class InferenceSession:
@@ -86,12 +109,9 @@ class InferenceSession:
         and intermediate memory for memory-bound sizes, accurate to
         :data:`COMPLEX64_LOGIT_ATOL` on detector logits.
     optimize:
-        Pass level: ``"full"`` (default; local rewrites plus cascade
-        collapse), ``"fuse"`` (local rewrites only) or ``"none"``
-        (emit the lowered plan verbatim).
-    max_operator_bytes:
-        Budget for the collapsed cascade operator (``None`` = the passes'
-        64 MiB default); plans over budget stay in FFT form.
+        ``"full"`` (default; collapse the cascade when
+        :func:`~repro.engine.passes.collapse_cascade` accepts the plan)
+        or ``"none"`` (emit the lowered plan verbatim).
 
     Raises
     ------
@@ -124,21 +144,14 @@ class InferenceSession:
         workers: Optional[int],
         dtype,
         optimize: str,
-        max_operator_bytes: Optional[int],
     ) -> None:
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if workers is not None and workers < 1:
-            raise ValueError("workers must be >= 1")
-        if optimize not in OPTIMIZE_LEVELS:
-            raise ValueError(f"optimize must be one of {OPTIMIZE_LEVELS}, got {optimize!r}")
+        check_options(batch_size=batch_size, backend=backend, workers=workers, dtype=dtype, optimize=optimize)
         self.batch_size = int(batch_size)
         self.dtype = _resolve_complex_dtype(dtype)
         self.optimize = optimize
         self.fft = get_fft_backend(backend)
         self._requested_workers = workers  # what to_spec() records: None stays None
         self.workers = usable_cores() if workers is None else int(workers)
-        self._max_operator_bytes = max_operator_bytes
         self._model = model
         self._recompile()
 
@@ -165,9 +178,7 @@ class InferenceSession:
                 self._model_blob = None  # unpicklable model: to_spec() will refuse
         finally:
             model.train(was_training)
-        plan, report = optimize_plan(
-            raw_plan, self.optimize, fft=self.fft, max_operator_bytes=self._max_operator_bytes, workers=self.workers
-        )
+        plan, report = optimize_plan(raw_plan, self.optimize, fft=self.fft, workers=self.workers)
         self._raw_plan = raw_plan
         self._plan = plan
         self._pass_report = report
@@ -201,7 +212,7 @@ class InferenceSession:
 
         Returns a dict with ``ops_before``/``ops_after`` (op counts by
         type), ``fft_ops_before``/``fft_ops_after`` (FFT+IFFT totals),
-        ``passes`` (which rewrites fired), ``collapsed`` (whether the
+        ``passes`` (which passes fired), ``collapsed`` (whether the
         cascade folded to a precomputed operator) and ``optimize`` (the
         requested level).
         """
@@ -372,12 +383,11 @@ def compile(
     backend: Optional[str] = None,
     workers: Optional[int] = None,
     dtype=None,
-    max_operator_bytes: Optional[int] = None,
 ) -> InferenceSession:
     """Compile a trained model (or a :class:`SessionSpec`) for inference.
 
     The engine's front door: lowers the model to a plan, runs the
-    optimization passes at the requested level, and emits an
+    optimization pass at the requested level, and emits an
     :class:`InferenceSession`.
 
     Parameters
@@ -388,7 +398,7 @@ def compile(
         :class:`~repro.engine.SessionSpec` (whose recorded options become
         the defaults).
     optimize:
-        ``"full"`` (default), ``"fuse"`` or ``"none"``; see
+        ``"full"`` (default) or ``"none"``; see
         :func:`repro.engine.passes.optimize_plan`.
     batch_size, backend, workers, dtype:
         As on :class:`InferenceSession`; ``None`` means "the spec's
@@ -396,8 +406,6 @@ def compile(
         otherwise.  ``workers`` is the number of threads the session
         runs on; left ``None`` (here and in the spec) it is this host's
         :func:`~repro.autograd.fft.usable_cores`.
-    max_operator_bytes:
-        As on :class:`InferenceSession`.
     """
     from repro.engine.spec import SessionSpec
 
@@ -422,5 +430,4 @@ def compile(
         workers=workers,
         dtype=dtype,
         optimize=optimize,
-        max_operator_bytes=max_operator_bytes,
     )

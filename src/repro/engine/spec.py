@@ -24,7 +24,10 @@ import pickle
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from repro.engine.plan import _lowering_for
+from repro.engine.session import check_options, compile as engine_compile
 
 __all__ = ["SessionSpec"]
 
@@ -52,6 +55,9 @@ class SessionSpec:
         From :meth:`from_model` when the model cannot be pickled, and
         from :meth:`build` (via :func:`repro.engine.compile`) when the
         blob does not decode to a compilable model family.
+    ValueError
+        From :meth:`from_model`, :meth:`of` and :meth:`build` for an
+        option :func:`repro.engine.compile` refuses.
     """
 
     model_blob: bytes = field(repr=False)
@@ -75,8 +81,12 @@ class SessionSpec:
         """Snapshot ``model`` (with session options) into a spec.
 
         The model's *current* parameters are captured; later training
-        steps do not propagate into specs already taken.
+        steps do not propagate into specs already taken.  Options are
+        checked as :func:`repro.engine.compile` checks them (``ValueError``),
+        so a spec that cannot build is never taken; ``dtype`` is recorded
+        by name (``np.complex64`` as ``"complex64"``).
         """
+        check_options(batch_size=batch_size, backend=backend, workers=workers, dtype=dtype, optimize=optimize)
         try:
             blob = pickle.dumps(model, protocol=pickle.HIGHEST_PROTOCOL)
         except Exception as exc:
@@ -89,7 +99,7 @@ class SessionSpec:
             batch_size=int(batch_size),
             backend=str(backend),
             workers=workers,
-            dtype=str(dtype),
+            dtype=np.dtype(dtype).name,
             optimize=str(optimize),
         )
 
@@ -100,8 +110,10 @@ class SessionSpec:
         A spec is returned as-is, a compiled session (``to_spec()``) gives
         its snapshot, and a compilable model is snapshotted through
         :meth:`from_model` with ``session_kwargs``.  Raises ``ValueError``
-        for options passed with a spec or session (theirs are fixed) and
-        ``TypeError`` for anything :func:`repro.engine.compile` refuses.
+        for options passed with a spec or session (theirs are fixed) or a
+        spec's own options that :func:`repro.engine.compile` refuses (say,
+        a level an older store recorded), and ``TypeError`` for anything
+        :func:`repro.engine.compile` refuses.
         """
         if isinstance(obj, SessionSpec) or hasattr(obj, "to_spec"):
             if session_kwargs:
@@ -109,14 +121,21 @@ class SessionSpec:
                     f"session options {sorted(session_kwargs)} need a model; "
                     f"{type(obj).__name__} already carries its options"
                 )
-            return obj if isinstance(obj, SessionSpec) else obj.to_spec()
+            if not isinstance(obj, SessionSpec):
+                return obj.to_spec()
+            check_options(
+                batch_size=obj.batch_size,
+                backend=obj.backend,
+                workers=obj.workers,
+                dtype=obj.dtype,
+                optimize=obj.optimize,
+            )
+            return obj
         _lowering_for(obj)  # TypeError outside the compilable families
         return cls.from_model(obj, **session_kwargs)
 
     def build(self):
         """Compile a fresh session from the spec (via :func:`repro.engine.compile`)."""
-        from repro.engine.session import compile as engine_compile
-
         return engine_compile(self)
 
     # ------------------------------------------------------------------ #

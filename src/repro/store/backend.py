@@ -75,12 +75,16 @@ class LocalDirBackend(StoreBackend):
     atomic within a filesystem, so a reader (another process pulling a
     spec mid-publish) sees either the old object, the new object, or no
     object; never a truncated one.
+
+    ``root`` is resolved to an absolute path once, here: keys resolve
+    against it, and refs minted from the store carry it, so a process
+    started in another directory opens the same store.
     """
 
     scheme = "local"
 
     def __init__(self, root) -> None:
-        self.root = Path(root)
+        self.root = Path(root).resolve()
         self.root.mkdir(parents=True, exist_ok=True)
         self._staging = self.root / ".tmp"
         self._staging.mkdir(exist_ok=True)
@@ -91,7 +95,7 @@ class LocalDirBackend(StoreBackend):
         # must never touch a file outside its root.  The test compares
         # path components: a sibling such as ``<root>-other`` shares the
         # root's string prefix.
-        if not path.is_relative_to(self.root.resolve()):
+        if not path.is_relative_to(self.root):
             raise ValueError(f"key {key!r} escapes the store root")
         return path
 

@@ -7,15 +7,15 @@ code path.
 
 Every optimizer step of both trainers runs as cache-sized tiles of images
 on every usable core (:func:`_step`): one image per tile at sys 200,
-while a small model's batch, or a digital baseline's, is one tile,
-stepped on the calling thread.
+while a small model's batch, or a digital baseline's, is one tile, run
+on the calling thread.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -68,10 +68,10 @@ def _step(model: Module, optimizer: Optimizer, images: np.ndarray, loss_of: Call
     ``loss_of(output, rows)`` is the batch loss (a mean over images)
     restricted to ``images[rows]``, whose model output is ``output``.
 
-    A batch that fits one tile steps as one forward and one backward on
-    the calling thread.  A larger one runs as tiles of images on every
-    usable core (:func:`repro.autograd.tiles.run_tiles`), each tile's
-    transforms single-threaded:
+    The batch runs as tiles of images on every usable core
+    (:func:`repro.autograd.tiles.run_tiles`), each tile's transforms
+    single-threaded; a batch that fits one tile is one tile on the
+    calling thread, with no helper thread:
 
     * each diffractive layer's ``modulation()`` runs once, here, and the
       tiles multiply by a leaf holding its value (:func:`step_modulations`);
@@ -81,31 +81,24 @@ def _step(model: Module, optimizer: Optimizer, images: np.ndarray, loss_of: Call
       added into the leaves' ``grad`` in tile order, and each modulation
       leaf's gradient is back-propagated once through its ``modulation()``.
 
-    Gradients therefore match the one-tile step's to rounding and are
-    bit-identical for any thread count.  If a tile raises, every ``grad``
-    is cleared and the optimizer does not step.
+    Gradients therefore match a plain one-block step's, bit for bit when
+    the batch is one tile and to rounding otherwise, and are bit-identical
+    for any thread count.  If a tile raises, every ``grad`` is cleared and
+    the optimizer does not step.
     """
     optimizer.zero_grad()
     total = len(images)
-    tile = _images_per_tile(model, total)
-    if tile >= total:
-        loss = loss_of(model(images), slice(0, total))
-        loss.backward()
-        optimizer.step()
-        return float(loss.data.real)
-    sinks = [GradSink() for _ in range(0, total, tile)]
-    losses = [0.0] * len(sinks)
 
-    def run(start: int, stop: int) -> None:
-        with sinks[start // tile]:
+    def run(start: int, stop: int) -> Tuple[GradSink, float]:
+        with GradSink() as sink:
             loss = loss_of(model(images[start:stop]), slice(start, stop)) * ((stop - start) / total)
             loss.backward()
-        losses[start // tile] = float(loss.data.real)
+        return sink, float(loss.data.real)
 
     try:
         with step_modulations(model) as modulations:
-            run_tiles(run, total, tile, usable_cores())
-        for sink in sinks:
+            tiles = run_tiles(run, total, _images_per_tile(model, total), usable_cores())
+        for sink, _ in tiles:
             sink.add_to_grads()
         for modulation, leaf in modulations:
             if leaf.grad is not None:
@@ -114,7 +107,7 @@ def _step(model: Module, optimizer: Optimizer, images: np.ndarray, loss_of: Call
         optimizer.zero_grad()
         raise
     optimizer.step()
-    return float(sum(losses))
+    return float(sum(loss for _, loss in tiles))
 
 
 class Trainer:

@@ -93,11 +93,18 @@ class TestExpI:
         np.testing.assert_allclose(np.abs(ops.exp_i(phase).data), 1.0)
 
     def test_matches_numpy_exp(self, rng):
-        phase = rng.uniform(0, 2 * np.pi, size=(4,))
-        np.testing.assert_allclose(ops.exp_i(Tensor(phase)).data, np.exp(1j * phase))
+        """cos and sin of the phase are the complex exponential's parts to
+        within one ulp, over wrapped, negative and large phases."""
+        phase = np.concatenate(
+            [rng.uniform(-20.0, 20.0, size=500), rng.normal(scale=1e6, size=100), [0.0, np.pi, -np.pi / 2]]
+        )
+        got, expected = ops.exp_i(Tensor(phase)).data, np.exp(1j * phase)
+        assert got.dtype == np.complex128
+        np.testing.assert_array_max_ulp(got.real, expected.real, maxulp=1)
+        np.testing.assert_array_max_ulp(got.imag, expected.imag, maxulp=1)
 
     def test_gradcheck_phase_only_loss(self, rng):
-        phase = Tensor(rng.uniform(0, 2 * np.pi, size=(3, 3)), requires_grad=True)
+        phase = Tensor(rng.uniform(-20.0, 20.0, size=(3, 3)), requires_grad=True)
         target = _random_complex(rng, (3, 3))
         assert check_gradients(lambda p: (ops.exp_i(p) - Tensor(target)).abs2().sum(), [phase])
 

@@ -57,7 +57,7 @@ def test_keyword_pass_reads_public_names_and_add_model_and_skips_kwargs_callable
         "server.add_model('digits', model, dtype='complex64', policy=None)\n"
         "make_policy('fixed', anything=1)\n"
         "np.stack(rows, axis=0)\n"
-        "session = compile(model, optimize='fuse')\n"
+        "session = compile(model, optimize='none')\n"
         "async with Gateway(server, port=0) as gateway:\n"
         "    await gateway.serve_forever()\n"
     )

@@ -1,4 +1,4 @@
-"""Property-based tests for the engine's plan IR and optimization passes.
+"""Property-based tests for the engine's plan IR and its optimization pass.
 
 The fused program (``repro.engine.compile(model, optimize="full")``) must
 be *indistinguishable* from the unoptimized one (``optimize="none"``) on
@@ -11,9 +11,10 @@ cannot express a 1e-10 bound).
 
 Also covered: the collapse guarantee (a nonlinearity-free classifier
 plan folds to a single precomputed input→detector operator, asserted via
-``plan_summary()``), the local rewrites on a zero-phase cascade, the
-transpose rules behind the adjoint operator build, the operator budget
-gate, ``refresh()`` as a re-compile, and the deprecation shims.
+``plan_summary()``), the transpose rules behind the adjoint operator
+build, the operator budget gate, the spec round trip of collapsed and
+budget-gated sessions, ``refresh()`` as a re-compile, and the
+deprecation shims.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from hypothesis import given, strategies as st
 from repro import DONN, DONNConfig, MultiChannelDONN, SegmentationDONN
 from repro.engine import COMPLEX64_LOGIT_ATOL, InferenceSession, compile as engine_compile
 from repro.autograd.fft import get_fft_backend
+from repro.engine import passes
 from repro.engine.plan import Encode, Intensity, count_ops, emit_ops, lower
 from repro.engine.passes import optimize_plan, transpose_linear_ops
 
@@ -85,7 +87,7 @@ def _images(family: str, sys_size: int, batch: int, seed: int) -> np.ndarray:
 
 def _zero_phase_donn(sys_size: int = 12, num_layers: int = 4) -> DONN:
     """A cascade whose modulations are exactly one (e^{j0}): every
-    inter-layer IFFT/FFT pair is then an identity the passes must fold."""
+    inter-layer IFFT/FFT pair is then an identity."""
     model = DONN(_config(sys_size, num_layers))
     for layer in model.diffractive_layers:
         layer.phase.data = np.zeros_like(layer.phase.data)
@@ -144,6 +146,17 @@ class TestFusedUnfusedParity:
         images = _images("donn", 16, batch, seed)
         np.testing.assert_allclose(fused.run(images), unfused.run(images), atol=PARITY_ATOL)
 
+    def test_zero_phase_cascade_keeps_parity(self):
+        """All-ones modulations between the diffraction hops: the
+        collapsed operator is built through every transform pair."""
+        model = _zero_phase_donn(num_layers=4)
+        fused = engine_compile(model, optimize="full")
+        unfused = engine_compile(model, optimize="none")
+        summary = fused.plan_summary()
+        assert summary["collapsed"] and summary["fft_ops_before"] == 10
+        images = _images("donn", 12, 3, 7)
+        np.testing.assert_allclose(fused.run(images), unfused.run(images), atol=PARITY_ATOL)
+
     @given(batch=st.integers(min_value=1, max_value=4), seed=st.integers(min_value=0, max_value=2**16))
     def test_padded_propagation_keeps_parity(self, batch, seed):
         """pad_factor=2 exercises the pad/crop transpose rules in the
@@ -162,7 +175,7 @@ class TestFusedUnfusedParity:
 
 
 # --------------------------------------------------------------------- #
-# The collapse guarantee and the local rewrites
+# The collapse guarantee and its gates
 # --------------------------------------------------------------------- #
 class TestPlanOptimization:
     def test_linear_classifier_collapses_to_single_operator(self):
@@ -196,29 +209,21 @@ class TestPlanOptimization:
         session = _session("segmentation", 12, 3, None, "full", "complex128")
         assert not session.plan_summary()["collapsed"]
 
-    def test_zero_phase_cascade_folds_to_one_transform_pair(self):
-        """Dead-kernel elimination exposes IFFT/FFT identity pairs, which
-        cancel, and the surviving transfer functions fuse into one
-        product: FFT -> PointwiseMul -> IFFT, whatever the depth."""
-        model = _zero_phase_donn(num_layers=4)
-        session = engine_compile(model, optimize="fuse")
-        summary = session.plan_summary()
-        assert summary["fft_ops_before"] == 10
-        assert summary["fft_ops_after"] == 2
-        assert summary["ops_after"]["PointwiseMul"] == 1
-        for rewrite in ("eliminate_dead_kernels", "cancel_transform_pairs", "fuse_pointwise"):
-            assert rewrite in summary["passes"]
-        images = _images("donn", 12, 3, 7)
-        reference = engine_compile(model, optimize="none").run(images)
-        np.testing.assert_allclose(session.run(images), reference, atol=PARITY_ATOL)
-
-    def test_operator_budget_gates_collapse(self):
+    def test_operator_budget_gates_collapse(self, monkeypatch):
+        """An operator pair over the budget keeps the lowered plan: the
+        FFT cascade, emitted as the "none" level emits it."""
         model = _model("donn", 12, 3, None)
-        gated = engine_compile(model, max_operator_bytes=1)
-        assert not gated.plan_summary()["collapsed"]
+        operator_bytes = 2 * 8 * 12 * 12 * len(lower(model, "complex128").readout.pixels)
+        monkeypatch.setattr(passes, "OPERATOR_BUDGET", operator_bytes)
+        assert engine_compile(model).plan_summary()["collapsed"]
+        monkeypatch.setattr(passes, "OPERATOR_BUDGET", operator_bytes - 1)
+        gated = engine_compile(model)
+        summary = gated.plan_summary()
+        assert not summary["collapsed"] and summary["passes"] == []
+        assert summary["ops_after"] == summary["ops_before"]
         reference = engine_compile(model, optimize="none")
         images = _images("donn", 12, 2, 3)
-        np.testing.assert_allclose(gated.run(images), reference.run(images), atol=PARITY_ATOL)
+        np.testing.assert_array_equal(gated.run(images), reference.run(images))
 
     def test_transposed_chain_computes_operator_rows(self):
         """The adjoint build's core identity: pushing a one-hot output
@@ -295,17 +300,23 @@ class TestCollapsedSessionSurface:
             fused.read_detector(patterns), fused.run(images), atol=PARITY_ATOL
         )
 
-    def test_spec_round_trip_preserves_optimize_level(self):
+    def test_spec_round_trip_preserves_optimize_level(self, monkeypatch):
+        """spec.build() reproduces the session: its level, its plan summary
+        and its output bits.  A spec records no operator budget, so a plan
+        the budget keeps in FFT form stays in it when rebuilt."""
         model = _model("donn", 12, 3, None)
-        for level in ("full", "none"):
+        images = _images("donn", 12, 2, 9)
+        default = passes.OPERATOR_BUDGET
+        for level, budget in (("full", default), ("none", default), ("full", 1)):
+            monkeypatch.setattr(passes, "OPERATOR_BUDGET", budget)
             session = engine_compile(model, optimize=level)
             spec = session.to_spec()
             assert spec.optimize == level
             rebuilt = spec.build()
             assert rebuilt.optimize == level
-            assert rebuilt.plan_summary()["collapsed"] == (level == "full")
-            images = _images("donn", 12, 2, 9)
-            np.testing.assert_allclose(rebuilt.run(images), session.run(images), atol=PARITY_ATOL)
+            assert rebuilt.plan_summary() == session.plan_summary()
+            assert rebuilt.plan_summary()["collapsed"] == (level == "full" and budget > 1)
+            np.testing.assert_array_equal(rebuilt.run(images), session.run(images))
 
     def test_spec_pickle_smaller_than_session_kernels(self):
         """Propagators rebuild their cached kernels on unpickle, so the

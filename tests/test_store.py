@@ -12,6 +12,7 @@ traffic, and over HTTP through the gateway).
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import hashlib
 import json
 import os
@@ -27,7 +28,7 @@ from hypothesis import given, strategies as st
 
 from repro import DONN, DONNConfig, MultiChannelDONN, SegmentationDONN
 from repro.cluster import ReplicaGroup, WorkerServer
-from repro.engine import COMPLEX64_LOGIT_ATOL, SessionSpec, compile as engine_compile
+from repro.engine import COMPLEX64_LOGIT_ATOL, OPTIMIZE_LEVELS, SessionSpec, compile as engine_compile
 from repro.gateway import Gateway, GatewayClient
 from repro.serve import InferenceServer, UnknownModelError
 from repro.store import (
@@ -46,7 +47,6 @@ pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
 PARITY_ATOL = 1e-10
 _FAMILIES = ("donn", "multichannel", "segmentation")
-_OPTIMIZE_LEVELS = ("none", "fuse", "full")
 _DTYPES = ("complex128", "complex64")
 
 _cache: dict = {}
@@ -93,7 +93,7 @@ def _blob_keys(store: ModelStore):
 class TestPublishLoadRoundTrip:
     @given(
         family=st.sampled_from(_FAMILIES),
-        optimize=st.sampled_from(_OPTIMIZE_LEVELS),
+        optimize=st.sampled_from(OPTIMIZE_LEVELS),
         dtype=st.sampled_from(_DTYPES),
     )
     def test_round_trip_is_bit_exact_against_direct_compile(self, tmp_path_factory, family, optimize, dtype):
@@ -113,7 +113,7 @@ class TestPublishLoadRoundTrip:
         atol = PARITY_ATOL if dtype == "complex128" else COMPLEX64_LOGIT_ATOL
         np.testing.assert_allclose(loaded.build().run(batch), direct.run(batch), atol=atol)
 
-    @given(family=st.sampled_from(_FAMILIES), optimize=st.sampled_from(_OPTIMIZE_LEVELS))
+    @given(family=st.sampled_from(_FAMILIES), optimize=st.sampled_from(OPTIMIZE_LEVELS))
     def test_republish_is_idempotent_and_writes_no_second_blob(self, tmp_path_factory, family, optimize):
         """Content addressing: identical content never balloons the store."""
         store = ModelStore(tmp_path_factory.mktemp("store"))
@@ -140,7 +140,7 @@ class TestPublishLoadRoundTrip:
         assert len(_blob_keys(store)) == 1
 
     def test_canonical_bytes_hash_is_stable_across_spec_objects(self):
-        session = engine_compile(_model("donn"), optimize="fuse")
+        session = engine_compile(_model("donn"), optimize="none")
         one, two = session.to_spec(), session.to_spec()
         assert one.content_hash() == two.content_hash()
         rebuilt = SessionSpec.from_canonical_bytes(one.canonical_bytes())
@@ -176,6 +176,73 @@ class TestPublishLoadRoundTrip:
             # Options on an already-fixed spec are a silent-no-op hazard.
             store.publish("m", engine_compile(_model("donn")).to_spec(), dtype="complex64")
 
+    @pytest.mark.parametrize(
+        "option",
+        [
+            {"optimize": "bogus"},
+            {"optimize": "fuse"},
+            {"dtype": "float32"},
+            {"dtype": "bogus"},
+            {"batch_size": 0},
+            {"backend": "fftw"},
+            {"workers": 0},
+        ],
+        ids=lambda option: "-".join(f"{key}={value}" for key, value in option.items()),
+    )
+    def test_a_spec_that_cannot_build_is_never_stored(self, tmp_path, option):
+        """publish checks the session options of a model, and of a spec
+        built by hand, as compile() does, before anything is written."""
+        store = ModelStore(tmp_path)
+        with pytest.raises(ValueError):
+            store.publish("m", _model("donn"), **option)
+        with pytest.raises(ValueError):
+            SessionSpec.of(_model("donn"), **option)
+        with pytest.raises(ValueError):
+            store.publish("m", dataclasses.replace(engine_compile(_model("donn")).to_spec(), **option))
+        assert store.models() == ()
+        assert _blob_keys(store) == []
+
+    def test_a_dtype_given_as_a_numpy_type_is_recorded_by_name(self, tmp_path, rng):
+        store = ModelStore(tmp_path)
+        assert store.publish("m", _model("donn"), dtype=np.complex64).dtype == "complex64"
+        batch = _batch("donn", rng)
+        expected = engine_compile(_model("donn"), dtype="complex64").run(batch)
+        np.testing.assert_array_equal(store.ref("m").build().run(batch), expected)
+
+    def test_a_spec_recorded_at_a_removed_level_is_refused_at_build(self, tmp_path):
+        """A version an older store recorded at the former "fuse" level
+        still loads, and building it names the levels this build knows."""
+        store = ModelStore(tmp_path)
+        spec = engine_compile(_model("donn"), optimize="none").to_spec()
+        store.publish("m", spec)
+        # Rewrite v1 as the older store wrote it: the "fuse" spec's bytes
+        # under their own hash, and a manifest that names them.
+        payload = dataclasses.replace(spec, optimize="fuse").canonical_bytes()
+        digest = hashlib.sha256(payload).hexdigest()
+        (tmp_path / "blobs" / f"sha256-{digest}").write_bytes(payload)
+        manifest_path = tmp_path / "manifests" / "m" / "v1.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest.update(content_hash=digest, optimize="fuse", blob_bytes=len(payload))
+        manifest_path.write_text(json.dumps(manifest))
+        assert store.load("m").optimize == "fuse"
+        with pytest.raises(ValueError, match="optimize must be one of"):
+            store.ref("m").build()
+
+    def test_a_store_on_a_relative_path_keeps_working(self, tmp_path, monkeypatch, rng):
+        """The root resolves once, so listing and refs work after the
+        first publish, and a ref opens the store from any directory."""
+        monkeypatch.chdir(tmp_path)
+        store = ModelStore("rel")
+        first = store.publish("m", _model("donn", seed=1))
+        second = store.publish("m", _model("donn", seed=2))
+        assert [m.version for m in store.versions("m")] == [1, 2]
+        assert store.resolve("m", 1) == first and store.resolve("m") == second
+        ref = store.ref("m", 1)
+        assert Path(ref.location) == (tmp_path / "rel").resolve()
+        monkeypatch.chdir(tmp_path.parent)
+        batch = _batch("donn", rng)
+        np.testing.assert_array_equal(ref.build().run(batch), engine_compile(_model("donn", seed=1)).run(batch))
+
 
 class TestResolution:
     @pytest.fixture()
@@ -183,7 +250,7 @@ class TestResolution:
         store = ModelStore(tmp_path)
         store.publish("digits", _model("donn", seed=1), optimize="full")
         store.publish("digits", _model("donn", seed=2), optimize="full")
-        store.publish("scenes", _model("segmentation", seed=1), optimize="fuse")
+        store.publish("scenes", _model("segmentation", seed=1), optimize="none")
         return store
 
     def test_models_and_versions_listing(self, store):

@@ -4,17 +4,19 @@ A session runs a batch as tiles of at most ``tiles.BUDGET`` bytes of
 field on its ``workers`` threads, and a training step runs its images as
 tiles on every usable core.  Most tests patch the budget small, so that
 a 32x32 batch splits into several tiles, and check that outputs match
-the autograd eval path (or the one-tile step) and do not depend on the
+the autograd eval path (or a plain block step) and do not depend on the
 thread count.
 """
 
 from __future__ import annotations
 
+import itertools
 import sys
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro import DONN, DONNConfig, MultiChannelDONN, SegmentationDONN, SegmentationTrainer, Trainer
 from repro.autograd import GradSink, Tensor, check_gradients, functional, no_grad, tiles
@@ -82,7 +84,24 @@ class TestRunTiles:
         for workers in (1, 2, 4):
             seen = []
             tiles.run_tiles(lambda start, stop: seen.append((start, stop)), 10, 3, workers)
-            assert sorted(seen) == [(0, 3), (3, 6), (6, 9), (9, 10)]
+            assert sorted(seen) == [(0, 3), (3, 6), (6, 8), (8, 10)]
+
+    @given(
+        total=st.integers(min_value=1, max_value=300),
+        tile=st.integers(min_value=1, max_value=64),
+        workers=st.integers(min_value=1, max_value=3),
+    )
+    def test_tiles_are_balanced_and_returned_in_order(self, total, tile, workers):
+        """ceil(total / tile) contiguous tiles of at most ``tile`` rows whose
+        sizes differ by at most one, whatever the thread count; results
+        come back in tile order."""
+        bounds = tiles.run_tiles(lambda start, stop: (start, stop), total, tile, workers)
+        assert len(bounds) == -(-total // tile)
+        assert [start for start, _ in bounds] == [0] + [stop for _, stop in bounds[:-1]]
+        assert bounds[-1][1] == total
+        sizes = {stop - start for start, stop in bounds}
+        assert max(sizes) <= tile and max(sizes) - min(sizes) <= 1
+        assert bounds == tiles.run_tiles(lambda start, stop: (start, stop), total, tile, 1)
 
     def test_tile_size_rule(self, monkeypatch):
         monkeypatch.setattr(tiles, "BUDGET", 100)
@@ -276,6 +295,26 @@ def _step_once(name: str, config, images, monkeypatch, budget: int, workers: int
     return model, trainer, loss
 
 
+def _block_step(name: str, config, images):
+    """A fresh model after one plain step, and its loss: one forward and one
+    backward on the whole batch, each layer running its own ``modulation()``,
+    then Adam -- no sink, no tile, no step modulation."""
+    model = _training_model(name, config)
+    batch, targets = _training_batch(name, images, config)
+    order = np.random.default_rng(0).permutation(STEP_IMAGES)  # the trainers' shuffle at seed 0
+    model.train()
+    if name == "segmentation":
+        trainer = SegmentationTrainer(model, batch_size=STEP_IMAGES, seed=0)
+        masks = trainer._normalise_target(targets) if model.use_layer_norm else targets
+        loss = functional.mse_loss(model(batch[order]), Tensor(masks[order]))
+    else:
+        trainer = Trainer(model, num_classes=config.num_classes, batch_size=STEP_IMAGES, seed=0)
+        loss = trainer._loss(model(batch[order]), targets[order])
+    loss.backward()
+    trainer.optimizer.step()
+    return model, float(loss.data.real)
+
+
 class TestTrainingTiles:
     def test_tile_rule_uses_the_widest_diffractive_layer_field(self, small_config):
         sys_200 = DONN(DONNConfig(sys_size=200, num_layers=2, num_classes=10))
@@ -287,12 +326,19 @@ class TestTrainingTiles:
 
     @pytest.mark.parametrize("family", ["donn", "multichannel", "segmentation", "codesign"])
     def test_tiled_gradients_match_the_one_tile_step(self, small_config, images, monkeypatch, family):
+        """Against a plain block step (:func:`_block_step`): a step whose
+        batch fits one tile matches it bit for bit, a three-tile step to
+        rounding."""
+        block, block_loss = _block_step(family, small_config, images)
         whole, _, whole_loss = _step_once(family, small_config, images, monkeypatch, 1 << 40)
         tiled, _, tiled_loss = _step_once(family, small_config, images, monkeypatch, SMALL_BUDGET)
         assert train_loop._images_per_tile(tiled, STEP_IMAGES) == 2
-        assert tiled_loss == pytest.approx(whole_loss, rel=1e-12)
-        for (name, expected), actual in zip(whole.named_parameters(), tiled.parameters()):
+        assert whole_loss == block_loss
+        assert tiled_loss == pytest.approx(block_loss, rel=1e-12)
+        for (name, expected), one_tile, actual in zip(block.named_parameters(), whole.parameters(), tiled.parameters()):
             assert actual.grad is not None, name
+            np.testing.assert_array_equal(_bits(one_tile.grad), _bits(expected.grad), err_msg=name)
+            np.testing.assert_array_equal(_bits(one_tile.data), _bits(expected.data), err_msg=name)
             np.testing.assert_allclose(actual.grad, expected.grad, rtol=0.0, atol=GRAD_ATOL, err_msg=name)
 
     @pytest.mark.parametrize("family", ["donn", "codesign"])
@@ -309,24 +355,32 @@ class TestTrainingTiles:
                 np.testing.assert_array_equal(_bits(param), _bits(first))
 
     def test_codesign_step_draws_the_noise_of_the_one_tile_step(self, small_config, images, monkeypatch):
-        whole, _, _ = _step_once("codesign", small_config, images, monkeypatch, 1 << 40)
-        tiled, _, _ = _step_once("codesign", small_config, images, monkeypatch, SMALL_BUDGET)
-        for whole_layer, tiled_layer in zip(whole.diffractive_layers, tiled.diffractive_layers):
-            assert tiled_layer.rng.bit_generator.state == whole_layer.rng.bit_generator.state
-            np.testing.assert_allclose(tiled_layer.logits.data, whole_layer.logits.data, rtol=0.0, atol=1e-12)
+        """In one tile or three, a step draws each layer's Gumbel noise as a
+        plain forward does.  The layers share one generator: its state shows
+        the noise was drawn once per layer, and the stepped logits that each
+        layer got its own draw."""
+        block, _ = _block_step("codesign", small_config, images)
+        for budget in (1 << 40, SMALL_BUDGET):
+            stepped, _, _ = _step_once("codesign", small_config, images, monkeypatch, budget)
+            for block_layer, layer in zip(block.diffractive_layers, stepped.diffractive_layers):
+                assert layer.rng.bit_generator.state == block_layer.rng.bit_generator.state
+                np.testing.assert_allclose(layer.logits.data, block_layer.logits.data, rtol=0.0, atol=1e-12)
 
     def test_tiles_run_on_helper_threads_with_single_threaded_transforms(self, small_config, images, monkeypatch):
         model = DONN(small_config)
         seen = set()
         original = model.forward
         # The first two tiles wait for each other, so two threads run tiles
-        # at once, and at least one of them is a helper.
+        # at once, and at least one of them is a helper.  Counted by call,
+        # not by distinct entry: a thread may take a third tile before the
+        # third thread takes any, and that call must not wait.
         together = threading.Barrier(2)
+        arrivals = itertools.count()
 
         def recording_forward(batch):
             backend = fft_backends.autograd_backend()
             seen.add((threading.current_thread().name, len(batch), backend.workers))
-            if len(seen) <= 2:
+            if next(arrivals) < 2:
                 together.wait(timeout=30)
             return original(batch)
 
@@ -366,6 +420,18 @@ class TestTrainingTiles:
         assert calls == [(len(images), threading.current_thread())]
         assert started == []
         assert "step_modulation" not in vars(model.diffractive_layers[0])
+        # The one tile is the block step bit for bit: one forward and one
+        # backward through modulation() on the whole batch, then Adam.
+        labels = np.zeros(len(images), dtype=int)
+        mlp = MLPBaseline(32 * 32)
+        Trainer(mlp, num_classes=small_config.num_classes, batch_size=len(images)).train_epoch(images, labels)
+        for stepped, block in ((model, DONN(small_config)), (mlp, MLPBaseline(32 * 32))):
+            trainer = Trainer(block, num_classes=small_config.num_classes, batch_size=len(images))
+            order = np.random.default_rng(0).permutation(len(images))  # the trainer's shuffle at seed 0
+            trainer._loss(block(images[order]), labels[order]).backward()
+            trainer.optimizer.step()
+            for param, expected in zip(stepped.parameters(), block.parameters()):
+                np.testing.assert_array_equal(_bits(param.data), _bits(expected.data))
 
     def test_a_tile_that_raises_leaves_nothing_behind(self, small_config, images, monkeypatch):
         model = DONN(small_config)

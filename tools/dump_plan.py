@@ -1,4 +1,4 @@
-"""Dump a model's engine plan before and after the optimization passes.
+"""Dump a model's engine plan before and after the optimization pass.
 
 A debugging/teaching lens on the ``repro.engine`` compile pipeline
 (``docs/engine.md``): builds a DONN from CLI parameters, lowers it to the
@@ -8,7 +8,8 @@ op listings plus the pass report.
 Run from the repo root::
 
     PYTHONPATH=src python tools/dump_plan.py --sys-size 32 --num-layers 3
-    PYTHONPATH=src python tools/dump_plan.py --nonlinearity saturable --optimize fuse
+    PYTHONPATH=src python tools/dump_plan.py --nonlinearity saturable
+    PYTHONPATH=src python tools/dump_plan.py --optimize none
 
 The printing logic lives in :func:`repro.engine.plan.format_plan` /
 :func:`dump_plan` here, so docs doctests and tests can call it without a
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import argparse
 
-from repro.engine import get_fft_backend, optimize_plan
+from repro.engine import OPTIMIZE_LEVELS, get_fft_backend, optimize_plan
 from repro.engine.plan import count_ops, format_plan, lower
 from repro.models.config import DONNConfig
 from repro.models.donn import DONN
@@ -55,7 +56,7 @@ def main() -> None:
     parser.add_argument("--approx", default="rayleigh_sommerfeld")
     parser.add_argument("--pad-factor", type=int, default=1)
     parser.add_argument("--nonlinearity", default=None, choices=(None, "saturable", "kerr"))
-    parser.add_argument("--optimize", default="full", choices=("none", "fuse", "full"))
+    parser.add_argument("--optimize", default="full", choices=OPTIMIZE_LEVELS)
     parser.add_argument("--dtype", default="complex128", choices=("complex64", "complex128"))
     parser.add_argument("--backend", default="auto")
     parser.add_argument("--seed", type=int, default=0)
